@@ -53,6 +53,53 @@ class TestSim:
         assert json.loads(out_json.read_text())["trials"] == 3
 
 
+class _Built(Exception):
+    """Raised by the stand-in run_experiment to hand the parsed config back."""
+
+
+def built_config(monkeypatch, *argv: str):
+    def capture(config):
+        raise _Built(config)
+
+    monkeypatch.setattr("rumorsim.cli.run_experiment", capture)
+    with pytest.raises(_Built) as info:
+        run_cli("sim", *argv)
+    return info.value.args[0]
+
+
+class TestConfigKeys:
+    # key, value as text, ExperimentConfig field, parsed value, keys it needs
+    CASES = [
+        ("protocol", "feedback", "protocol", "feedback", {}),
+        ("topology", "star", "topology", "star", {"n": "5"}),
+        ("n", "7", "n", 7, {}),
+        ("p", "0.25", "p", 0.25, {}),
+        ("trials", "3", "trials", 3, {}),
+        ("seed", "11", "seed", 11, {}),
+        ("lists", "reversed", "lists", "reversed", {}),
+        ("list_seed", "4", "list_seed", 4, {}),
+        ("lists_path", "rows.txt", "lists_path", "rows.txt", {}),
+        ("start", "sweep", "start", "sweep", {}),
+        ("max_rounds", "9", "max_rounds", 9, {}),
+        ("schedule", "s.txt", "schedule_path", "s.txt", {"protocol": "delayed"}),
+        ("out", "r.csv", "out_path", "r.csv", {}),
+        ("summary", "s.json", "summary_path", "s.json", {}),
+    ]
+
+    @pytest.mark.parametrize("key, text, field, value, needs", CASES, ids=[c[0] for c in CASES])
+    def test_flag_and_file_line_agree(self, key, text, field, value, needs, tmp_path, monkeypatch):
+        pairs = {key: text, **needs}
+        flags = [arg for k, v in pairs.items() for arg in (f"--{k.replace('_', '-')}", v)]
+        from_flags = built_config(monkeypatch, *flags)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
+        from_file = built_config(monkeypatch, "--config", str(cfg))
+        for built in (from_flags, from_file):
+            assert getattr(built, field) == value
+            assert type(getattr(built, field)) is type(value)
+        assert from_flags == from_file
+
+
 class TestExitCodes:
     def test_invalid_value_is_one(self, capsys):
         assert run_cli("sim", "--n", "0", "--p", "1.0") == 1
