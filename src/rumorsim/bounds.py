@@ -10,7 +10,7 @@ underflow doubles already for moderate phase lengths k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 _LN2 = math.log(2.0)
 # ln(x) above this would need an integer too large to materialize
@@ -117,16 +117,7 @@ class BoundReport:
     slowdown: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "eps": self.eps,
-            "lower": self.lower,
-            "upper": self.upper,
-            "baseline": self.baseline,
-            "success_prob_lower": self.success_prob_lower,
-            "slowdown": self.slowdown,
-        }
+        return asdict(self)
 
 
 def bound_report(n: int, p: float, eps: float) -> BoundReport:

@@ -9,13 +9,12 @@ error, 3 failed bound check.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
 from .harness import (
-    CheckReport,
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     check_bounds,
@@ -32,24 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_CONFIG_KEYS = {
-    "protocol": str,
-    "topology": str,
-    "n": int,
-    "p": float,
-    "trials": int,
-    "seed": int,
-    "lists": str,
-    "list_seed": int,
-    "lists_path": str,
-    "start": str,
-    "max_rounds": int,
-    "schedule": str,
-    "out": str,
-    "summary": str,
-}
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
@@ -61,62 +42,39 @@ def _read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](val.strip())
+                values[key] = CONFIG_KEYS[key][1](val.strip())
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
+def _add_flags(sp: argparse.ArgumentParser, keys, required: bool = False) -> None:
+    """One --flag per config key, typed, restricted and described by CONFIG_KEYS."""
+    for key in keys:
+        _, typ, choices, help_text = CONFIG_KEYS[key]
+        sp.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key, type=typ, choices=choices, required=required, help=help_text,
+        )
+
+
 def _add_experiment_flags(sp: argparse.ArgumentParser, with_protocol: bool = True) -> None:
-    if with_protocol:
-        sp.add_argument("--protocol", choices=["random", "quasi", "feedback", "delayed"])
-    sp.add_argument("--topology", choices=["complete", "star"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--lists", choices=["canonical", "reversed", "random", "file"])
-    sp.add_argument("--list-seed", dest="list_seed", type=int)
-    sp.add_argument("--lists-path", dest="lists_path")
-    sp.add_argument("--start", help="fixed:<v> | sweep | symmetric")
-    sp.add_argument("--max-rounds", dest="max_rounds", type=int)
-    sp.add_argument("--schedule", help="phase schedule file (kind,length per line)")
-    sp.add_argument("--out", help="per-trial CSV path")
-    sp.add_argument("--summary", help="JSON summary path")
+    _add_flags(sp, [key for key in CONFIG_KEYS if with_protocol or key != "protocol"])
     sp.add_argument("--config", help="key=value config file; flags override it")
 
 
 def _build_config(args: argparse.Namespace, force_protocol: str | None = None) -> ExperimentConfig:
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     if force_protocol is not None:
         values["protocol"] = force_protocol
-    cfg = ExperimentConfig()
-    mapping = {
-        "protocol": "protocol",
-        "topology": "topology",
-        "n": "n",
-        "p": "p",
-        "trials": "trials",
-        "seed": "seed",
-        "lists": "lists",
-        "list_seed": "list_seed",
-        "lists_path": "lists_path",
-        "start": "start",
-        "max_rounds": "max_rounds",
-        "schedule": "schedule_path",
-        "out": "out_path",
-        "summary": "summary_path",
-    }
-    for key, attr in mapping.items():
-        if key in values:
-            setattr(cfg, attr, values[key])
+    cfg = ExperimentConfig(**{CONFIG_KEYS[key][0]: val for key, val in values.items()})
     cfg.validate()
     return cfg
 
@@ -141,8 +99,6 @@ def _cmd_compare(args) -> int:
     cfg_a = _build_config(base)
     base_b = argparse.Namespace(**{**vars(args), "config": args.config_b})
     cfg_b = _build_config(base_b)
-    if args.summary:
-        cfg_a.summary_path = args.summary
     result = compare(cfg_a, cfg_b)
     r = result.to_dict()["ratio"]
     print(
@@ -162,17 +118,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.protocol == "random":
-        dist = oracle_mod.exact_fully_random(args.n, args.p, args.horizon)
+    cfg = _build_config(args)
+    if cfg.protocol == "random":
+        if cfg.topology != "complete":
+            raise ConfigError(
+                f"topology: the fully random oracle covers only the complete graph, "
+                f"got {cfg.topology!r}"
+            )
+        dist = oracle_mod.exact_fully_random(cfg.n, cfg.p, args.horizon)
     else:
-        ns = argparse.Namespace(**vars(args))
-        ns.protocol = "quasi"
-        ns.trials = 1
-        cfg = _build_config(ns)
-        start = cfg.start_vertex_for(0)
-        dist = oracle_mod.exact_quasirandom(
-            args.n, cfg.build_lists(), args.p, args.horizon, start
-        )
+        lists = cfg.build_lists()
+        dist = oracle_mod.exact_quasirandom(cfg.n, lists, cfg.p, args.horizon, cfg.start_vertex_for(0))
     lines = ["t,probability"]
     lines += [f"{t},{dist.prob(t):.17g}" for t in range(dist.horizon + 1)]
     lines.append(f"tail,{dist.tail:.17g}")
@@ -235,22 +191,16 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_compare)
 
     sp = sub.add_parser("bounds", help="print the closed-form bound report")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    _add_flags(sp, ("n", "p"), required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--summary", help="JSON output path")
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("oracle", help="exact distribution as CSV (t,probability)")
     sp.add_argument("--protocol", choices=["random", "quasi"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    _add_flags(sp, ("n", "p"), required=True)
     sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--lists", choices=["canonical", "reversed", "random", "file"], default="canonical")
-    sp.add_argument("--list-seed", dest="list_seed", type=int, default=0)
-    sp.add_argument("--lists-path", dest="lists_path")
-    sp.add_argument("--start", default="fixed:0", help="fixed:<v> | sweep | symmetric")
-    sp.add_argument("--topology", choices=["complete", "star"], default="complete")
+    _add_flags(sp, ("lists", "list_seed", "lists_path", "start", "topology"))
     sp.add_argument("--out", help="CSV path; stdout when omitted")
     sp.set_defaults(fn=_cmd_oracle)
 

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .rng import TrialRandomness
-from .topology import GraphKind, ListAssignment
+from .topology import ListAssignment
 
 
 class Protocol(str, Enum):
@@ -88,10 +88,7 @@ def _attempt(
     """
     topo = lists.topology
     ordinals = state.attempts[senders]
-    if topo.kind is GraphKind.COMPLETE:
-        degs = np.full(len(senders), topo.n - 1, dtype=np.int64)
-    else:
-        degs = np.where(senders == 0, topo.n - 1, 1)
+    degs = topo.degrees(senders)
 
     delivered = rng.coin_uniforms(senders, ordinals) < p
 

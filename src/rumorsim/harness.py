@@ -9,7 +9,8 @@ re-runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,9 +28,6 @@ from .topology import (
     star_graph,
 )
 
-PROTOCOLS = ("random", "quasi", "feedback", "delayed")
-TOPOLOGIES = ("complete", "star")
-LIST_CHOICES = ("canonical", "reversed", "random", "file")
 _BOOTSTRAP_RESAMPLES = 10_000
 
 
@@ -39,26 +37,41 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    protocol: str = "quasi"
-    topology: str = "complete"
+    """One experiment, and the one table of its names.
+
+    Each field is a config-file key and a CLI flag of the same name, unless
+    its metadata gives another ``key``; ``choices`` lists the values it
+    accepts and ``help`` is the flag's help text.
+    """
+
+    protocol: str = field(
+        default="quasi", metadata={"choices": ("random", "quasi", "feedback", "delayed")}
+    )
+    topology: str = field(default="complete", metadata={"choices": ("complete", "star")})
     n: int = 2
     p: float = 1.0
     trials: int = 1
     seed: int = 0
-    lists: str = "canonical"
+    lists: str = field(
+        default="canonical", metadata={"choices": ("canonical", "reversed", "random", "file")}
+    )
     list_seed: int = 0
     lists_path: str | None = None
-    start: str | None = None  # fixed:<v> | sweep | symmetric; None = default
+    start: str | None = field(default=None, metadata={"help": "fixed:<v> | sweep | symmetric"})
     max_rounds: int | None = None
-    schedule_path: str | None = None
-    out_path: str | None = None
-    summary_path: str | None = None
+    schedule_path: str | None = field(
+        default=None,
+        metadata={"key": "schedule", "help": "phase schedule file (kind,length per line)"},
+    )
+    out_path: str | None = field(default=None, metadata={"key": "out", "help": "per-trial CSV path"})
+    summary_path: str | None = field(
+        default=None, metadata={"key": "summary", "help": "JSON summary path"}
+    )
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol: expected one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"topology: expected one of {TOPOLOGIES}, got {self.topology!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ConfigError(f"n: must be >= 1, got {self.n}")
         if self.topology == "star" and self.n < 3:
@@ -67,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError(f"p: must lie in (0, 1], got {self.p}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.lists not in LIST_CHOICES:
-            raise ConfigError(f"lists: expected one of {LIST_CHOICES}, got {self.lists!r}")
         if self.lists == "file" and not self.lists_path:
             raise ConfigError("lists_path: required when lists=file")
         if self.max_rounds is not None and self.max_rounds < 0:
@@ -84,12 +95,7 @@ class ExperimentConfig:
         topo = self.build_topology()
         if self.lists == "file":
             return load_lists_file(topo, self.lists_path)
-        strategy = {
-            "canonical": ListStrategy.CANONICAL,
-            "reversed": ListStrategy.REVERSED,
-            "random": ListStrategy.RANDOM,
-        }[self.lists]
-        return realize_lists(topo, strategy, self.list_seed)
+        return realize_lists(topo, ListStrategy(self.lists), self.list_seed)
 
     def start_vertex_for(self, trial: int) -> int:
         policy = self.start
@@ -113,6 +119,23 @@ class ExperimentConfig:
         if self.max_rounds is not None:
             return self.max_rounds
         return bounds.default_max_rounds(self.n, self.p)
+
+
+def _config_keys() -> dict[str, tuple[str, type, tuple | None, str | None]]:
+    """Config key -> (field name, value type, choices, help), in field order."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    table = {}
+    for f in fields(ExperimentConfig):
+        hint = hints[f.name]
+        typ = typing.get_args(hint)[0] if typing.get_args(hint) else hint  # `int | None` -> int
+        meta = f.metadata
+        table[meta.get("key", f.name)] = (f.name, typ, meta.get("choices"), meta.get("help"))
+    return table
+
+
+# derived once here, so no call path pays for fields() or get_type_hints()
+CONFIG_KEYS = _config_keys()
+_CHOICES = {name: choices for name, _, choices, _ in CONFIG_KEYS.values() if choices}
 
 
 @dataclass(frozen=True)
@@ -186,11 +209,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedule: list[Phase] | None = None
     if config.protocol == "delayed":
         schedule = load_schedule(config.schedule_path)
-    protocol = {
-        "random": Protocol.FULLY_RANDOM,
-        "quasi": Protocol.QUASIRANDOM,
-        "feedback": Protocol.FEEDBACK_RETRY,
-    }.get(config.protocol)
+    else:
+        protocol = Protocol(config.protocol)
 
     records = []
     phase_records = []
@@ -292,18 +312,7 @@ class CheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "eps": self.eps,
-            "trials": self.trials,
-            "lower": self.lower,
-            "upper": self.upper,
-            "frac_below_lower": self.frac_below_lower,
-            "frac_above_upper": self.frac_above_upper,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_bounds(config: ExperimentConfig, eps: float, threshold: float = 0.05) -> CheckReport:

@@ -225,10 +225,9 @@ def parse_schedule(text: str) -> list[Phase]:
         except ValueError:
             raise ValueError(f"schedule line {lineno}: unknown phase kind {kind_s!r}") from None
         try:
-            length = int(length_s)
-        except ValueError:
-            raise ValueError(f"schedule line {lineno}: bad length {length_s!r}") from None
-        phases.append(Phase(kind, length))
+            phases.append(Phase(kind, int(length_s)))
+        except ValueError as exc:
+            raise ValueError(f"schedule line {lineno}: bad length {length_s!r}: {exc}") from None
     return phases
 
 

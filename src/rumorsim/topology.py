@@ -53,17 +53,13 @@ class Topology:
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        if self.kind is GraphKind.COMPLETE:
-            return self.n - 1
-        return self.n - 1 if v == 0 else 1
+        return int(self.degrees(v))
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every vertex, as an int64 array of length n."""
+    def degrees(self, vertices: np.ndarray) -> np.ndarray:
+        """Degree of each given vertex, as int64; the one degree rule."""
         if self.kind is GraphKind.COMPLETE:
-            return np.full(self.n, self.n - 1, dtype=np.int64)
-        d = np.ones(self.n, dtype=np.int64)
-        d[0] = self.n - 1
-        return d
+            return np.full(np.shape(vertices), self.n - 1, dtype=np.int64)
+        return np.where(vertices == 0, self.n - 1, 1)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Canonical (ascending id) neighbor array of one vertex."""
@@ -138,11 +134,7 @@ class ListAssignment:
         if self.strategy is ListStrategy.CANONICAL:
             return topo.neighbors_at(vertices, positions)
         if self.strategy is ListStrategy.REVERSED:
-            if topo.kind is GraphKind.COMPLETE:
-                degs = np.full(len(vertices), topo.n - 1, dtype=np.int64)
-            else:
-                degs = np.where(vertices == 0, topo.n - 1, 1)
-            return topo.neighbors_at(vertices, degs - 1 - positions)
+            return topo.neighbors_at(vertices, topo.degrees(vertices) - 1 - positions)
         if self._table is not None:
             return self._table[vertices, positions].astype(np.int64)
         out = np.zeros(len(vertices), dtype=np.int64)
@@ -205,13 +197,19 @@ def realize_lists(
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:
     """Read explicit rows from a text file, one comma-separated row per vertex."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [
+            (lineno, ln.strip())
+            for lineno, ln in enumerate(fh, start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")
+        ]
     if len(lines) != topology.n:
         raise ValueError(
             f"lists file has {len(lines)} rows, topology has {topology.n} vertices"
         )
-    rows = {
-        v: np.array([int(x) for x in line.split(",")], dtype=np.int64)
-        for v, line in enumerate(lines)
-    }
+    rows = {}
+    for v, (lineno, line) in enumerate(lines):
+        try:
+            rows[v] = np.array([int(x) for x in line.split(",")], dtype=np.int64)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return realize_lists(topology, ListStrategy.EXPLICIT, explicit_rows=rows)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rumorsim
 from rumorsim import exact_fully_random
 from rumorsim.cli import main
 
@@ -119,6 +122,21 @@ class TestExitCodes:
         cfg.write_text("just a line\n")
         assert run_cli("sim", "--config", str(cfg)) == 1
 
+    def test_bad_lists_entry_names_its_line(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("# vertex 0 first\n1,2\n0,x\n0,1\n")
+        code = run_cli(
+            "sim", "--n", "3", "--lists", "file", "--lists-path", str(rows),
+        )
+        assert code == 1
+        assert f"{rows}:3: " in capsys.readouterr().err
+
+    def test_negative_phase_length_names_its_line(self, tmp_path, capsys):
+        sched = tmp_path / "s.txt"
+        sched.write_text("busy,4\nlazy,-1\n")
+        assert run_cli("phases", "--n", "4", "--schedule", str(sched)) == 1
+        assert "schedule line 2:" in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, capsys):
         assert run_cli("sim", "--config", "/nonexistent/exp.cfg") == 2
         assert "i/o error" in capsys.readouterr().err
@@ -182,6 +200,16 @@ class TestOracle:
         )
         assert code == 1
 
+    def test_random_on_star_is_one(self, capsys):
+        code = run_cli(
+            "oracle", "--protocol", "random", "--topology", "star",
+            "--n", "5", "--p", "1.0", "--horizon", "8",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "topology" in captured.err
+
 
 class TestPhases:
     def test_runs_schedule_file(self, tmp_path, capsys):
@@ -244,9 +272,11 @@ class TestCompare:
 
 
 def test_console_script_entry_point():
+    # the child imports the same rumorsim as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(rumorsim.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "rumorsim.cli", "bounds", "--n", "16", "--p", "1.0", "--eps", "0.1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "n=16" in proc.stdout
