@@ -69,7 +69,7 @@ class ExperimentConfig:
     )
 
     def validate(self) -> None:
-        for name, choices in _CHOICES.items():
+        for name, choices in _CHOICES:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
         if self.n < 1:
@@ -95,7 +95,7 @@ class ExperimentConfig:
         topo = self.build_topology()
         if self.lists == "file":
             return load_lists_file(topo, self.lists_path)
-        return realize_lists(topo, ListStrategy(self.lists), self.list_seed)
+        return realize_lists(topo, _LIST_STRATEGIES[self.lists], self.list_seed)
 
     def start_vertex_for(self, trial: int) -> int:
         policy = self.start
@@ -133,9 +133,12 @@ def _config_keys() -> dict[str, tuple[str, type, tuple | None, str | None]]:
     return table
 
 
-# derived once here, so no call path pays for fields() or get_type_hints()
+# Derived once here, so no call path pays for fields() or get_type_hints().
+# Set-up runs on a cache that trial chunks left cold, where an Enum call
+# costs more than a lookup in a plain dict built from the enum.
 CONFIG_KEYS = _config_keys()
-_CHOICES = {name: choices for name, _, choices, _ in CONFIG_KEYS.values() if choices}
+_CHOICES = tuple((name, choices) for name, _, choices, _ in CONFIG_KEYS.values() if choices)
+_LIST_STRATEGIES = {s.value: s for s in ListStrategy}
 
 
 @dataclass(frozen=True)

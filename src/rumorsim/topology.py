@@ -56,9 +56,9 @@ class Topology:
         return int(self.degrees(v))
 
     def degrees(self, vertices: np.ndarray) -> np.ndarray:
-        """Degree of each given vertex, as int64; the one degree rule."""
+        """Degree of each given vertex; the one degree rule."""
         if self.kind is GraphKind.COMPLETE:
-            return np.full(np.shape(vertices), self.n - 1, dtype=np.int64)
+            return np.full_like(vertices, self.n - 1)
         return np.where(vertices == 0, self.n - 1, 1)
 
     def neighbors(self, v: int) -> np.ndarray:
