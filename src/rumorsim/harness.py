@@ -134,8 +134,8 @@ def _config_keys() -> dict[str, tuple[str, type, tuple | None, str | None]]:
 
 
 # Derived once here, so no call path pays for fields() or get_type_hints().
-# Set-up runs on a cache that trial chunks left cold, where an Enum call
-# costs more than a lookup in a plain dict built from the enum.
+# Set-up often runs on cold caches, where an Enum call costs several times a
+# lookup in a plain dict built from the enum.
 CONFIG_KEYS = _config_keys()
 _CHOICES = tuple((name, choices) for name, _, choices, _ in CONFIG_KEYS.values() if choices)
 _LIST_STRATEGIES = {s.value: s for s in ListStrategy}
