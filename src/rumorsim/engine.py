@@ -14,17 +14,21 @@ Protocols differ only in how the target of a vertex's j-th attempt is chosen:
   both the delivery and an independent feedback coin succeed.
 
 All randomness is addressed by (vertex, attempt ordinal), which is what makes
-delayed-schedule couplings exact (see phases).
+delayed-schedule couplings exact (see phases).  It also lets run_batch
+advance many trials as one array step without changing a draw; run is its
+one-trial case, and step advances a single trial by one round for callers
+that steer it, such as the delayed variant.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .rng import TrialRandomness
+from .rng import RowRandomness, TrialRandomness
 from .topology import ListAssignment
 
 
@@ -74,42 +78,46 @@ def init_state(n: int, start_vertex: int) -> EngineState:
     )
 
 
-def _attempt(
-    senders: np.ndarray,
-    state: EngineState,
+def _transmit(
+    rows: np.ndarray,
+    vertices: np.ndarray,
+    cursor: np.ndarray,
+    attempts: np.ndarray,
     lists: ListAssignment,
     protocol: Protocol,
     p: float,
-    rng: TrialRandomness,
-) -> np.ndarray:
-    """One transmission per sender; returns targets that were delivered to.
+    keys: RowRandomness,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One transmission per sender; returns (target vertices, delivered mask).
 
-    Mutates cursors and attempt counters.  Senders must all have degree > 0.
+    rows index cursor, attempts and the draws of keys; vertices are the
+    senders' vertex ids.  Mutates cursors and attempt counters.  Senders must
+    all have degree > 0.
     """
     topo = lists.topology
-    ordinals = state.attempts[senders]
-    degs = topo.degrees(senders)
+    ordinals = attempts[rows]
+    degs = topo.degrees(vertices)
 
-    delivered = rng.coin_uniforms(senders, ordinals) < p
+    delivered = keys.coin_uniforms(rows, ordinals) < p
 
     if protocol is Protocol.FULLY_RANDOM:
-        idx = rng.target_indices(senders, ordinals, degs)
-        targets = topo.neighbors_at(senders, idx)
+        idx = keys.target_indices(rows, ordinals, degs)
+        targets = topo.neighbors_at(vertices, idx)
     else:
-        positions = state.cursor[senders]
+        positions = cursor[rows]
         fresh = positions < 0
         if fresh.any():
-            positions = positions.copy()
-            positions[fresh] = rng.initial_positions(senders[fresh], degs[fresh])
-        targets = lists.targets_at(senders, positions)
+            positions[fresh] = keys.initial_positions(rows[fresh], degs[fresh])
+        targets = lists.targets_at(vertices, positions)
         if protocol is Protocol.QUASIRANDOM:
-            state.cursor[senders] = (positions + 1) % degs
+            positions += 1
         else:
-            advance = delivered & (rng.feedback_uniforms(senders, ordinals) < p)
-            state.cursor[senders] = (positions + advance) % degs
+            positions += delivered & (keys.feedback_uniforms(rows, ordinals) < p)
+        positions[positions == degs] = 0  # the lists are cyclic
+        cursor[rows] = positions
 
-    state.attempts[senders] += 1
-    return targets[delivered]
+    attempts[rows] = ordinals + 1
+    return targets, delivered
 
 
 def step(
@@ -132,9 +140,11 @@ def step(
         senders = np.flatnonzero(state.informed)
     else:
         senders = np.flatnonzero(sender_mask & state.informed)
-    hits = _attempt(senders, state, lists, protocol, failure.p, rng)
+    targets, delivered = _transmit(
+        senders, senders, state.cursor, state.attempts, lists, protocol, failure.p, rng.cached(n)
+    )
     new_mask = np.zeros(n, dtype=bool)
-    new_mask[hits] = True
+    new_mask[targets[delivered]] = True
     new_mask &= ~state.informed
     state.informed |= new_mask
     state.newly_informed = new_mask
@@ -150,6 +160,66 @@ class TrialResult:
     trajectory: np.ndarray = field(repr=False)  # informed counts, index = round
 
 
+def run_batch(
+    lists: ListAssignment,
+    protocol: Protocol,
+    failure: FailureModel,
+    starts: Sequence[int],
+    rngs: Iterable[TrialRandomness],
+    max_rounds: int,
+    counts: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one trial per (start vertex, rng) pair, all in the same round loop.
+
+    Returns each trial's rounds and whether it completed.  Every trial runs
+    until every vertex is informed or max_rounds have elapsed, and its draws
+    come only from its own rng, so the results do not depend on which other
+    trials share the batch.  State is flat: trial b's vertex v is row b*n + v,
+    and a finished trial's rows are dropped.  If counts is a list, the informed
+    count of each trial still running is appended to it after every round.
+    """
+    n = lists.topology.n
+    starts = np.asarray(starts, dtype=np.int64)
+    bad = (starts < 0) | (starts >= n)
+    if bad.any():
+        raise ValueError(f"start vertex {starts[bad][0]} out of range for n={n}")
+    keys = RowRandomness(rngs, n)
+    if keys.trials != len(starts):
+        raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
+    informed = np.zeros(len(starts) * n, dtype=bool)
+    informed[np.arange(len(starts)) * n + starts] = True
+    cursor = np.full(len(informed), -1, dtype=np.int64)
+    attempts = np.zeros(len(informed), dtype=np.int64)
+    running = np.arange(len(starts))  # trial of each block of n rows
+    vertex = np.tile(np.arange(n), len(starts))  # vertex of each row; stays valid as rows drop
+    rounds = np.zeros(len(starts), dtype=np.int64)
+    completed = np.zeros(len(starts), dtype=bool)
+    t = 0
+    while True:
+        done = informed.reshape(-1, n).all(axis=1)
+        if done.any():
+            rounds[running[done]] = t
+            completed[running[done]] = True
+            live = ~done
+            running = running[live]
+            rows = np.repeat(live, n)
+            informed, cursor, attempts = informed[rows], cursor[rows], attempts[rows]
+            keys.keep(live)
+        if not len(running) or t >= max_rounds:
+            break
+        senders = np.flatnonzero(informed)
+        vertices = vertex[senders]
+        targets, delivered = _transmit(
+            senders, vertices, cursor, attempts, lists, protocol, failure.p, keys
+        )
+        informed[(targets + (senders - vertices))[delivered]] = True
+        t += 1
+        if counts is not None:
+            counts.append(informed.reshape(-1, n).sum(axis=1))
+    rounds[running] = t
+    return rounds, completed
+
+
 def run(
     lists: ListAssignment,
     protocol: Protocol,
@@ -159,14 +229,12 @@ def run(
     max_rounds: int,
 ) -> TrialResult:
     """Run until every vertex is informed or max_rounds have elapsed."""
-    n = lists.topology.n
-    state = init_state(n, start_vertex)
-    counts = [1]
-    while state.informed_count < n and state.t < max_rounds:
-        step(state, lists, protocol, failure, rng)
-        counts.append(state.informed_count)
+    counts = [np.ones(1, dtype=np.int64)]
+    rounds, completed = run_batch(
+        lists, protocol, failure, [start_vertex], [rng], max_rounds, counts
+    )
     return TrialResult(
-        rounds=state.t,
-        completed=state.informed_count == n,
-        trajectory=np.array(counts, dtype=np.int64),
+        rounds=int(rounds[0]),
+        completed=bool(completed[0]),
+        trajectory=np.concatenate(counts, dtype=np.int64),
     )

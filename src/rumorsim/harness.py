@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds, phases
-from .engine import FailureModel, Protocol, run
+from .engine import FailureModel, Protocol, run_batch
 from .phases import Phase, load_schedule, run_delayed
 from .rng import TrialRandomness, derive_key
 from .topology import (
@@ -29,6 +29,9 @@ from .topology import (
 )
 
 _BOOTSTRAP_RESAMPLES = 10_000
+# Trials run in chunks of at most this many (trial, vertex) cells, which
+# bounds a chunk's memory; records do not depend on where chunks split.
+_CHUNK_CELLS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -217,15 +220,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     records = []
     phase_records = []
-    for trial in range(config.trials):
-        rng = TrialRandomness(config.seed, trial)
-        start = config.start_vertex_for(trial)
-        if schedule is not None:
-            res = run_delayed(lists, failure, start, schedule, rng, max_rounds)
+    if schedule is not None:
+        for trial in range(config.trials):
+            start = config.start_vertex_for(trial)
+            res = run_delayed(
+                lists, failure, start, schedule, TrialRandomness(config.seed, trial), max_rounds
+            )
             phase_records.append(res.phases)
-        else:
-            res = run(lists, protocol, failure, start, rng, max_rounds)
-        records.append(TrialRecord(trial, start, res.rounds, res.completed))
+            records.append(TrialRecord(trial, start, res.rounds, res.completed))
+    else:
+        per_chunk = max(1, _CHUNK_CELLS // config.n)
+        for first in range(0, config.trials, per_chunk):
+            trials = range(first, min(first + per_chunk, config.trials))
+            starts = [config.start_vertex_for(trial) for trial in trials]
+            rngs = (TrialRandomness(config.seed, trial) for trial in trials)
+            rounds, completed = run_batch(lists, protocol, failure, starts, rngs, max_rounds)
+            records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())
 
     result = ExperimentResult(config, records, summarize(records), phase_records)
     if config.out_path:
@@ -323,7 +333,7 @@ def check_bounds(config: ExperimentConfig, eps: float, threshold: float = 0.05) 
 
     Trials that never completed count as violating the upper bound.
     """
-    result = run_experiment(config)
+    result = run_experiment(replace(config, summary_path=None))
     lo = bounds.lower_bound(config.n, config.p, eps)
     hi = bounds.upper_bound(config.n, config.p, eps)
     below = sum(1 for r in result.records if r.completed and r.rounds < lo)

@@ -8,9 +8,17 @@ pair.  That last property is what makes delayed/undelayed couplings exact.
 Key derivation happens in plain Python ints masked to 64 bits (numpy uint64
 scalars warn on overflow, arrays wrap silently), and the per-round draws are
 vectorized over uint64 arrays.
+
+A draw hashes in two stages: h = mix(key ^ v*G) for the (trial, purpose,
+vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
+on the ordinal, so a simulation computes it once per trial, purpose and
+vertex (``RowRandomness``) and each round only gathers it and runs the second
+stage.  The values are the same uint64s, element for element.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -24,6 +32,7 @@ PURPOSE_INITIAL = 0x11
 PURPOSE_COIN = 0x22
 PURPOSE_TARGET = 0x33
 PURPOSE_FEEDBACK = 0x44
+_PURPOSES = (PURPOSE_INITIAL, PURPOSE_COIN, PURPOSE_TARGET, PURPOSE_FEEDBACK)
 
 _G = np.uint64(_GOLDEN)
 _M1 = np.uint64(_MIX1)
@@ -62,6 +71,11 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
+def _finish(first: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+    """Second hash stage: fold the attempt ordinal into a first-stage hash."""
+    return _mix_array(first ^ (np.asarray(ordinals, dtype=np.uint64) * _G))
+
+
 class TrialRandomness:
     """All random draws for one trial of one experiment.
 
@@ -75,20 +89,20 @@ class TrialRandomness:
         self.trial = int(trial)
         key = derive_key(master_seed, trial)
         self._keys = {
-            purpose: mix64(key ^ ((purpose * _GOLDEN) & _MASK))
-            for purpose in (
-                PURPOSE_INITIAL,
-                PURPOSE_COIN,
-                PURPOSE_TARGET,
-                PURPOSE_FEEDBACK,
-            )
+            purpose: mix64(key ^ ((purpose * _GOLDEN) & _MASK)) for purpose in _PURPOSES
         }
+        self._cached: dict[int, RowRandomness] = {}
 
     def _hash(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         v = np.asarray(vertices, dtype=np.uint64)
-        o = np.asarray(ordinals, dtype=np.uint64)
-        h = _mix_array(np.uint64(self._keys[purpose]) ^ (v * _G))
-        return _mix_array(h ^ (o * _G))
+        return _finish(_mix_array(np.uint64(self._keys[purpose]) ^ (v * _G)), ordinals)
+
+    def cached(self, n: int) -> RowRandomness:
+        """This trial's draws for vertices 0..n-1, first stage computed once."""
+        rows = self._cached.get(n)
+        if rows is None:
+            rows = self._cached[n] = RowRandomness([self], n)
+        return rows
 
     def _uniforms(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         h = self._hash(purpose, vertices, ordinals)
@@ -113,3 +127,38 @@ class TrialRandomness:
         """Fresh uniform neighbor index for each (vertex, ordinal) attempt."""
         h = self._hash(PURPOSE_TARGET, vertices, ordinals)
         return (h % np.asarray(degrees, dtype=np.uint64)).astype(np.int64)
+
+
+class RowRandomness(TrialRandomness):
+    """The draws of several trials on n vertices, addressed by row b*n + v.
+
+    Row b*n + v draws exactly what the b-th trial draws for vertex v, through
+    the same draw methods.  Each purpose's first stage is computed for every
+    row on its first draw and kept; later draws gather it by row and run only
+    the second stage.  ``keep`` drops the rows of finished trials.
+    """
+
+    def __init__(self, rngs: Iterable[TrialRandomness], n: int):
+        self.n = n
+        keys = (rng._keys[purpose] for rng in rngs for purpose in _PURPOSES)
+        self._trial_keys = np.fromiter(keys, dtype=np.uint64).reshape(-1, len(_PURPOSES))
+        self._first: dict[int, np.ndarray] = {}
+
+    @property
+    def trials(self) -> int:
+        """How many trials still have rows."""
+        return len(self._trial_keys)
+
+    def _hash(self, purpose: int, rows: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+        first = self._first.get(purpose)
+        if first is None:
+            keys = self._trial_keys[:, _PURPOSES.index(purpose), None]
+            first = _mix_array(keys ^ (np.arange(self.n, dtype=np.uint64) * _G)).ravel()
+            self._first[purpose] = first
+        return _finish(first[rows], ordinals)
+
+    def keep(self, trials: np.ndarray) -> None:
+        """Keep the rows of the trials where ``trials`` (one bool each) is set."""
+        rows = np.repeat(trials, self.n)
+        self._trial_keys = self._trial_keys[trials]
+        self._first = {purpose: first[rows] for purpose, first in self._first.items()}

@@ -57,8 +57,10 @@ from rumorsim import (
     tv_distance,
     upper_bound,
 )
+from rumorsim.engine import run_batch
 
 STRATEGIES = (ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM)
+BATCH_CELLS = 1 << 16  # (trial, vertex) cells per run_batch call, bounding memory
 
 # Exact values for fully random push on the complete graph, n=4096: the
 # oracle's count chain (_fully_random_round_dist, iterated as
@@ -76,16 +78,17 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _broadcast_times(lists, protocol, p, trials, seed, start=0, max_rounds=None):
+    """Rounds and completion of trials 0..trials-1, BATCH_CELLS cells per batch."""
     failure = FailureModel(p)
     if max_rounds is None:
         max_rounds = default_max_rounds(lists.topology.n, p)
-    rounds = np.empty(trials, dtype=np.int64)
-    completed = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        res = run(lists, protocol, failure, start, TrialRandomness(seed, t), max_rounds)
-        rounds[t] = res.rounds
-        completed[t] = res.completed
-    return rounds, completed
+    per_batch = max(1, BATCH_CELLS // lists.topology.n)
+    batches = [
+        run_batch(lists, protocol, failure, [start] * len(ids),
+                  [TrialRandomness(seed, t) for t in ids], max_rounds)
+        for ids in (range(b, min(b + per_batch, trials)) for b in range(0, trials, per_batch))
+    ]
+    return np.concatenate([r for r, _ in batches]), np.concatenate([c for _, c in batches])
 
 
 def test_criterion_01_lossless_baseline_law():

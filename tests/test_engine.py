@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ from rumorsim import (
     step,
     tv_distance,
 )
+from rumorsim.engine import run_batch
+
+# the engine-vs-oracle TV tests fail a correct engine with probability below this
+TV_FALSE_ALARM = 1e-9
+
+
+def _tv_limit(dist, trials: int) -> float:
+    """TV(empirical, exact) that a correct engine exceeds w.p. < TV_FALSE_ALARM.
+
+    E|emp_t - p_t| <= sqrt(p_t (1 - p_t) / N) bounds the mean; one trial
+    moves TV by at most 1/N, so McDiarmid adds sqrt(ln(1/alarm) / (2N)).
+    """
+    mass = np.append(dist.mass, dist.tail)
+    mean = 0.5 * float(np.sqrt(mass * (1.0 - mass)).sum()) / math.sqrt(trials)
+    return mean + math.sqrt(math.log(1.0 / TV_FALSE_ALARM) / (2.0 * trials))
 
 
 def test_init_state():
@@ -94,13 +110,35 @@ def test_two_vertices_fully_random_geometric():
     lists = realize_lists(complete_graph(2), ListStrategy.CANONICAL)
     p = 0.55
     fm = FailureModel(p)
-    rounds = np.array(
-        [run(lists, Protocol.FULLY_RANDOM, fm, 0, TrialRandomness(1, i), 100).rounds
-         for i in range(20_000)]
+    rounds, _ = run_batch(
+        lists, Protocol.FULLY_RANDOM, fm, [0] * 20_000,
+        [TrialRandomness(1, i) for i in range(20_000)], 100,
     )
     dist = exact_fully_random(2, p, 100)
     tv = tv_distance(dist, rounds, np.ones(len(rounds), dtype=bool))
     assert tv < 0.02
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
+def test_fully_random_n64_matches_oracle(p):
+    trials = 10_000
+    lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
+    rounds, completed = run_batch(
+        lists, Protocol.FULLY_RANDOM, FailureModel(p), [0] * trials,
+        [TrialRandomness(64, t) for t in range(trials)], 400,
+    )
+    dist = exact_fully_random(64, p, 120)
+    assert dist.tail < 1e-9
+    assert tv_distance(dist, rounds, completed) < _tv_limit(dist, trials)
+
+
+def test_batch_rejects_bad_inputs():
+    lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
+    rngs = [TrialRandomness(0, 0), TrialRandomness(0, 1)]
+    with pytest.raises(ValueError, match="start vertex 4"):
+        run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 4], rngs, 10)
+    with pytest.raises(ValueError, match="2 rngs for 3 start vertices"):
+        run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 1, 2], rngs, 10)
 
 
 def test_quasirandom_cursor_walks_cyclically():

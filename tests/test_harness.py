@@ -2,14 +2,22 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumorsim import (
     ConfigError,
     ExperimentConfig,
+    FailureModel,
+    Protocol,
+    TrialRandomness,
     check_bounds,
     compare,
+    harness,
+    run,
     run_experiment,
     summarize,
     write_records_csv,
@@ -104,6 +112,25 @@ class TestSummaries:
         assert set(d["cdf"]) == {"t", "prob"}
 
 
+@st.composite
+def batch_configs(draw):
+    """Small configs whose max_rounds leaves some trials incomplete."""
+    topology = draw(st.sampled_from(["complete", "star"]))
+    n = draw(st.integers(3 if topology == "star" else 1, 12))
+    return ExperimentConfig(
+        protocol=draw(st.sampled_from(["random", "quasi", "feedback"])),
+        topology=topology,
+        n=n,
+        p=draw(st.floats(0.05, 1.0)),
+        trials=draw(st.integers(1, 16)),
+        seed=draw(st.integers(0, 2**40)),
+        lists=draw(st.sampled_from(["canonical", "reversed", "random"])),
+        list_seed=draw(st.integers(0, 99)),
+        start=draw(st.sampled_from([None, "sweep", "symmetric", f"fixed:{n - 1}"])),
+        max_rounds=draw(st.integers(0, 30)),
+    )
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         paths = []
@@ -122,6 +149,20 @@ class TestDeterminism:
         big = run_experiment(cfg(protocol="random", n=16, p=0.5, trials=20, seed=3))
         small = run_experiment(cfg(protocol="random", n=16, p=0.5, trials=7, seed=3))
         assert big.records[:7] == small.records
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=batch_configs(), cells=st.integers(1, 80))
+    def test_chunked_records_equal_per_trial_runs(self, config, cells):
+        lists = config.build_lists()
+        expected = []
+        for t in range(config.trials):
+            start = config.start_vertex_for(t)
+            res = run(lists, Protocol(config.protocol), FailureModel(config.p), start,
+                      TrialRandomness(config.seed, t), config.max_rounds)
+            expected.append(TrialRecord(t, start, res.rounds, res.completed))
+        assert run_experiment(config).records == expected
+        with mock.patch.object(harness, "_CHUNK_CELLS", cells):  # other chunk splits
+            assert run_experiment(config).records == expected
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "records.csv"
@@ -174,6 +215,13 @@ class TestCheckBounds:
         )
         assert rep.frac_above_upper == 1.0
         assert not rep.passed
+
+    def test_summary_written_once(self, tmp_path):
+        summ = tmp_path / "check.json"
+        with mock.patch.object(harness, "write_json", wraps=harness.write_json) as write:
+            rep = check_bounds(cfg(trials=5, summary_path=str(summ)), eps=0.5)
+        assert write.call_count == 1
+        assert json.loads(summ.read_text()) == rep.to_dict()
 
     def test_report_dict_keys(self):
         rep = check_bounds(cfg(trials=5), eps=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rumorsim import TrialRandomness, derive_key, mix64
+from rumorsim.rng import RowRandomness
 
 
 def test_mix64_is_deterministic_and_bounded():
@@ -83,3 +84,40 @@ def test_initial_positions_respect_degrees():
     degs = np.array([1, 2, 3, 1000])
     pos = rng.initial_positions(np.array([0, 1, 2, 3]), degs)
     assert ((pos >= 0) & (pos < degs)).all()
+
+
+def test_rows_draw_what_their_trials_draw():
+    trials = [TrialRandomness(6, t) for t in (0, 3, 4)]
+    n = 5
+    rows = RowRandomness(trials, n)
+    r = np.array([0, 4, 5, 9, 13, 14, 7])
+    o = np.array([0, 3, 1, 2**40, 7, 0, 5])
+    degs = np.array([4, 4, 4, 1, 3, 2, 9])
+    b, v = r // n, r % n
+
+    def per_trial(draw, *args):
+        return np.array([
+            getattr(trials[bi], draw)(np.array([vi]), *(a[i:i + 1] for a in args))[0]
+            for i, (bi, vi) in enumerate(zip(b, v))
+        ])
+
+    assert np.array_equal(rows.coin_uniforms(r, o), per_trial("coin_uniforms", o))
+    assert np.array_equal(rows.feedback_uniforms(r, o), per_trial("feedback_uniforms", o))
+    assert np.array_equal(rows.target_indices(r, o, degs), per_trial("target_indices", o, degs))
+    assert np.array_equal(rows.initial_positions(r, degs), per_trial("initial_positions", degs))
+
+    rows.keep(np.array([True, False, True]))  # trial 3 leaves; trial 4 moves up a block
+    moved = np.array([0, 4, 5, 9])
+    expected = np.concatenate([
+        trials[0].coin_uniforms(np.array([0, 4]), o[:2]),
+        trials[2].coin_uniforms(np.array([0, 4]), o[2:4]),
+    ])
+    assert np.array_equal(rows.coin_uniforms(moved, o[:4]), expected)
+
+
+def test_cached_is_built_once_per_size():
+    rng = TrialRandomness(1, 2)
+    assert rng.cached(8) is rng.cached(8)
+    v = np.arange(8)
+    o = np.arange(8) * 3
+    assert np.array_equal(rng.cached(8).coin_uniforms(v, o), rng.coin_uniforms(v, o))
