@@ -105,8 +105,8 @@ def _transmit(
         targets = topo.neighbors_at(vertices, idx)
     else:
         positions = cursor[rows]
-        fresh = positions < 0
-        if fresh.any():
+        fresh = np.flatnonzero(positions < 0)  # indices: a scattered mask is slow to apply
+        if len(fresh):
             positions[fresh] = keys.initial_positions(rows[fresh], degs[fresh])
         targets = lists.targets_at(vertices, positions)
         if protocol is Protocol.QUASIRANDOM:
