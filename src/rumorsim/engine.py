@@ -18,6 +18,14 @@ delayed-schedule couplings exact (see phases).  It also lets run_batch
 advance many trials as one array step without changing a draw; run is its
 one-trial case, and step advances a single trial by one round for callers
 that steer it, such as the delayed variant.
+
+A delivery coin is drawn only where it can change the state: for a
+transmission whose target is still uninformed, and never at p = 1, where a
+uniform of at most 1 - 2**-53 always comes up.  The feedback protocol at
+p < 1 draws its delivery and feedback coins for every sender, because its
+cursor moves on both.  Since a draw is a pure function of its address, a
+skipped coin moves no other draw, and every outcome is the one drawing all
+coins would give.
 """
 
 from __future__ import annotations
@@ -81,43 +89,52 @@ def init_state(n: int, start_vertex: int) -> EngineState:
 def _transmit(
     rows: np.ndarray,
     vertices: np.ndarray,
+    informed: np.ndarray,
     cursor: np.ndarray,
     attempts: np.ndarray,
     lists: ListAssignment,
     protocol: Protocol,
     p: float,
     keys: RowRandomness,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One transmission per sender; returns (target vertices, delivered mask).
+) -> np.ndarray:
+    """One transmission per sender; returns the rows its deliveries newly inform.
 
-    rows index cursor, attempts and the draws of keys; vertices are the
-    senders' vertex ids.  Mutates cursors and attempt counters.  Senders must
-    all have degree > 0.
+    rows index informed, cursor, attempts and the draws of keys; vertices are
+    the senders' vertex ids, and a sender's target u lies in its own trial's
+    block, at row u + (row - vertex).  The returned rows may repeat.  Mutates
+    cursors and attempt counters, not informed.  Senders must all have
+    degree > 0.
     """
     topo = lists.topology
     ordinals = attempts[rows]
     degs = topo.degrees(vertices)
-
-    delivered = keys.coin_uniforms(rows, ordinals) < p
+    delivered = None  # drawn for every sender only where the cursor needs it
 
     if protocol is Protocol.FULLY_RANDOM:
         idx = keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
     else:
         positions = cursor[rows]
-        fresh = np.flatnonzero(positions < 0)  # indices: a scattered mask is slow to apply
+        fresh = (positions < 0).nonzero()[0]  # indices: a scattered mask is slow to apply
         if len(fresh):
             positions[fresh] = keys.initial_positions(rows[fresh], degs[fresh])
         targets = lists.targets_at(vertices, positions)
-        if protocol is Protocol.QUASIRANDOM:
-            positions += 1
-        else:
+        if protocol is Protocol.FEEDBACK_RETRY and p < 1.0:
+            delivered = keys.coin_uniforms(rows, ordinals) < p
             positions += delivered & (keys.feedback_uniforms(rows, ordinals) < p)
+        else:  # at p = 1 every feedback coin comes up, so feedback walks like quasi
+            positions += 1
         positions[positions == degs] = 0  # the lists are cyclic
         cursor[rows] = positions
 
     attempts[rows] = ordinals + 1
-    return targets, delivered
+    target_rows = targets + (rows - vertices)
+    useful = (~informed[target_rows]).nonzero()[0]
+    if delivered is not None:
+        useful = useful[delivered[useful]]
+    elif p < 1.0 and len(useful):
+        useful = useful[keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
+    return target_rows[useful]
 
 
 def step(
@@ -137,15 +154,15 @@ def step(
     if state.informed_count >= n:
         return state
     if sender_mask is None:
-        senders = np.flatnonzero(state.informed)
+        senders = state.informed.nonzero()[0]
     else:
-        senders = np.flatnonzero(sender_mask & state.informed)
-    targets, delivered = _transmit(
-        senders, senders, state.cursor, state.attempts, lists, protocol, failure.p, rng.cached(n)
+        senders = (sender_mask & state.informed).nonzero()[0]
+    new_rows = _transmit(
+        senders, senders, state.informed, state.cursor, state.attempts,
+        lists, protocol, failure.p, rng.cached(n),
     )
     new_mask = np.zeros(n, dtype=bool)
-    new_mask[targets[delivered]] = True
-    new_mask &= ~state.informed
+    new_mask[new_rows] = True
     state.informed |= new_mask
     state.newly_informed = new_mask
     state.informed_count += int(new_mask.sum())
@@ -207,12 +224,12 @@ def run_batch(
             keys.keep(live)
         if not len(running) or t >= max_rounds:
             break
-        senders = np.flatnonzero(informed)
-        vertices = vertex[senders]
-        targets, delivered = _transmit(
-            senders, vertices, cursor, attempts, lists, protocol, failure.p, keys
+        senders = informed.nonzero()[0]
+        new_rows = _transmit(
+            senders, vertex[senders], informed, cursor, attempts,
+            lists, protocol, failure.p, keys,
         )
-        informed[(targets + (senders - vertices))[delivered]] = True
+        informed[new_rows] = True
         t += 1
         if counts is not None:
             counts.append(informed.reshape(-1, n).sum(axis=1))

@@ -9,6 +9,7 @@ re-runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -252,9 +253,20 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
             fh.write(f"{r.trial},{r.start_vertex},{r.rounds},{str(r.completed).lower()}\n")
 
 
+def _null_for_nan(value):
+    """JSON has no NaN: an undefined statistic is written as null."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _null_for_nan(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_for_nan(v) for v in value]
+    return value
+
+
 def write_json(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_null_for_nan(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -8,7 +8,9 @@ strategy picks the actual cyclic order per vertex.
 For the complete graph and the star the canonical and reversed orders have a
 closed form, so those assignments never materialize an n x (n-1) table and
 stay cheap at n = 10**5.  Random and explicit assignments are materialized
-and therefore capped in size.
+and therefore capped in size.  The random table is built in place as one
+copy: the canonical rows are written in closed form, and each row is then
+shuffled by the generator of its (seed, vertex id).
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ class ListAssignment:
 
     Realization is deterministic in (strategy, seed, vertex id): vertex v's
     random permutation depends only on those, never on other vertices or on
-    how many rows were asked for before.
+    how many rows were asked for before.  Canonical and reversed lists are
+    closed-form index maps; random and explicit lists are one materialized
+    table, an (n, n-1) array for the complete graph and the center's row
+    alone, shape (1, n-1), for the star, whose leaves can only list 0.
     """
 
     def __init__(
@@ -102,18 +107,12 @@ class ListAssignment:
         topology: Topology,
         strategy: ListStrategy,
         seed: int = 0,
-        rows: dict | None = None,
+        table: np.ndarray | None = None,
     ):
         self.topology = topology
         self.strategy = strategy
         self.seed = seed
-        self._table = None  # complete graph: full n x (n-1) matrix
-        self._center = None  # star: the center's row; leaves are forced
-        if strategy in (ListStrategy.RANDOM, ListStrategy.EXPLICIT):
-            if topology.kind is GraphKind.COMPLETE:
-                self._table = np.vstack([rows[v] for v in range(topology.n)])
-            else:
-                self._center = rows[0]
+        self._table = table
 
     def row(self, v: int) -> np.ndarray:
         """The full cyclic list of one vertex, mostly for tests and oracles."""
@@ -122,9 +121,9 @@ class ListAssignment:
             return self.topology.neighbors(v)
         if self.strategy is ListStrategy.REVERSED:
             return self.topology.neighbors(v)[::-1].copy()
-        if self._table is not None:
-            return self._table[v].astype(np.int64)
-        return self._center.copy() if v == 0 else np.zeros(1, dtype=np.int64)
+        if v < len(self._table):
+            return self._table[v].copy()
+        return np.zeros(1, dtype=np.int64)
 
     def targets_at(self, vertices: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized: the list entry at the given position of each vertex."""
@@ -135,12 +134,10 @@ class ListAssignment:
             return topo.neighbors_at(vertices, positions)
         if self.strategy is ListStrategy.REVERSED:
             return topo.neighbors_at(vertices, topo.degrees(vertices) - 1 - positions)
-        if self._table is not None:
-            return self._table[vertices, positions].astype(np.int64)
-        out = np.zeros(len(vertices), dtype=np.int64)
-        at_center = vertices == 0
-        out[at_center] = self._center[positions[at_center]]
-        return out
+        flat = self._table.ravel()  # row v starts at v * (n - 1)
+        if topo.kind is GraphKind.COMPLETE:
+            return flat[vertices * (topo.n - 1) + positions]
+        return np.where(vertices == 0, flat[positions], 0)  # a leaf's one slot lists 0
 
 
 def _validate_row(topology: Topology, v: int, row) -> np.ndarray:
@@ -173,6 +170,7 @@ def realize_lists(
         raise ValueError(
             f"materialized lists need {n * (n - 1)} cells; use canonical or reversed"
         )
+    height = n if topology.kind is GraphKind.COMPLETE else 1  # star leaves are forced
     if strategy is ListStrategy.EXPLICIT:
         if explicit_rows is None:
             raise ValueError("explicit strategy needs explicit_rows")
@@ -180,18 +178,17 @@ def realize_lists(
         for v in range(n):
             if v not in rows:
                 raise ValueError(f"explicit rows missing vertex {v}")
-        return ListAssignment(topology, strategy, seed, rows)
+        table = np.stack([rows[v] for v in range(height)])
+        return ListAssignment(topology, strategy, seed, table)
 
     if explicit_rows is not None:
         raise ValueError("explicit_rows only makes sense with the explicit strategy")
-    rows = {}
-    for v in range(n):
-        base = topology.neighbors(v)
-        if len(base) > 1:
-            gen = np.random.default_rng(derive_key(seed, v))
-            base = gen.permutation(base)
-        rows[v] = base
-    return ListAssignment(topology, strategy, seed, rows)
+    # canonical rows in closed form, then each shuffled in place; shuffling a
+    # row draws what Generator.permutation draws for it, as that copies and shuffles
+    table = topology.neighbors_at(np.arange(height)[:, None], np.arange(n - 1))
+    for v in range(height):
+        np.random.default_rng(derive_key(seed, v)).shuffle(table[v])
+    return ListAssignment(topology, strategy, seed, table)
 
 
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:

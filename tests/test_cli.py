@@ -55,6 +55,22 @@ class TestSim:
         assert out_csv.read_text().splitlines()[0] == "trial,start_vertex,rounds,completed"
         assert json.loads(out_json.read_text())["trials"] == 3
 
+    def test_summary_is_strict_json_when_no_trial_completes(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        code = run_cli(
+            "sim", "--n", "50", "--p", "0.5", "--trials", "3", "--max-rounds", "2",
+            "--summary", str(path),
+        )
+        assert code == 0
+        assert "mean=nan" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        d = json.loads(path.read_text(), parse_constant=reject)
+        assert d["completion_rate"] == 0.0
+        assert [d[k] for k in ("min", "mean", "median", "p95", "max")] == [None] * 5
+
 
 class _Built(Exception):
     """Raised by the stand-in run_experiment to hand the parsed config back."""

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumorsim import (
     FailureModel,
@@ -239,3 +241,90 @@ def test_trajectory_matches_counts():
     assert res.trajectory[0] == 1
     assert res.trajectory[-1] == 32
     assert (np.diff(res.trajectory) >= 0).all()
+
+
+def _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks=None):
+    """Reference loop: every sender draws its target, its delivery coin and,
+    for feedback, its feedback coin, whether or not they can change the state.
+
+    Yields (informed, cursor, attempts) after each round; masks[t], if
+    given, restricts who transmits in round t.
+    """
+    topo = lists.topology
+    n = topo.n
+    informed = np.zeros(n, dtype=bool)
+    informed[start] = True
+    cursor = np.full(n, -1, dtype=np.int64)
+    attempts = np.zeros(n, dtype=np.int64)
+    for t in range(max_rounds):
+        if informed.all():
+            return
+        senders = np.flatnonzero(informed if masks is None else informed & masks[t])
+        ordinals = attempts[senders]
+        degs = np.array([topo.degree(int(v)) for v in senders], dtype=np.int64)
+        delivered = rng.coin_uniforms(senders, ordinals) < p
+        if protocol is Protocol.FULLY_RANDOM:
+            idx = rng.target_indices(senders, ordinals, degs)
+            targets = [topo.neighbors(int(v))[i] for v, i in zip(senders, idx)]
+        else:
+            fresh = cursor[senders] < 0
+            cursor[senders[fresh]] = rng.initial_positions(senders[fresh], degs[fresh])
+            targets = [lists.row(int(v))[cursor[v]] for v in senders]
+            if protocol is Protocol.QUASIRANDOM:
+                advance = 1
+            else:
+                advance = delivered & (rng.feedback_uniforms(senders, ordinals) < p)
+            cursor[senders] = (cursor[senders] + advance) % degs
+        attempts[senders] += 1
+        informed[np.array(targets, dtype=np.int64)[delivered]] = True
+        yield informed.copy(), cursor.copy(), attempts.copy()
+
+
+@st.composite
+def coin_cases(draw):
+    """A small protocol run whose max_rounds leaves some trials incomplete."""
+    topo = draw(st.sampled_from([complete_graph, star_graph]))
+    n = draw(st.integers(3 if topo is star_graph else 1, 12))
+    strategy = draw(st.sampled_from(
+        [ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM]
+    ))
+    return dict(
+        lists=realize_lists(topo(n), strategy, seed=draw(st.integers(0, 99))),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        p=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+        starts=draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)),
+        seed=draw(st.integers(0, 2**40)),
+        max_rounds=draw(st.integers(0, 30)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coin_cases(), mask_seed=st.integers(0, 99))
+def test_engine_equals_every_coin_reference(case, mask_seed):
+    lists, protocol, p = case["lists"], case["protocol"], case["p"]
+    n, max_rounds = lists.topology.n, case["max_rounds"]
+    rngs = [TrialRandomness(case["seed"], t) for t in range(len(case["starts"]))]
+    fm = FailureModel(p)
+
+    rounds, completed = run_batch(lists, protocol, fm, case["starts"], rngs, max_rounds)
+    for b, (start, rng) in enumerate(zip(case["starts"], rngs)):
+        states = list(_every_coin_rounds(lists, protocol, p, start, rng, max_rounds))
+        trajectory = [1] + [int(informed.sum()) for informed, _, _ in states]
+        res = run(lists, protocol, fm, start, rng, max_rounds)
+        assert (res.rounds, res.completed) == (len(states), trajectory[-1] == n)
+        assert res.trajectory.tolist() == trajectory
+        assert (int(rounds[b]), bool(completed[b])) == (res.rounds, res.completed)
+
+    masks = np.random.default_rng(mask_seed).random((max_rounds, n)) < 0.6
+    start, rng = case["starts"][0], rngs[0]
+    state = init_state(n, start)
+    for t, (informed, cursor, attempts) in enumerate(
+        _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks)
+    ):
+        before = state.informed.copy()
+        step(state, lists, protocol, fm, rng, masks[t])
+        assert np.array_equal(state.informed, informed)
+        assert np.array_equal(state.newly_informed, informed & ~before)
+        assert state.informed_count == int(informed.sum())
+        assert np.array_equal(state.cursor, cursor)
+        assert np.array_equal(state.attempts, attempts)

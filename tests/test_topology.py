@@ -10,6 +10,7 @@ from rumorsim import (
     ListStrategy,
     Topology,
     complete_graph,
+    derive_key,
     load_lists_file,
     realize_lists,
     star_graph,
@@ -91,21 +92,35 @@ class TestListAssignment:
         assert any(not np.array_equal(a.row(v), b.row(v)) for v in range(12))
 
     def test_targets_at_consistent_with_rows(self):
-        for topo in (complete_graph(9), star_graph(9)):
-            for strategy in (
-                ListStrategy.CANONICAL,
-                ListStrategy.REVERSED,
-                ListStrategy.RANDOM,
-            ):
-                lists = realize_lists(topo, strategy, seed=1)
-                vs, ps = [], []
-                for v in range(topo.n):
-                    for i in range(topo.degree(v)):
-                        vs.append(v)
-                        ps.append(i)
-                got = lists.targets_at(np.array(vs), np.array(ps))
-                want = [int(lists.row(v)[i]) for v, i in zip(vs, ps)]
-                assert got.tolist() == want
+        big = complete_graph(257)
+        explicit = {v: np.random.default_rng(v).permutation(big.neighbors(v)) for v in range(257)}
+        cases = [
+            realize_lists(topo, strategy, seed=1)
+            for topo in (complete_graph(9), star_graph(9))
+            for strategy in (ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM)
+        ] + [
+            realize_lists(big, ListStrategy.RANDOM, seed=1),
+            realize_lists(big, ListStrategy.EXPLICIT, explicit_rows=explicit),
+        ]
+        for lists in cases:
+            topo = lists.topology
+            degs = topo.degrees(np.arange(topo.n))
+            vs = np.repeat(np.arange(topo.n), degs)
+            ps = np.concatenate([np.arange(d) for d in degs])
+            want = np.concatenate([lists.row(v) for v in range(topo.n)])
+            assert lists.targets_at(vs, ps).tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "topo", [complete_graph(2), complete_graph(3), complete_graph(257), star_graph(33)]
+    )
+    def test_random_rows_are_keyed_permutations(self, topo):
+        # the definition of a RANDOM row: vertex v's canonical row permuted
+        # by the generator of (seed, v)
+        seed = 17
+        lists = realize_lists(topo, ListStrategy.RANDOM, seed)
+        for v in range(topo.n):
+            gen = np.random.default_rng(derive_key(seed, v))
+            assert np.array_equal(lists.row(v), gen.permutation(topo.neighbors(v)))
 
     def test_functional_forms_stay_cheap_at_scale(self):
         # canonical/reversed must not materialize the n x (n-1) table
