@@ -16,16 +16,18 @@ Protocols differ only in how the target of a vertex's j-th attempt is chosen:
 All randomness is addressed by (vertex, attempt ordinal), which is what makes
 delayed-schedule couplings exact (see phases).  It also lets run_batch
 advance many trials as one array step without changing a draw; run is its
-one-trial case, and step advances a single trial by one round for callers
-that steer it, such as the delayed variant.
+one-trial case, and a sender policy restricts who transmits in it (the
+delayed variant).  step advances one trial a round, for callers that stop
+partway through a run.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
 uniform of at most 1 - 2**-53 always comes up.  The feedback protocol at
-p < 1 draws its delivery and feedback coins for every sender, because its
-cursor moves on both.  Since a draw is a pure function of its address, a
-skipped coin moves no other draw, and every outcome is the one drawing all
-coins would give.
+p < 1 draws the delivery coin of every sender, because its cursor moves on
+it, and the feedback coin only where the delivery came up, since only an
+acknowledged delivery moves the cursor.  Since a draw is a pure function of
+its address, a skipped coin moves no other draw, and every outcome is the
+one drawing all coins would give.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ def _transmit(
         targets = lists.targets_at(vertices, positions)
         if protocol is Protocol.FEEDBACK_RETRY and p < 1.0:
             delivered = keys.coin_uniforms(rows, ordinals) < p
-            positions += delivered & (keys.feedback_uniforms(rows, ordinals) < p)
+            acked = delivered.nonzero()[0]  # only a delivery can be acknowledged
+            acked = acked[keys.feedback_uniforms(rows[acked], ordinals[acked]) < p]
+            positions[acked] += 1
         else:  # at p = 1 every feedback coin comes up, so feedback walks like quasi
             positions += 1
         positions[positions == degs] = 0  # the lists are cyclic
@@ -153,10 +157,7 @@ def step(
     n = state.n
     if state.informed_count >= n:
         return state
-    if sender_mask is None:
-        senders = state.informed.nonzero()[0]
-    else:
-        senders = (sender_mask & state.informed).nonzero()[0]
+    senders = (state.informed if sender_mask is None else sender_mask & state.informed).nonzero()[0]
     new_rows = _transmit(
         senders, senders, state.informed, state.cursor, state.attempts,
         lists, protocol, failure.p, rng.cached(n),
@@ -185,6 +186,7 @@ def run_batch(
     rngs: Iterable[TrialRandomness],
     max_rounds: int,
     counts: list | None = None,
+    policy=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one trial per (start vertex, rng) pair, all in the same round loop.
 
@@ -192,8 +194,14 @@ def run_batch(
     until every vertex is informed or max_rounds have elapsed, and its draws
     come only from its own rng, so the results do not depend on which other
     trials share the batch.  State is flat: trial b's vertex v is row b*n + v,
-    and a finished trial's rows are dropped.  If counts is a list, the informed
-    count of each trial still running is appended to it after every round.
+    and a finished trial's rows are dropped.  If counts is a list, an array of
+    every trial's informed count (0 once it has stopped) is appended to it
+    after every round that runs.
+
+    A policy (phases' schedules) lets only rows in its may_send transmit.  A
+    round opens with policy.stop(t, done, informed, attempts, last), the trials
+    to stop (their rows leave may_send), and closes with policy.sent(new_rows,
+    informed).  With no sender, the clock jumps to the policy's next boundary.
     """
     n = lists.topology.n
     starts = np.asarray(starts, dtype=np.int64)
@@ -209,32 +217,57 @@ def run_batch(
     attempts = np.zeros(len(informed), dtype=np.int64)
     running = np.arange(len(starts))  # trial of each block of n rows
     vertex = np.tile(np.arange(n), len(starts))  # vertex of each row; stays valid as rows drop
-    rounds = np.zeros(len(starts), dtype=np.int64)
+    # a policy's idle jumps can take the clock past int64 when max_rounds allows it
+    rounds = np.zeros(len(starts), dtype=np.int64 if max_rounds < 2**63 else object)
     completed = np.zeros(len(starts), dtype=bool)
     t = 0
     while True:
         done = informed.reshape(-1, n).all(axis=1)
-        if done.any():
-            rounds[running[done]] = t
+        stop = done if policy is None else policy.stop(t, done, informed, attempts, t >= max_rounds)
+        if stop.any():
+            rounds[running[stop]] = t
             completed[running[done]] = True
-            live = ~done
+            live = ~stop
             running = running[live]
             rows = np.repeat(live, n)
             informed, cursor, attempts = informed[rows], cursor[rows], attempts[rows]
             keys.keep(live)
         if not len(running) or t >= max_rounds:
             break
-        senders = informed.nonzero()[0]
+        senders = (informed if policy is None else informed & policy.may_send).nonzero()[0]
+        if not len(senders):  # only a policy can leave no sender
+            t = min(policy.end, max_rounds)
+            continue
         new_rows = _transmit(
             senders, vertex[senders], informed, cursor, attempts,
             lists, protocol, failure.p, keys,
         )
         informed[new_rows] = True
         t += 1
+        if policy is not None:
+            policy.sent(new_rows, informed)
         if counts is not None:
-            counts.append(informed.reshape(-1, n).sum(axis=1))
+            row_counts = np.zeros(len(starts), dtype=np.int64)
+            row_counts[running] = informed.reshape(-1, n).sum(axis=1)
+            counts.append(row_counts)
     rounds[running] = t
     return rounds, completed
+
+
+# a stalled trajectory repeats its last count for at most this many skipped rounds
+_IDLE_TAIL = 1 << 20
+
+
+def _results(lists, protocol, failure, starts, rngs, max_rounds, policy=None) -> list[TrialResult]:
+    """run_batch, with each trial's informed count by round as its trajectory."""
+    counts = [np.ones(len(starts), dtype=np.int64)]
+    rounds, done = run_batch(lists, protocol, failure, starts, rngs, max_rounds, counts, policy)
+    out = []
+    for b, column in enumerate(np.stack(counts, axis=1)):
+        ran = column[column > 0]  # 0 once the trial stopped; skipped rounds close a stall
+        idle = np.full(min(rounds[b] + 1 - len(ran), _IDLE_TAIL), ran[-1])
+        out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([ran, idle])))
+    return out
 
 
 def run(
@@ -246,12 +279,4 @@ def run(
     max_rounds: int,
 ) -> TrialResult:
     """Run until every vertex is informed or max_rounds have elapsed."""
-    counts = [np.ones(1, dtype=np.int64)]
-    rounds, completed = run_batch(
-        lists, protocol, failure, [start_vertex], [rng], max_rounds, counts
-    )
-    return TrialResult(
-        rounds=int(rounds[0]),
-        completed=bool(completed[0]),
-        trajectory=np.concatenate(counts, dtype=np.int64),
-    )
+    return _results(lists, protocol, failure, [start_vertex], [rng], max_rounds)[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds, phases
 from .engine import FailureModel, Protocol, run_batch
-from .phases import Phase, load_schedule, run_delayed
+from .phases import load_schedule
 from .rng import TrialRandomness, derive_key
 from .topology import (
     ListAssignment,
@@ -213,30 +213,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     lists = config.build_lists()
     failure = FailureModel(config.p)
     max_rounds = config.resolved_max_rounds()
-    schedule: list[Phase] | None = None
-    if config.protocol == "delayed":
-        schedule = load_schedule(config.schedule_path)
-    else:
-        protocol = Protocol(config.protocol)
+    delayed = config.protocol == "delayed"
+    schedule = load_schedule(config.schedule_path) if delayed else None
+    protocol = Protocol.QUASIRANDOM if delayed else Protocol(config.protocol)
 
     records = []
     phase_records = []
-    if schedule is not None:
-        for trial in range(config.trials):
-            start = config.start_vertex_for(trial)
-            res = run_delayed(
-                lists, failure, start, schedule, TrialRandomness(config.seed, trial), max_rounds
-            )
-            phase_records.append(res.phases)
-            records.append(TrialRecord(trial, start, res.rounds, res.completed))
-    else:
-        per_chunk = max(1, _CHUNK_CELLS // config.n)
-        for first in range(0, config.trials, per_chunk):
-            trials = range(first, min(first + per_chunk, config.trials))
-            starts = [config.start_vertex_for(trial) for trial in trials]
-            rngs = (TrialRandomness(config.seed, trial) for trial in trials)
-            rounds, completed = run_batch(lists, protocol, failure, starts, rngs, max_rounds)
-            records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())
+    per_chunk = max(1, _CHUNK_CELLS // config.n)
+    for first in range(0, config.trials, per_chunk):
+        trials = range(first, min(first + per_chunk, config.trials))
+        starts = [config.start_vertex_for(trial) for trial in trials]
+        rngs = (TrialRandomness(config.seed, trial) for trial in trials)
+        policy = phases._Schedule(schedule, [True] * len(trials), config.n) if delayed else None
+        rounds, completed = run_batch(
+            lists, protocol, failure, starts, rngs, max_rounds, policy=policy
+        )
+        records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())
+        if delayed:
+            phase_records += policy.records
 
     result = ExperimentResult(config, records, summarize(records), phase_records)
     if config.out_path:

@@ -13,6 +13,14 @@ coin and every list position: the j-th attempt of vertex v is identical in
 both.  Delaying can then only postpone deliveries, so the delayed informed
 set is contained in the undelayed one at every round.  coupled_run checks
 that containment round by round.
+
+Both run on engine.run_batch under _Schedule, a sender policy: the rows that
+may send are the active set on delayed trials and all rows otherwise.  Trials
+share the schedule and start at round 0, so the phase clock is one Python int
+(lengths past 2**63 work), and one reduction over the rows at a boundary
+gives every trial's PhaseRecord.  An active set empty at a boundary stays
+empty and a non-empty one never shrinks within its phase, so when no row may
+send, the clock jumps to the next boundary (or max_rounds) at once.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .engine import EngineState, FailureModel, Protocol, TrialResult, init_state, step
+from .engine import FailureModel, Protocol, TrialResult, _results, init_state, step
 from .rng import TrialRandomness
 from .topology import ListAssignment
 
@@ -64,84 +72,72 @@ class DelayedResult:
     phases: list[PhaseRecord] = field(default_factory=list)
 
 
-class _DelayedRun:
-    """Single delayed trial, steppable one round at a time (for couplings)."""
+class _Schedule:
+    """run_batch's sender policy for a phase schedule: phase k spans rounds [begin, end)."""
 
-    def __init__(
-        self,
-        lists: ListAssignment,
-        failure: FailureModel,
-        start_vertex: int,
-        schedule: list[Phase],
-        rng: TrialRandomness,
-    ):
-        self.lists = lists
-        self.failure = failure
-        self.rng = rng
-        self.schedule = list(schedule)
-        self.state: EngineState = init_state(lists.topology.n, start_vertex)
-        self.counts = [self.state.informed_count]
-        self.records: list[PhaseRecord] = []
-        self.phase_idx = -1
-        self.offset = 0
-        self.active = np.zeros(lists.topology.n, dtype=bool)
-        self._open_next_phase()
+    def __init__(self, schedule: list[Phase], delayed: list[bool], n: int):
+        self.schedule, self.n = schedule, n
+        self.delayed = np.asarray(delayed, dtype=bool)  # per running trial
+        self.running = np.arange(len(self.delayed))
+        self.records: list[list[PhaseRecord]] = [[] for _ in delayed]  # by trial
+        self.may_send = np.repeat(~self.delayed, n)
+        self.k, self.begin, self.end, self.busy = -1, 0, 0, False
 
-    def _open_next_phase(self) -> None:
-        """Close out zero-length phases and activate the never-started informed."""
-        while True:
-            self.phase_idx += 1
-            self.offset = 0
-            if self.phase_idx >= len(self.schedule):
-                return
-            self.active = self.state.informed & (self.state.attempts == 0)
-            if self.schedule[self.phase_idx].length > 0:
-                return
-            self._record_current()
+    def stop(self, t, done, informed, attempts, last) -> np.ndarray:
+        """Close and open phases at round t; returns the trials that stop now:
+        the complete ones and, once the schedule has run out, the delayed ones.
+        """
+        boundary = t == self.end
+        if not (boundary or last or np.count_nonzero(done)):
+            return done
+        got = informed.reshape(-1, self.n)
+        fresh = got & (attempts.reshape(-1, self.n) == 0)
+        after = np.stack([got.sum(axis=1), fresh.sum(axis=1)], axis=1).tolist()
+        stop = done
+        if self.k >= 0:  # the phase ends for all, or is cut short for the complete or capped
+            self._record(self.delayed if boundary or last else self.delayed & done,
+                         t - self.begin, after)
+        if boundary:
+            # a trial complete at the start records its zero-length phases; later, not
+            opening = self.delayed & ~done if t else self.delayed
+            self.k += 1
+            while self.k < len(self.schedule) and self.schedule[self.k].length == 0:
+                self._record(opening, 0, after)
+                self.k += 1
+            if self.k < len(self.schedule):
+                phase = self.schedule[self.k]
+                self.begin, self.end = t, t + phase.length
+                self.busy = phase.kind is PhaseKind.BUSY
+                self.may_send = fresh.ravel() | np.repeat(~self.delayed, self.n)
+            else:
+                stop = done | self.delayed
+        if np.count_nonzero(stop):
+            live = ~stop
+            self.delayed, self.running = self.delayed[live], self.running[live]
+            self.may_send = self.may_send[np.repeat(live, self.n)]
+        return stop
 
-    def _record_current(self) -> None:
-        phase = self.schedule[self.phase_idx]
-        newly = int((self.state.informed & (self.state.attempts == 0)).sum())
-        self.records.append(
-            PhaseRecord(
-                index=self.phase_idx,
-                kind=phase.kind,
-                length=phase.length,
-                executed=self.offset,
-                informed_after=self.state.informed_count,
-                newly_after=newly,
-            )
-        )
+    def _record(self, which: np.ndarray, executed: int, after: list) -> None:
+        for i in which.nonzero()[0].tolist():  # phase k's record, to each trial in which
+            phase = self.schedule[self.k]
+            self.records[self.running[i]].append(
+                PhaseRecord(self.k, phase.kind, phase.length, executed, *after[i]))
 
-    @property
-    def done(self) -> bool:
-        return (
-            self.state.informed_count >= self.state.n
-            or self.phase_idx >= len(self.schedule)
-        )
+    def sent(self, new_rows: np.ndarray, informed: np.ndarray) -> None:
+        if self.busy:
+            self.may_send[new_rows] = True
 
-    def round(self) -> None:
-        phase = self.schedule[self.phase_idx]
-        step(self.state, self.lists, Protocol.QUASIRANDOM, self.failure, self.rng, self.active)
-        self.counts.append(self.state.informed_count)
-        self.offset += 1
-        if phase.kind is PhaseKind.BUSY:
-            self.active = self.active | self.state.newly_informed
-        if self.state.informed_count >= self.state.n:
-            self._record_current()
-        elif self.offset >= phase.length:
-            self._record_current()
-            self._open_next_phase()
 
-    def result(self) -> DelayedResult:
-        if not self.done and self.offset > 0:
-            self._record_current()  # stopped mid-phase by an external cap
-        return DelayedResult(
-            rounds=self.state.t,
-            completed=self.state.informed_count >= self.state.n,
-            trajectory=np.array(self.counts, dtype=np.int64),
-            phases=self.records,
-        )
+class _Coupled(_Schedule):
+    """A delayed block and an undelayed block on one rng, checked for containment."""
+
+    dominated = True
+
+    def sent(self, new_rows: np.ndarray, informed: np.ndarray) -> None:
+        super().sent(new_rows, informed)
+        if len(self.running) == 2:  # once a block stops, containment can no longer break
+            mine = new_rows[new_rows < self.n]  # it held, so only these can break it
+            self.dominated = self.dominated and bool(informed[mine + self.n].all())
 
 
 def run_delayed(
@@ -153,10 +149,13 @@ def run_delayed(
     max_rounds: int | None = None,
 ) -> DelayedResult:
     """Execute a phase schedule; stops early on completion or max_rounds."""
-    runner = _DelayedRun(lists, failure, start_vertex, schedule, rng)
-    while not runner.done and (max_rounds is None or runner.state.t < max_rounds):
-        runner.round()
-    return runner.result()
+    if max_rounds is None:
+        max_rounds = sum(ph.length for ph in schedule)
+    policy = _Schedule(schedule, [True], lists.topology.n)
+    (res,) = _results(
+        lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], max_rounds, policy
+    )
+    return DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
 
 
 @dataclass
@@ -179,32 +178,14 @@ def coupled_run(
     dominated is true iff the delayed informed set was a subset of the
     undelayed one after every round.
     """
-    topo = lists.topology
     if max_rounds is None:
-        max_rounds = bounds.default_max_rounds(topo.n, failure.p)
-    delayed = _DelayedRun(lists, failure, start_vertex, schedule, rng)
-    und = init_state(topo.n, start_vertex)
-    und_counts = [und.informed_count]
-    dominated = True
-    while True:
-        moved = False
-        if not delayed.done and delayed.state.t < max_rounds:
-            delayed.round()
-            moved = True
-        if und.informed_count < topo.n and und.t < max_rounds:
-            step(und, lists, Protocol.QUASIRANDOM, failure, rng)
-            und_counts.append(und.informed_count)
-            moved = True
-        if np.any(delayed.state.informed & ~und.informed):
-            dominated = False
-        if not moved:
-            break
-    undelayed = TrialResult(
-        rounds=und.t,
-        completed=und.informed_count == topo.n,
-        trajectory=np.array(und_counts, dtype=np.int64),
+        max_rounds = bounds.default_max_rounds(lists.topology.n, failure.p)
+    policy = _Coupled(schedule, [True, False], lists.topology.n)
+    res, undelayed = _results(
+        lists, Protocol.QUASIRANDOM, failure, [start_vertex] * 2, [rng] * 2, max_rounds, policy
     )
-    return CoupledResult(delayed=delayed.result(), undelayed=undelayed, dominated=dominated)
+    delayed = DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
+    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=policy.dominated)
 
 
 # schedule files: one `kind,length` record per line

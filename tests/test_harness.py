@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,13 +13,17 @@ from rumorsim import (
     ConfigError,
     ExperimentConfig,
     FailureModel,
+    Phase,
+    PhaseKind,
     Protocol,
     TrialRandomness,
     check_bounds,
     compare,
     harness,
     run,
+    run_delayed,
     run_experiment,
+    save_schedule,
     summarize,
     write_records_csv,
 )
@@ -163,6 +168,30 @@ class TestDeterminism:
         assert run_experiment(config).records == expected
         with mock.patch.object(harness, "_CHUNK_CELLS", cells):  # other chunk splits
             assert run_experiment(config).records == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=batch_configs(), cells=st.integers(1, 80), schedule=st.lists(
+        st.builds(Phase, st.sampled_from(list(PhaseKind)), st.integers(0, 8)), max_size=5,
+    ))
+    def test_delayed_chunked_records_equal_per_trial_runs(
+        self, config, cells, schedule, tmp_path_factory
+    ):
+        path = tmp_path_factory.mktemp("schedule") / "s.txt"
+        save_schedule(schedule, str(path))
+        config = replace(config, protocol="delayed", schedule_path=str(path))
+        lists = config.build_lists()
+        expected, expected_phases = [], []
+        for t in range(config.trials):
+            start = config.start_vertex_for(t)
+            res = run_delayed(lists, FailureModel(config.p), start, schedule,
+                              TrialRandomness(config.seed, t), config.max_rounds)
+            expected.append(TrialRecord(t, start, res.rounds, res.completed))
+            expected_phases.append(res.phases)
+        for chunk in (harness._CHUNK_CELLS, cells):  # the default split and another
+            with mock.patch.object(harness, "_CHUNK_CELLS", chunk):
+                result = run_experiment(config)
+            assert result.records == expected
+            assert result.phase_records == expected_phases
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "records.csv"

@@ -4,22 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumorsim import (
+    CoupledResult,
+    DelayedResult,
     FailureModel,
     ListStrategy,
     Phase,
     PhaseKind,
+    PhaseRecord,
     TrialRandomness,
+    TrialResult,
     busy_growth_sample,
     complete_graph,
     coupled_run,
+    default_max_rounds,
+    init_state,
     parse_schedule,
     realize_lists,
     run,
     run_delayed,
     schedule_constants,
     schedule_text,
+    star_graph,
+    step,
     upper_bound_schedule,
 )
 from rumorsim.engine import Protocol
@@ -166,6 +176,176 @@ class TestCoupling:
         for trial in range(50):
             out = coupled_run(lists, fm, trial % 48, schedules[trial % 2], TrialRandomness(13, trial))
             assert out.dominated
+
+
+class _ReferenceDelayedRun:
+    """One delayed trial stepped one round at a time through `step`, kept as the reference."""
+
+    def __init__(self, lists, failure, start_vertex, schedule, rng):
+        self.lists = lists
+        self.failure = failure
+        self.rng = rng
+        self.schedule = list(schedule)
+        self.state = init_state(lists.topology.n, start_vertex)
+        self.counts = [self.state.informed_count]
+        self.records = []
+        self.phase_idx = -1
+        self.offset = 0
+        self.active = np.zeros(lists.topology.n, dtype=bool)
+        self._open_next_phase()
+
+    def _open_next_phase(self):
+        while True:
+            self.phase_idx += 1
+            self.offset = 0
+            if self.phase_idx >= len(self.schedule):
+                return
+            self.active = self.state.informed & (self.state.attempts == 0)
+            if self.schedule[self.phase_idx].length > 0:
+                return
+            self._record_current()
+
+    def _record_current(self):
+        phase = self.schedule[self.phase_idx]
+        newly = int((self.state.informed & (self.state.attempts == 0)).sum())
+        self.records.append(PhaseRecord(
+            index=self.phase_idx, kind=phase.kind, length=phase.length,
+            executed=self.offset, informed_after=self.state.informed_count, newly_after=newly,
+        ))
+
+    @property
+    def done(self):
+        return self.state.informed_count >= self.state.n or self.phase_idx >= len(self.schedule)
+
+    def round(self):
+        phase = self.schedule[self.phase_idx]
+        step(self.state, self.lists, Protocol.QUASIRANDOM, self.failure, self.rng, self.active)
+        self.counts.append(self.state.informed_count)
+        self.offset += 1
+        if phase.kind is PhaseKind.BUSY:
+            self.active = self.active | self.state.newly_informed
+        if self.state.informed_count >= self.state.n:
+            self._record_current()
+        elif self.offset >= phase.length:
+            self._record_current()
+            self._open_next_phase()
+
+    def result(self):
+        if not self.done and self.offset > 0:
+            self._record_current()
+        return DelayedResult(
+            rounds=self.state.t,
+            completed=self.state.informed_count >= self.state.n,
+            trajectory=np.array(self.counts, dtype=np.int64),
+            phases=self.records,
+        )
+
+
+def _reference_delayed(lists, failure, start_vertex, schedule, rng, max_rounds=None):
+    runner = _ReferenceDelayedRun(lists, failure, start_vertex, schedule, rng)
+    while not runner.done and (max_rounds is None or runner.state.t < max_rounds):
+        runner.round()
+    return runner.result()
+
+
+def _reference_coupled(lists, failure, start_vertex, schedule, rng, max_rounds=None):
+    n = lists.topology.n
+    if max_rounds is None:
+        max_rounds = default_max_rounds(n, failure.p)
+    delayed = _ReferenceDelayedRun(lists, failure, start_vertex, schedule, rng)
+    und = init_state(n, start_vertex)
+    und_counts = [und.informed_count]
+    dominated = True
+    while True:
+        moved = False
+        if not delayed.done and delayed.state.t < max_rounds:
+            delayed.round()
+            moved = True
+        if und.informed_count < n and und.t < max_rounds:
+            step(und, lists, Protocol.QUASIRANDOM, failure, rng)
+            und_counts.append(und.informed_count)
+            moved = True
+        if np.any(delayed.state.informed & ~und.informed):
+            dominated = False
+        if not moved:
+            break
+    undelayed = TrialResult(
+        rounds=und.t, completed=und.informed_count == n,
+        trajectory=np.array(und_counts, dtype=np.int64),
+    )
+    return CoupledResult(delayed=delayed.result(), undelayed=undelayed, dominated=dominated)
+
+
+_HUGE = 2**63 + 5  # a phase no run can finish; its length must survive as a Python int
+
+
+@st.composite
+def delayed_cases(draw):
+    """A small delayed run: graph, lists, p, start, schedule and max_rounds."""
+    topo = draw(st.sampled_from([complete_graph, star_graph]))
+    n = draw(st.integers(3 if topo is star_graph else 1, 12))
+    strategy = draw(st.sampled_from(
+        [ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM]
+    ))
+    lengths = st.one_of(st.integers(0, 8), st.just(0), st.just(_HUGE))
+    size = draw(st.integers(0, 6))
+    schedule = draw(st.lists(
+        st.builds(Phase, st.sampled_from(list(PhaseKind)), lengths), min_size=size, max_size=size,
+    ))
+    huge = any(ph.length == _HUGE for ph in schedule)
+    # with no cap, a run inside a phase that never ends may never stop
+    caps = st.integers(0, 30) if huge else st.one_of(st.none(), st.integers(0, 30))
+    return dict(
+        lists=realize_lists(topo(n), strategy, seed=draw(st.integers(0, 99))),
+        failure=FailureModel(draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))),
+        start_vertex=draw(st.integers(0, n - 1)),
+        schedule=schedule,
+        rng=TrialRandomness(draw(st.integers(0, 2**40)), draw(st.integers(0, 99))),
+        max_rounds=draw(caps),
+    )
+
+
+def _assert_same_delayed(got, want):
+    assert type(got.rounds) is int and got.rounds == want.rounds
+    assert got.completed is want.completed
+    assert got.trajectory.tolist() == want.trajectory.tolist()
+    assert got.phases == want.phases
+
+
+class TestAgainstSteppedReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=delayed_cases())
+    def test_run_delayed_equals_reference(self, case):
+        _assert_same_delayed(run_delayed(**case), _reference_delayed(**case))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=delayed_cases())
+    def test_coupled_run_equals_reference(self, case):
+        got, want = coupled_run(**case), _reference_coupled(**case)
+        _assert_same_delayed(got.delayed, want.delayed)
+        assert type(got.undelayed.rounds) is int and got.undelayed.rounds == want.undelayed.rounds
+        assert got.undelayed.completed is want.undelayed.completed
+        assert got.undelayed.trajectory.tolist() == want.undelayed.trajectory.tolist()
+        assert got.dominated is want.dominated
+
+    def test_stall_in_an_endless_phase_ends_with_the_schedule(self):
+        # a run whose first transmission fails has no sender left after the
+        # first boundary; the stepped loop would spin through all 2**64 rounds
+        lists = realize_lists(complete_graph(8), ListStrategy.CANONICAL)
+        fm = FailureModel(0.05)
+        first = [Phase(PhaseKind.LAZY, 1)]
+        seed = next(
+            s for s in range(100)
+            if run_delayed(lists, fm, 0, first, TrialRandomness(s, 0)).phases[0].newly_after == 0
+        )
+        sched = first + [Phase(PhaseKind.BUSY, 2**64)]
+        res = run_delayed(lists, fm, 0, sched, TrialRandomness(seed, 0))
+        assert type(res.rounds) is int and res.rounds == 2**64 + 1
+        assert not res.completed
+        assert (res.trajectory == 1).all()
+        assert [(r.executed, r.informed_after, r.newly_after) for r in res.phases] == [
+            (1, 1, 0), (2**64, 1, 0),
+        ]
 
 
 class TestBusyGrowth:
