@@ -18,7 +18,10 @@ delayed-schedule couplings exact (see phases).  It also lets run_batch
 advance many trials as one array step without changing a draw; run is its
 one-trial case, and a sender policy restricts who transmits in it (the
 delayed variant).  step advances one trial a round, for callers that stop
-partway through a run.
+partway through a run.  Once a trial is settled (no uninformed vertex has an
+uninformed neighbor), the senders that can still inform anyone are fixed and
+their draws follow from their addresses alone, so run_batch draws a block of
+rounds at once.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -98,17 +101,25 @@ def _transmit(
     protocol: Protocol,
     p: float,
     keys: RowRandomness,
-) -> np.ndarray:
-    """One transmission per sender; returns the rows its deliveries newly inform.
+    rounds: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """rounds transmissions per sender; returns the rows its deliveries newly
+    inform, and the index of the transmission that informs each.
 
     rows index informed, cursor, attempts and the draws of keys; vertices are
     the senders' vertex ids, and a sender's target u lies in its own trial's
-    block, at row u + (row - vertex).  The returned rows may repeat.  Mutates
-    cursors and attempt counters, not informed.  Senders must all have
-    degree > 0.
+    block, at row u + (row - vertex).  Transmission j * len(rows) + i is the
+    j-th of sender i, and a delivery counts if its target was uninformed when
+    the call began, so the returned rows may repeat.  Mutates cursors and
+    attempt counters, not informed.  Senders must all have degree > 0.
     """
     topo = lists.topology
+    per_round = len(rows)
     ordinals = attempts[rows]
+    attempts[rows] = ordinals + rounds
+    if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
+        ordinals = (ordinals + np.arange(rounds)[:, None]).ravel()
+        rows, vertices = np.tile(rows, rounds), np.tile(vertices, rounds)
     degs = topo.degrees(vertices)
     delivered = None  # drawn for every sender only where the cursor needs it
 
@@ -116,29 +127,34 @@ def _transmit(
         idx = keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
     else:
-        positions = cursor[rows]
+        positions = cursor[rows[:per_round]]
         fresh = (positions < 0).nonzero()[0]  # indices: a scattered mask is slow to apply
         if len(fresh):
-            positions[fresh] = keys.initial_positions(rows[fresh], degs[fresh])
-        targets = lists.targets_at(vertices, positions)
+            positions[fresh] = keys.initial_positions(rows[fresh], topo.degrees(vertices[fresh]))
+        moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
         if protocol is Protocol.FEEDBACK_RETRY and p < 1.0:
             delivered = keys.coin_uniforms(rows, ordinals) < p
-            acked = delivered.nonzero()[0]  # only a delivery can be acknowledged
-            acked = acked[keys.feedback_uniforms(rows[acked], ordinals[acked]) < p]
-            positions[acked] += 1
-        else:  # at p = 1 every feedback coin comes up, so feedback walks like quasi
-            positions += 1
-        positions[positions == degs] = 0  # the lists are cyclic
-        cursor[rows] = positions
+            moved = delivered.nonzero()[0]  # only a delivery can be acknowledged
+            moved = moved[keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
+        if rounds == 1:
+            targets = lists.targets_at(vertices, positions)
+            positions[moved] += 1
+            positions[positions == degs] = 0  # the lists are cyclic
+        else:  # a sender's cursor moves on its own coins only: a running sum
+            steps = np.zeros((rounds, per_round), dtype=np.int64)
+            steps.ravel()[moved] = 1
+            walked = steps.cumsum(axis=0) + positions
+            targets = lists.targets_at(vertices, (walked - steps).ravel() % degs)
+            positions = walked[-1] % topo.degrees(vertices[:per_round])
+        cursor[rows[:per_round]] = positions
 
-    attempts[rows] = ordinals + 1
     target_rows = targets + (rows - vertices)
     useful = (~informed[target_rows]).nonzero()[0]
     if delivered is not None:
         useful = useful[delivered[useful]]
     elif p < 1.0 and len(useful):
         useful = useful[keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
-    return target_rows[useful]
+    return target_rows[useful], useful
 
 
 def step(
@@ -158,7 +174,7 @@ def step(
     if state.informed_count >= n:
         return state
     senders = (state.informed if sender_mask is None else sender_mask & state.informed).nonzero()[0]
-    new_rows = _transmit(
+    new_rows, _ = _transmit(
         senders, senders, state.informed, state.cursor, state.attempts,
         lists, protocol, failure.p, rng.cached(n),
     )
@@ -178,6 +194,10 @@ class TrialResult:
     trajectory: np.ndarray = field(repr=False)  # informed counts, index = round
 
 
+# a block of settled rounds draws for at most this many transmissions
+_BLOCK_CELLS = 1 << 16
+
+
 def run_batch(
     lists: ListAssignment,
     protocol: Protocol,
@@ -194,14 +214,25 @@ def run_batch(
     until every vertex is informed or max_rounds have elapsed, and its draws
     come only from its own rng, so the results do not depend on which other
     trials share the batch.  State is flat: trial b's vertex v is row b*n + v,
-    and a finished trial's rows are dropped.  If counts is a list, an array of
-    every trial's informed count (0 once it has stopped) is appended to it
-    after every round that runs.
+    and a finished trial's rows are dropped.  If counts is a list, a (rounds,
+    trials) array of every trial's informed count (0 once it has stopped) is
+    appended to it for the rounds each loop step runs.
+
+    Once every running trial is settled (Topology.live_senders), a step runs a
+    block of rounds: its live senders are fixed, as a vertex informed later has
+    no uninformed neighbor, and their draws follow from their own addresses
+    (random: later ordinals; quasi: the cursor k slots on; feedback: the cursor
+    moved by a running sum of its own acknowledged deliveries).  A vertex is
+    informed in the round of its first successful hit.  A block draws at most
+    twice the last one's transmissions, up to _BLOCK_CELLS.  Other senders'
+    cursors and attempts go stale unread: no policy runs, and settling is final.
 
     A policy (phases' schedules) lets only rows in its may_send transmit.  A
     round opens with policy.stop(t, done, informed, attempts, last), the trials
     to stop (their rows leave may_send), and closes with policy.sent(new_rows,
     informed).  With no sender, the clock jumps to the policy's next boundary.
+    A policy run takes one round a step: a boundary reactivates senders, phase
+    records read attempts, and a coupled run checks containment every round.
     """
     n = lists.topology.n
     starts = np.asarray(starts, dtype=np.int64)
@@ -220,35 +251,58 @@ def run_batch(
     # a policy's idle jumps can take the clock past int64 when max_rounds allows it
     rounds = np.zeros(len(starts), dtype=np.int64 if max_rounds < 2**63 else object)
     completed = np.zeros(len(starts), dtype=bool)
+    got = None  # the running trials' informed counts, if the counts hook took them
+    finish = None  # the rounds in which trials finished inside the last block
+    width = 1  # transmissions the next block may draw; doubles with each settled step
     t = 0
     while True:
-        done = informed.reshape(-1, n).all(axis=1)
+        done = informed.reshape(-1, n).all(axis=1) if got is None else got == n
         stop = done if policy is None else policy.stop(t, done, informed, attempts, t >= max_rounds)
         if stop.any():
-            rounds[running[stop]] = t
+            rounds[running[stop]] = t if finish is None else finish[stop]
             completed[running[done]] = True
             live = ~stop
-            running = running[live]
+            running, got = running[live], None
             rows = np.repeat(live, n)
             informed, cursor, attempts = informed[rows], cursor[rows], attempts[rows]
             keys.keep(live)
         if not len(running) or t >= max_rounds:
             break
-        senders = (informed if policy is None else informed & policy.may_send).nonzero()[0]
-        if not len(senders):  # only a policy can leave no sender
-            t = min(policy.end, max_rounds)
-            continue
-        new_rows = _transmit(
+        senders = None if policy is not None else lists.topology.live_senders(informed)
+        if senders is None:
+            senders = (informed if policy is None else informed & policy.may_send).nonzero()[0]
+            if not len(senders):  # only a policy can leave no sender
+                t = min(policy.end, max_rounds)
+                continue
+            block = 1
+        else:  # settled: these senders are all that can inform a vertex from now on
+            block = max(1, min(width // len(senders), max_rounds - t))
+            width = min(2 * width, _BLOCK_CELLS)
+        new_rows, hit = _transmit(
             senders, vertex[senders], informed, cursor, attempts,
-            lists, protocol, failure.p, keys,
+            lists, protocol, failure.p, keys, block,
         )
-        informed[new_rows] = True
-        t += 1
-        if policy is not None:
-            policy.sent(new_rows, informed)
+        if block == 1:
+            informed[new_rows] = True
+            finish = None
+            if policy is not None:
+                policy.sent(new_rows, informed)
+            if counts is not None:  # the next done test reads them too
+                got = by_round = informed.reshape(-1, n).sum(axis=1)
+        else:  # a vertex is informed in the round of its first hit
+            new_rows, first = np.unique(new_rows, return_index=True)
+            cell = hit[first] // len(senders) * len(running) + new_rows // n
+            gained = np.bincount(cell, minlength=block * len(running)).reshape(block, -1)
+            left = n - informed.reshape(-1, n).sum(axis=1) - gained.cumsum(axis=0)  # by round
+            informed[new_rows] = True
+            finish = t + 1 + np.count_nonzero(left, axis=0)
+            by_round = n - left
+            by_round[1:][left[:-1] == 0] = 0  # a trial counts 0 once it has stopped
+            got = None
+        t += block
         if counts is not None:
-            row_counts = np.zeros(len(starts), dtype=np.int64)
-            row_counts[running] = informed.reshape(-1, n).sum(axis=1)
+            row_counts = np.zeros((block, len(starts)), dtype=np.int64)
+            row_counts[:, running] = by_round
             counts.append(row_counts)
     rounds[running] = t
     return rounds, completed
@@ -263,7 +317,7 @@ def _results(lists, protocol, failure, starts, rngs, max_rounds, policy=None) ->
     counts = [np.ones(len(starts), dtype=np.int64)]
     rounds, done = run_batch(lists, protocol, failure, starts, rngs, max_rounds, counts, policy)
     out = []
-    for b, column in enumerate(np.stack(counts, axis=1)):
+    for b, column in enumerate(np.vstack(counts).T):
         ran = column[column > 0]  # 0 once the trial stopped; skipped rounds close a stall
         idle = np.full(min(rounds[b] + 1 - len(ran), _IDLE_TAIL), ran[-1])
         out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([ran, idle])))

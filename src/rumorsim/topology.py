@@ -57,11 +57,26 @@ class Topology:
         self.check_vertex(v)
         return int(self.degrees(v))
 
-    def degrees(self, vertices: np.ndarray) -> np.ndarray:
-        """Degree of each given vertex; the one degree rule."""
+    def degrees(self, vertices: np.ndarray) -> np.ndarray | int:
+        """Degree of each given vertex; the one degree rule (a scalar on the complete graph)."""
         if self.kind is GraphKind.COMPLETE:
-            return np.full_like(vertices, self.n - 1)
+            return self.n - 1
         return np.where(vertices == 0, self.n - 1, 1)
+
+    def live_senders(self, informed: np.ndarray) -> np.ndarray | None:
+        """If every trial is settled, the rows that can still inform a vertex.
+
+        informed holds trials of n rows, each with an uninformed vertex.  A
+        trial is settled when no uninformed vertex has an uninformed neighbor:
+        on the complete graph when one is left, which every informed vertex
+        neighbors, and on the star when the center, each leaf's one neighbor,
+        is informed.  Returns None while some trial is not settled.
+        """
+        if self.kind is GraphKind.COMPLETE:  # one left in each trial: as many as trials
+            settled = len(informed) - np.count_nonzero(informed) == len(informed) // self.n
+            return informed.nonzero()[0] if settled else None
+        centers = np.arange(0, len(informed), self.n)
+        return centers if informed[centers].all() else None
 
     def neighbors(self, v: int) -> np.ndarray:
         """Canonical (ascending id) neighbor array of one vertex."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rumorsim import (
     step,
     tv_distance,
 )
+from rumorsim import engine
 from rumorsim.engine import run_batch
 
 # the engine-vs-oracle TV tests fail a correct engine with probability below this
@@ -328,3 +330,120 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
         assert state.informed_count == int(informed.sum())
         assert np.array_equal(state.cursor, cursor)
         assert np.array_equal(state.attempts, attempts)
+
+
+def _assert_runs_equal_reference(lists, protocol, p, starts, seed, max_rounds):
+    """run_batch over all starts, and run per trial, match the every-coin loop."""
+    n = lists.topology.n
+    rngs = [TrialRandomness(seed, t) for t in range(len(starts))]
+    fm = FailureModel(p)
+    rounds, completed = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
+    results = []
+    for b, (start, rng) in enumerate(zip(starts, rngs)):
+        states = list(_every_coin_rounds(lists, protocol, p, start, rng, max_rounds))
+        trajectory = [1] + [int(informed.sum()) for informed, _, _ in states]
+        res = run(lists, protocol, fm, start, rng, max_rounds)
+        assert (res.rounds, res.completed) == (len(states), trajectory[-1] == n)
+        assert res.trajectory.tolist() == trajectory
+        assert (int(rounds[b]), bool(completed[b])) == (res.rounds, res.completed)
+        results.append(res)
+    return results
+
+
+@st.composite
+def settled_cases(draw):
+    """A run that spends most of its rounds with no uninformed vertex next to
+    an uninformed one: a star once its center knows, a complete graph with one
+    vertex left.  max_rounds is long enough for several blocks of rounds."""
+    star = draw(st.booleans())
+    n = draw(st.integers(3, 40) if star else st.integers(1, 12))
+    strategy = draw(st.sampled_from(
+        [ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM]
+    ))
+    graph = star_graph(n) if star else complete_graph(n)
+    # on the star: the center, a leaf, or any vertex
+    vertex = st.one_of(st.just(0), st.integers(min(1, n - 1), n - 1), st.integers(0, n - 1))
+    return dict(
+        lists=realize_lists(graph, strategy, seed=draw(st.integers(0, 99))),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        p=draw(st.sampled_from([1.0, 0.5, 0.2])),
+        starts=draw(st.lists(vertex, min_size=1, max_size=4)),
+        seed=draw(st.integers(0, 2**40)),
+        max_rounds=draw(st.integers(0, 2000)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=settled_cases())
+def test_settled_runs_equal_every_coin_reference(case):
+    _assert_runs_equal_reference(**case)
+
+
+def test_trial_completes_inside_a_block_while_another_runs_on():
+    lists = realize_lists(star_graph(30), ListStrategy.CANONICAL)
+    # both trials start settled at the center; trial 0 finishes 70 rounds
+    # before trial 1, which keeps drawing in the same rounds
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        run_batch(lists, Protocol.FULLY_RANDOM, FailureModel(1.0), [0, 0],
+                  [TrialRandomness(6, 0), TrialRandomness(6, 1)], 1000)
+    sizes = [call.args[-1] for call in spy.call_args_list]
+    ends = np.cumsum(sizes)  # no policy, so no round is skipped
+    block = int(np.searchsorted(ends, 94))
+    assert ends[block] - sizes[block] < 94 < ends[block]  # trial 0 ends inside a block
+    assert len(spy.call_args_list[block].args[0]) == 2  # in which both centers send
+    res = _assert_runs_equal_reference(lists, Protocol.FULLY_RANDOM, 1.0, [0, 0], 6, 1000)
+    assert [(r.rounds, r.completed) for r in res] == [(94, True), (164, True)]
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_max_rounds_inside_a_block_reports_exactly_max_rounds(protocol):
+    lists = realize_lists(star_graph(40), ListStrategy.RANDOM, seed=1)
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        run_batch(lists, protocol, FailureModel(0.2), [5], [TrialRandomness(3, 0)], 123)
+    sizes = [call.args[-1] for call in spy.call_args_list]
+    assert sizes[-1] < sizes[-2] * 2 and sum(sizes) == 123  # the cap cut the last block
+    (res,) = _assert_runs_equal_reference(lists, protocol, 0.2, [5], 3, 123)
+    assert not res.completed and res.rounds == 123 and len(res.trajectory) == 124
+
+
+@pytest.mark.parametrize("protocol", [Protocol.QUASIRANDOM, Protocol.FEEDBACK_RETRY])
+def test_a_single_round_after_blocks_walks_on_from_the_cursor(protocol):
+    lists = realize_lists(star_graph(6), ListStrategy.CANONICAL)
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        run_batch(lists, protocol, FailureModel(0.2), [0], [TrialRandomness(2, 0)], 8)
+    assert [call.args[-1] for call in spy.call_args_list] == [1, 2, 4, 1]
+    (res,) = _assert_runs_equal_reference(lists, protocol, 0.2, [0], 2, 8)
+    assert not res.completed
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("p", [1.0, 0.3])
+def test_star_center_start_is_settled_at_round_zero(protocol, p):
+    lists = realize_lists(star_graph(17), ListStrategy.REVERSED)
+    res = _assert_runs_equal_reference(lists, protocol, p, [0, 0, 4], 11, 2000)
+    assert all(r.completed for r in res)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("p", [1.0, 0.2])
+def test_complete_two_vertices(protocol, p):
+    lists = realize_lists(complete_graph(2), ListStrategy.CANONICAL)
+    res = _assert_runs_equal_reference(lists, protocol, p, [0, 1, 1, 0], 5, 40)
+    assert all(r.completed for r in res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=settled_cases(), cells=st.integers(1, 80))
+def test_block_size_does_not_change_results(case, cells):
+    lists, protocol, fm = case["lists"], case["protocol"], FailureModel(case["p"])
+    starts, max_rounds = case["starts"], case["max_rounds"]
+    rngs = [TrialRandomness(case["seed"], t) for t in range(len(starts))]
+
+    def outputs():
+        rounds, completed = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
+        runs = [run(lists, protocol, fm, s, rng, max_rounds) for s, rng in zip(starts, rngs)]
+        return rounds.tolist(), completed.tolist(), [r.trajectory.tolist() for r in runs]
+
+    expected = outputs()
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
+        assert outputs() == expected

@@ -23,6 +23,19 @@ class TestTopology:
         assert star_graph(5).degree(0) == 4
         assert star_graph(5).degree(3) == 1
 
+    def test_live_senders_once_every_trial_is_settled(self):
+        # two trials of n = 4 rows; settled means no uninformed vertex has an
+        # uninformed neighbor, and then the rows that can still inform one
+        complete, star = complete_graph(4), star_graph(4)
+        one_left = np.array([1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
+        assert complete.live_senders(one_left).tolist() == [0, 1, 3, 5, 6, 7]
+        two_left = np.array([1, 0, 0, 1, 1, 1, 1, 0], dtype=bool)  # 3 left in all
+        assert complete.live_senders(two_left) is None
+        centers_known = np.array([1, 0, 0, 1, 1, 1, 0, 1], dtype=bool)
+        assert star.live_senders(centers_known).tolist() == [0, 4]
+        leaf_only = np.array([1, 0, 0, 1, 0, 1, 0, 0], dtype=bool)
+        assert star.live_senders(leaf_only) is None
+
     def test_neighbor_order_skips_self(self):
         topo = complete_graph(4)
         assert list(topo.neighbors(2)) == [0, 1, 3]
@@ -104,7 +117,7 @@ class TestListAssignment:
         ]
         for lists in cases:
             topo = lists.topology
-            degs = topo.degrees(np.arange(topo.n))
+            degs = np.broadcast_to(topo.degrees(np.arange(topo.n)), topo.n)  # scalar if regular
             vs = np.repeat(np.arange(topo.n), degs)
             ps = np.concatenate([np.arange(d) for d in degs])
             want = np.concatenate([lists.row(v) for v in range(topo.n)])
