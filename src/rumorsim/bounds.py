@@ -28,7 +28,7 @@ def _check_p(p: float) -> None:
 
 
 def _check_eps(eps: float, open_right: bool = False) -> None:
-    if eps <= 0.0 or (open_right and eps >= 1.0):
+    if not 0.0 < eps < (1.0 if open_right else math.inf):  # NaN fails every comparison
         hi = "1)" if open_right else "inf)"
         raise ValueError(f"eps must lie in (0, {hi}, got eps={eps}")
 

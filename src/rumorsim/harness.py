@@ -339,9 +339,9 @@ def check_bounds(config: ExperimentConfig, eps: float, threshold: float = 0.05) 
 
     Trials that never completed count as violating the upper bound.
     """
-    result = run_experiment(replace(config, summary_path=None))
     lo = bounds.lower_bound(config.n, config.p, eps)
     hi = bounds.upper_bound(config.n, config.p, eps)
+    result = run_experiment(replace(config, summary_path=None))
     below = sum(1 for r in result.records if r.completed and r.rounds < lo)
     above = sum(1 for r in result.records if not r.completed or r.rounds > hi)
     frac_below = below / config.trials

@@ -20,7 +20,6 @@ branches merge.  That keeps tiny instances tractable and stays exact.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +103,9 @@ def exact_quasirandom(
 ) -> ExactDistribution:
     """Exact broadcast-time law of the list-based protocol, by enumeration.
 
-    State = (informed bitmask, per-vertex cursor), cursor -1 before the
-    initial position is drawn.  Exponential in n, hence the tight caps.
+    A state is one int: the informed bitmask in the low n bits, then one
+    fixed-width field per vertex holding its cursor + 1 (0 before the initial
+    position is drawn).  Exponential in n, hence the tight caps.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"supported range is 2 <= n <= 5, got n={n}")
@@ -117,50 +117,58 @@ def exact_quasirandom(
         raise ValueError(f"lists are for n={lists.topology.n}, oracle asked n={n}")
     lists.topology.check_vertex(start_vertex)
 
-    rows = [lists.row(v) for v in range(n)]
+    rows = [lists.row(v).tolist() for v in range(n)]
     degs = [len(r) for r in rows]
     full = (1 << n) - 1
+    width = max(degs).bit_length()  # a field holds cursor + 1, 0..deg
+    field = (1 << width) - 1
+    # a transmission from slot pos: its target's bit, and the next slot's field
+    moves = [
+        [(1 << target, ((pos + 1) % degs[v] + 1) << (n + v * width))
+         for pos, target in enumerate(row)]
+        for v, row in enumerate(rows)
+    ]
+    miss = 1.0 - p
 
-    states: dict[tuple[int, tuple], float] = {
-        (1 << start_vertex, (-1,) * n): 1.0
-    }
+    states: dict[int, float] = {1 << start_vertex: 1.0}  # every cursor -1
     mass = np.zeros(horizon + 1)
     for t in range(1, horizon + 1):
-        nxt: dict[tuple[int, tuple], float] = defaultdict(float)
-        for (mask, cursors), prob in states.items():
+        nxt: dict[int, float] = {}
+        for state, prob in states.items():
             # senders are the vertices informed at the start of the round
-            partial = {(mask, cursors): prob}
+            partial = {state: prob}
             for v in range(n):
-                if not (mask >> v) & 1 or degs[v] == 0:
+                if not (state >> v) & 1 or degs[v] == 0:
                     continue
-                folded: dict[tuple[int, tuple], float] = defaultdict(float)
-                for (pmask, pcur), q in partial.items():
-                    if pcur[v] < 0:
-                        options = [(pos, q / degs[v]) for pos in range(degs[v])]
+                shift = n + v * width
+                folded: dict[int, float] = {}
+                get = folded.get
+                for pstate, q in partial.items():
+                    cur = (pstate >> shift) & field
+                    if cur == 0:
+                        options, q = moves[v], q / degs[v]
                     else:
-                        options = [(pcur[v], q)]
-                    for pos, q_opt in options:
-                        target = int(rows[v][pos])
-                        cur2 = list(pcur)
-                        cur2[v] = (pos + 1) % degs[v]
-                        key_base = tuple(cur2)
-                        if (pmask >> target) & 1:
+                        options = moves[v][cur - 1 : cur]
+                    cleared = pstate ^ (cur << shift)
+                    for bit, slot in options:
+                        key = cleared | slot
+                        if pstate & bit:
                             # delivery coin is irrelevant: target already knows
-                            folded[(pmask, key_base)] += q_opt
+                            folded[key] = get(key, 0.0) + q
                         else:
-                            folded[(pmask | (1 << target), key_base)] += q_opt * p
+                            folded[key | bit] = get(key | bit, 0.0) + q * p
                             if p < 1.0:
-                                folded[(pmask, key_base)] += q_opt * (1.0 - p)
+                                folded[key] = get(key, 0.0) + q * miss
                 partial = folded
             for s, q in partial.items():
-                nxt[s] += q
+                nxt[s] = nxt.get(s, 0.0) + q
         states = {}
         done = 0.0
-        for (smask, scur), q in nxt.items():
-            if smask == full:
+        for s, q in nxt.items():
+            if s & full == full:
                 done += q
             else:
-                states[(smask, scur)] = q
+                states[s] = q
         mass[t] = done
     return ExactDistribution(horizon=horizon, mass=mass, tail=float(sum(states.values())))
 

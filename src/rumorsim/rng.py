@@ -5,9 +5,11 @@ trials can run in any order, replays are bit-identical, and two runs that
 share a seed draw literally the same coins for the same (vertex, ordinal)
 pair.  That last property is what makes delayed/undelayed couplings exact.
 
-Key derivation happens in plain Python ints masked to 64 bits (numpy uint64
-scalars warn on overflow, arrays wrap silently), and the per-round draws are
-vectorized over uint64 arrays.
+A trial's key for a purpose is mix64(derive_key(seed, trial) ^ purpose*G).
+Seed and trial are masked to 64 bits as Python ints; then the keys of all
+the trials of a batch are derived in one pass over uint64 arrays, which wrap
+silently where numpy uint64 scalars would warn.  The per-round draws are
+vectorized over uint64 arrays too.
 
 A draw hashes in two stages: h = mix(key ^ v*G) for the (trial, purpose,
 vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
@@ -33,6 +35,7 @@ PURPOSE_COIN = 0x22
 PURPOSE_TARGET = 0x33
 PURPOSE_FEEDBACK = 0x44
 _PURPOSES = (PURPOSE_INITIAL, PURPOSE_COIN, PURPOSE_TARGET, PURPOSE_FEEDBACK)
+_KEY0 = 0x61C8864680B583EB  # derive_key's starting value
 
 _G = np.uint64(_GOLDEN)
 _M1 = np.uint64(_MIX1)
@@ -57,7 +60,7 @@ def mix64(x: int) -> int:
 
 def derive_key(*words: int) -> int:
     """Hash a tuple of ints into one 64-bit key, order-sensitive."""
-    h = 0x61C8864680B583EB
+    h = _KEY0
     for w in words:
         h = mix64((h + (w & _MASK) * _GOLDEN) & _MASK)
     return h
@@ -69,6 +72,17 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     x = x ^ (x >> _S27)
     x = x * _M2
     return x ^ (x >> _S31)
+
+
+_TAGS = np.array(_PURPOSES, dtype=np.uint64) * _G
+
+
+def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
+    """Each trial's purpose keys, one row per trial in _PURPOSES order."""
+    seeds = np.array([rng.master_seed & _MASK for rng in rngs], dtype=np.uint64)
+    trials = np.array([rng.trial & _MASK for rng in rngs], dtype=np.uint64)
+    key = _mix_array(_mix_array(seeds * _G + np.uint64(_KEY0)) + trials * _G)  # derive_key
+    return _mix_array(key[:, None] ^ _TAGS)
 
 
 def _finish(first: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
@@ -87,15 +101,12 @@ class TrialRandomness:
     def __init__(self, master_seed: int, trial: int):
         self.master_seed = int(master_seed)
         self.trial = int(trial)
-        key = derive_key(master_seed, trial)
-        self._keys = {
-            purpose: mix64(key ^ ((purpose * _GOLDEN) & _MASK)) for purpose in _PURPOSES
-        }
         self._cached: dict[int, RowRandomness] = {}
 
     def _hash(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+        key = _purpose_keys([self])[0, _PURPOSES.index(purpose)]
         v = np.asarray(vertices, dtype=np.uint64)
-        return _finish(_mix_array(np.uint64(self._keys[purpose]) ^ (v * _G)), ordinals)
+        return _finish(_mix_array(key ^ (v * _G)), ordinals)
 
     def cached(self, n: int) -> RowRandomness:
         """This trial's draws for vertices 0..n-1, first stage computed once."""
@@ -140,8 +151,7 @@ class RowRandomness(TrialRandomness):
 
     def __init__(self, rngs: Iterable[TrialRandomness], n: int):
         self.n = n
-        keys = (rng._keys[purpose] for rng in rngs for purpose in _PURPOSES)
-        self._trial_keys = np.fromiter(keys, dtype=np.uint64).reshape(-1, len(_PURPOSES))
+        self._trial_keys = _purpose_keys(list(rngs))
         self._first: dict[int, np.ndarray] = {}
 
     @property

@@ -66,6 +66,14 @@ class TestBroadcastBounds:
         with pytest.raises(ValueError):
             lower_bound(10, 0.5, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        for bound in (lower_bound, upper_bound, success_prob, bound_report):
+            with pytest.raises(ValueError, match="eps"):
+                bound(64, 0.5, eps)
+        with pytest.raises(ValueError, match="eps"):
+            schedule_constants(64, 0.5, eps)
+
     def test_report_assembles_everything(self):
         rep = bound_report(4096, 0.5, 0.2)
         assert rep.lower < rep.upper

@@ -181,6 +181,14 @@ class TestBounds:
         assert d["lower"] < d["upper"]
 
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_one(self, eps, capsys):
+        assert run_cli("bounds", "--n", "64", "--p", "0.5", "--eps", eps) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps" in captured.err
+
+
 class TestOracle:
     def test_csv_matches_module(self, capsys):
         code = run_cli(
@@ -269,6 +277,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 3
         assert "passed=false" in out
+
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_one(self, eps, capsys):
+        code = run_cli("check", "--n", "10", "--p", "0.5", "--eps", eps, "--trials", "3")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "passed=" not in captured.out
+        assert "eps" in captured.err
 
 
 class TestCompare:

@@ -8,6 +8,7 @@ the two validates the DP's symmetry argument.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -184,6 +185,110 @@ class TestQuasirandomOracle:
             exact_quasirandom(4, lists4, 1.0, 9)
         with pytest.raises(ValueError):
             exact_quasirandom(5, lists4, 1.0, 8)  # lists built for another n
+
+
+# exact_quasirandom digests, frozen before the oracle's state encoding changed.
+# A case is (n, lists, p, start, horizon) and hashes sha256(mass.tobytes() +
+# repr(tail)); each entry below is the sha256 of its cases' digests over every
+# start vertex and the horizons of _grid_horizons, in that order.  Any change
+# to the enumeration's float operations or their order shows up here.
+ORACLE_GRID = {
+    (2, "canonical", 1.0): "07517ea7033ccd1caf0947af2c1bd37b8acd2847bd1bd24ef1c5b45e5314c628",
+    (2, "canonical", 0.6): "6e55592828f7f06c2554f1a96ef242f691d9d346a807ccf5da491d5d9b156c64",
+    (2, "canonical", 0.3): "ef2fb0860dbd690f3e9023c61f148393fe0813d0a45821e40cb12e12e0c45ef6",
+    (2, "reversed", 1.0): "07517ea7033ccd1caf0947af2c1bd37b8acd2847bd1bd24ef1c5b45e5314c628",
+    (2, "reversed", 0.6): "6e55592828f7f06c2554f1a96ef242f691d9d346a807ccf5da491d5d9b156c64",
+    (2, "reversed", 0.3): "ef2fb0860dbd690f3e9023c61f148393fe0813d0a45821e40cb12e12e0c45ef6",
+    (2, "random0", 1.0): "07517ea7033ccd1caf0947af2c1bd37b8acd2847bd1bd24ef1c5b45e5314c628",
+    (2, "random0", 0.6): "6e55592828f7f06c2554f1a96ef242f691d9d346a807ccf5da491d5d9b156c64",
+    (2, "random0", 0.3): "ef2fb0860dbd690f3e9023c61f148393fe0813d0a45821e40cb12e12e0c45ef6",
+    (2, "random1", 1.0): "07517ea7033ccd1caf0947af2c1bd37b8acd2847bd1bd24ef1c5b45e5314c628",
+    (2, "random1", 0.6): "6e55592828f7f06c2554f1a96ef242f691d9d346a807ccf5da491d5d9b156c64",
+    (2, "random1", 0.3): "ef2fb0860dbd690f3e9023c61f148393fe0813d0a45821e40cb12e12e0c45ef6",
+    (2, "random2", 1.0): "07517ea7033ccd1caf0947af2c1bd37b8acd2847bd1bd24ef1c5b45e5314c628",
+    (2, "random2", 0.6): "6e55592828f7f06c2554f1a96ef242f691d9d346a807ccf5da491d5d9b156c64",
+    (2, "random2", 0.3): "ef2fb0860dbd690f3e9023c61f148393fe0813d0a45821e40cb12e12e0c45ef6",
+    (3, "canonical", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "canonical", 0.6): "30e822136a621d21281809af36feed03600bf5f35d8029bfd7b02f4cc1b4f2ab",
+    (3, "canonical", 0.3): "da17c35f4ed9604a561469e5877328dc9182ca175832e8f14d9be17cbe0ebcfc",
+    (3, "reversed", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "reversed", 0.6): "f64630ad44be7bdd969c174fcdf5d0aa5a5eae28a6cc787d8d3c46662fb8da4f",
+    (3, "reversed", 0.3): "6a562e2e9564f3b787ba5da040ffbf26ac9006185f6b21cf32baab8364878d4f",
+    (3, "random0", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "random0", 0.6): "2ce2210fbdff425c8257de039f3c9e0a59c2eba7f2a2f92a4d09b6ca2345f068",
+    (3, "random0", 0.3): "4c96b878f0fbe5b2d54ed79731123bebb660f481f9db0b3f9293d8112a4378cf",
+    (3, "random1", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "random1", 0.6): "11aaba08b75ba9dd77dbfa031f09a750066ac8fae5ea3a087412d5a88349acb5",
+    (3, "random1", 0.3): "3b520b52a826806f019bb1d7a356e2ea3e66b147ace9fedf1b37fb85c639082b",
+    (3, "random2", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "random2", 0.6): "30e822136a621d21281809af36feed03600bf5f35d8029bfd7b02f4cc1b4f2ab",
+    (3, "random2", 0.3): "fc495848dad760bbff7462914bea21d3a7a2282cb0c3ecf84ee5967ab372cf2c",
+    (3, "star", 1.0): "3af8818c3f04382b7d6f5d5fbb4560854142c1d35acc683ce0052ac54d3cc6b6",
+    (3, "star", 0.6): "da3ddbe59c68162c850d44212d485e562ba459b320681e66f456cbd042236e95",
+    (3, "star", 0.3): "c85054e9c3c630ac35c2d31fc464d539b5a4980d494cc8b006b83bd82e903cb4",
+    (4, "canonical", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "canonical", 0.6): "114ffe32dfc08feb0f5e9d070f9fc52f061dc0d9ab7c039bc6895e50cfb90eb8",
+    (4, "canonical", 0.3): "123dc960f357c95d5035ed28148a21b364751ca8be354d78c045d2449184728a",
+    (4, "reversed", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "reversed", 0.6): "259e01cae895d7e7024ea3f8cd2a89b3942cfdefe024516b9d646ad27d9052cf",
+    (4, "reversed", 0.3): "99d0f08f93962dbe7697388aedf3995e465a9460844fa7370a775b288cde36b8",
+    (4, "random0", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "random0", 0.6): "4ea4643e820fdb727e5ebced87bfbeb20e258e63a232b9e8fda19487c892c78d",
+    (4, "random0", 0.3): "791ca3c9ef370bec78a825055fcaad131fcae1a67296f90fbb402ed45d709dc6",
+    (4, "random1", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "random1", 0.6): "23999f17db0d6a482a94aabb4470d1e625d712ab05818a2561ea7bd2002bf999",
+    (4, "random1", 0.3): "38fe8889fa31ae991613d44b0ee905882b7f7d1f3c4f69b8c244225986f9a528",
+    (4, "random2", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "random2", 0.6): "686992c9553840e1e333fc43866eb1c1654e468401913906f97f8c8ec0e2d1d7",
+    (4, "random2", 0.3): "a281b54658a96ce870a4387adb3f3d9b86579ea99dde644d1083a624f937b7d9",
+    (4, "star", 1.0): "7ac19a1e2f2f5915648bc7bf969ee059ce35fbfddbec8228ee4cf99ca46143f6",
+    (4, "star", 0.6): "4af7a37dde040f6aa92d50f05d850b4f3789e012014cd71c57c699a394326d1c",
+    (4, "star", 0.3): "b179b9d931c9670f470ed715a4da87aa1380a2d72467c0fc203eb05a4071fc45",
+    (5, "canonical", 1.0): "9e850e37f0f182bd5e250c0b905b968f680cbdf1fb0a10aed3b7dc847d2f9a66",
+    (5, "canonical", 0.6): "5d7a34fc287d0b9e3cd814917395d42b98de226d1e9ff1c6abd0c254b99d2a9d",
+    (5, "canonical", 0.3): "f83c06a741440a672a0cdbb812f2757c7f94bf56a97be18cd1170045e4f724f0",
+    (5, "reversed", 1.0): "8c53685ea4fe49532710ba032e8452950b5df8cfd87c8bfa8853e8f8b7733339",
+    (5, "reversed", 0.6): "184d5184c4e74537595ea47c17f51479fa952fbc89cf0977ccf7720146642444",
+    (5, "reversed", 0.3): "84668cf8c7c5eff7e24b2538063524de407b63694d0e7f4198849236e06579ec",
+    (5, "random0", 1.0): "0d527ecde83494ea948fb0612ac89360d2de0dd4b2aadc857a74edee1f65e0f0",
+    (5, "random0", 0.6): "d370e76c4d1a1d86174e55ebee518bec0dc6d418ee98089a99888e075ff2ab55",
+    (5, "random0", 0.3): "61221e456ee9665836bb92809dcac9cb3af82426d375bbc91a3ce090b85deb49",
+    (5, "random1", 1.0): "a339c9b73bf2c2a674100586d8dcd0da1c9b99f5ae2224b909d45ffa71184370",
+    (5, "random1", 0.6): "af5babd19b419cf94a28124c22af51ab5b4c0716bce38d0453a4fb03b6fd1374",
+    (5, "random1", 0.3): "e125543d464ee8e326dc3acfe3d350b276df36035b562e2e4b6d04691895f29e",
+    (5, "random2", 1.0): "b742e5a82dc83b70802bcccc9cb5c0e3cdb4451afa4e23e981546d0d9ec832b1",
+    (5, "random2", 0.6): "6cccaf3a6296918e4a332b12280bd727f37021f06907ade4b4f989becc6817a8",
+    (5, "random2", 0.3): "6a3b4b93dc151aeb5546b0f6011d9b57dccd61dfdad3cc29c5df3d4a266a61ed",
+    (5, "star", 1.0): "623d3cb5b19e33eaeb51b050c78938044424d98678858386a8577ef2773cc4b9",
+    (5, "star", 0.6): "9041b94596bdffaec474928be83c8c3c92ae3499b8cb2480fbad6af6926bffd6",
+    (5, "star", 0.3): "33787552bdaad770cde2bd2cbfea4d86bb8ddf24b55d2ab669b1d3e29497dac8",
+}
+
+
+def _grid_lists(n, kind):
+    if kind == "star":
+        return realize_lists(star_graph(n), ListStrategy.CANONICAL)
+    if kind.startswith("random"):
+        return realize_lists(complete_graph(n), ListStrategy.RANDOM, int(kind[-1]))
+    return realize_lists(complete_graph(n), ListStrategy(kind))
+
+
+def _grid_horizons(n, kind, start):
+    if n < 5:
+        return (2, 5, 8)
+    # n = 5 at horizon 8 costs about 0.1 s a case, so only two lists run it
+    return (2, 4, 8) if start == 0 and kind in ("canonical", "star") else (2, 4)
+
+
+@pytest.mark.parametrize("n, kind, p", sorted(ORACLE_GRID, key=str))
+def test_quasirandom_grid_frozen(n, kind, p):
+    lists = _grid_lists(n, kind)
+    group = hashlib.sha256()
+    for start in range(n):
+        for horizon in _grid_horizons(n, kind, start):
+            dist = exact_quasirandom(n, lists, p, horizon, start)
+            group.update(hashlib.sha256(dist.mass.tobytes() + repr(dist.tail).encode()).digest())
+    assert group.hexdigest() == ORACLE_GRID[n, kind, p]
 
 
 class TestStarExpectation:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumorsim import TrialRandomness, derive_key, mix64
+from rumorsim.cli import main
 from rumorsim.rng import RowRandomness
 
 
@@ -121,3 +126,86 @@ def test_cached_is_built_once_per_size():
     v = np.arange(8)
     o = np.arange(8) * 3
     assert np.array_equal(rng.cached(8).coin_uniforms(v, o), rng.coin_uniforms(v, o))
+
+
+# Python-int reference of the addressed draws: no numpy, no cached stage
+_GOLDEN = 0x9E3779B97F4A7C15
+_PURPOSE_TAGS = {"initial": 0x11, "coin": 0x22, "target": 0x33, "feedback": 0x44}
+
+
+def reference_hash(seed, trial, purpose, vertex, ordinal):
+    key = mix64(derive_key(seed, trial) ^ (_PURPOSE_TAGS[purpose] * _GOLDEN))
+    return mix64(mix64(key ^ (vertex * _GOLDEN)) ^ (ordinal * _GOLDEN))
+
+
+# seeds and trials around the 64-bit edges, where masking decides the key
+edge_ints = st.one_of(
+    st.integers(-(2**70), -1),
+    st.integers(0, 2**20),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(2**64 - 4, 2**66),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    addresses=st.lists(st.tuples(edge_ints, edge_ints), min_size=1, max_size=4),
+    n=st.integers(1, 6),
+    ordinal=st.integers(0, 2**40),
+    degree=st.integers(1, 9),
+)
+def test_rows_match_python_int_reference(addresses, n, ordinal, degree):
+    rngs = [TrialRandomness(seed, trial) for seed, trial in addresses]
+    rows = RowRandomness(rngs, n)
+    r = np.arange(len(rngs) * n)
+    o = np.full(len(r), ordinal)
+    degs = np.full(len(r), degree)
+    expected = {
+        purpose: [
+            reference_hash(*addresses[b // n], purpose, b % n, ordinal if purpose != "initial" else 0)
+            for b in range(len(r))
+        ]
+        for purpose in _PURPOSE_TAGS
+    }
+    coins = [(h >> 11) * 2.0**-53 for h in expected["coin"]]
+    feedback = [(h >> 11) * 2.0**-53 for h in expected["feedback"]]
+    targets = [h % degree for h in expected["target"]]
+    initial = [h % degree for h in expected["initial"]]
+    assert rows.coin_uniforms(r, o).tolist() == coins
+    assert rows.feedback_uniforms(r, o).tolist() == feedback
+    assert rows.target_indices(r, o, degs).tolist() == targets
+    assert rows.initial_positions(r, degs).tolist() == initial
+    rng, v = rngs[-1], np.arange(n)
+    assert rng.coin_uniforms(v, o[:n]).tolist() == coins[-n:]
+    assert rng.target_indices(v, o[:n], degs[:n]).tolist() == targets[-n:]
+
+
+# CLI runs at seeds outside [0, 2**63): sha256 over stdout, out.csv and summary.json
+SEED_EDGE_GOLDEN = {
+    ("random", "-3"):
+        "0a02e32a4a71811b9663713a2776224c127c0bef9238d00f5d28631275811eb6",
+    ("quasi", "-3"):
+        "ad002b21c8c5a38211f8de39dc37c3325b61ea0e97d2ec0eaee0d8f76abb5621",
+    ("feedback", "-3"):
+        "36214f0e7f4c88d73e2e9acd144498abd89c4a481bd0c394373f8db689ac0af6",
+    ("random", "99999999999999999999999"):
+        "a37ae5b097c269f94d2fa5b28c3b5cbfb56e418c0190641ed87e8c3b8ba966b2",
+    ("quasi", "99999999999999999999999"):
+        "d0d0b960bf8c1bbc8e949aa4483bd70eebe350ae0a9a03e21fdd02bfd7c01042",
+    ("feedback", "99999999999999999999999"):
+        "433c8d9a094c59b36a8b844544e4788c7b12c9e6f78c5ccd1d3d133a8cee5b62",
+}
+
+
+@pytest.mark.parametrize("protocol, seed", sorted(SEED_EDGE_GOLDEN))
+def test_seed_edge_outputs_frozen(protocol, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "sim", "--protocol", protocol, "--n", "9", "--p", "0.6", "--trials", "20",
+        "--seed", seed, "--out", "out.csv", "--summary", "summary.json",
+    ])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    digest.update((tmp_path / "out.csv").read_bytes())
+    digest.update((tmp_path / "summary.json").read_bytes())
+    assert digest.hexdigest() == SEED_EDGE_GOLDEN[protocol, seed]
