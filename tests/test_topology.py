@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,75 @@ from rumorsim import (
     star_graph,
 )
 
+
+# list seeds that are negative, zero, small and at or above 2**64, where
+# derive_key's masking decides the key (2**70 keys like 0)
+LIST_SEEDS = (-5, 0, 11, 2**64 + 3, 2**70)
+
+# sha256 of the RANDOM rows of each vertex, concatenated as little-endian
+# int64, for (graph, n, list seed)
+RANDOM_TABLE_SHA256 = {
+    ("complete", 2, -5):
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ("complete", 2, 0):
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ("complete", 2, 11):
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ("complete", 2, 2**64 + 3):
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ("complete", 2, 2**70):
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ("complete", 3, -5):
+        "f5879a3114447d6ed088f1e081381d0bbd661e8fcd6b345d7a5c3754ffb9b5d2",
+    ("complete", 3, 0):
+        "3714f4e49ed0ba37aa0f112ba8a7680af6cfc1a45c57e30cb0a8c7c4df441d32",
+    ("complete", 3, 11):
+        "3714f4e49ed0ba37aa0f112ba8a7680af6cfc1a45c57e30cb0a8c7c4df441d32",
+    ("complete", 3, 2**64 + 3):
+        "51d681bf20d0b1548c5445e3b936841674e4b4e69c298a580df68f7f169fefdc",
+    ("complete", 3, 2**70):
+        "3714f4e49ed0ba37aa0f112ba8a7680af6cfc1a45c57e30cb0a8c7c4df441d32",
+    ("complete", 64, -5):
+        "2927e7d54f8ac7df8320e7f48cf79dc07e1ff477bca68537dd5796c64ec5d1bc",
+    ("complete", 64, 0):
+        "8b5cbaaff0eed8aa939e1e477e3270c251f65cf97c4d2d9399f5d9d0b780ee1e",
+    ("complete", 64, 11):
+        "3d60957be8460060801458171917fe1e414bf96eebdf3ce7a5cf8b0bc777097b",
+    ("complete", 64, 2**64 + 3):
+        "009c52c919e9b84cb3f5fd6a85ebee70ada75334ff370bbb7e87950e7119f50f",
+    ("complete", 64, 2**70):
+        "8b5cbaaff0eed8aa939e1e477e3270c251f65cf97c4d2d9399f5d9d0b780ee1e",
+    ("complete", 2048, -5):
+        "509bea8c942d48080ba6f004644d296d03ce9b75a0d30df1f43bf9dd265480e0",
+    ("complete", 2048, 0):
+        "e512132896a1c443dff82af6ddab1cc80ab9cb3b0b9f235bf062d290b444755b",
+    ("complete", 2048, 11):
+        "61b32b1efc716268a98ec8145996976dc7a4b9120f2978fe7be7396f3624648c",
+    ("complete", 2048, 2**64 + 3):
+        "cc108ddd4341708c4637cbceacff520cde53eaf48e39790cb50d0f84662b010b",
+    ("complete", 2048, 2**70):
+        "e512132896a1c443dff82af6ddab1cc80ab9cb3b0b9f235bf062d290b444755b",
+    ("star", 3, -5):
+        "949565286ab35f0755e981f3cd8946e0733c8919e5038bae6d5a126cf3e30cc4",
+    ("star", 3, 0):
+        "949565286ab35f0755e981f3cd8946e0733c8919e5038bae6d5a126cf3e30cc4",
+    ("star", 3, 11):
+        "949565286ab35f0755e981f3cd8946e0733c8919e5038bae6d5a126cf3e30cc4",
+    ("star", 3, 2**64 + 3):
+        "466cfdb0881b781be3539ae339b6f94647c7543c20714720b406b0cdf08f08fd",
+    ("star", 3, 2**70):
+        "949565286ab35f0755e981f3cd8946e0733c8919e5038bae6d5a126cf3e30cc4",
+    ("star", 300, -5):
+        "89af2306773df5d9726c068a103b763835b9521c19176765e35c14d4436d41bb",
+    ("star", 300, 0):
+        "efd194466dfa0babf7dc01d5aaf4ad5a6485327f81b0f194751fcebdda0d608d",
+    ("star", 300, 11):
+        "2ee010ff7dec465ae63d64f054b242d80d680c947110374e7235647147cea621",
+    ("star", 300, 2**64 + 3):
+        "3ecc7246ae9d333d0958400a9ec37792e202b7f416ede07ef2e0d7ed2e344494",
+    ("star", 300, 2**70):
+        "efd194466dfa0babf7dc01d5aaf4ad5a6485327f81b0f194751fcebdda0d608d",
+}
 
 class TestTopology:
     def test_degrees(self):
@@ -124,16 +195,25 @@ class TestListAssignment:
             assert lists.targets_at(vs, ps).tolist() == want.tolist()
 
     @pytest.mark.parametrize(
-        "topo", [complete_graph(2), complete_graph(3), complete_graph(257), star_graph(33)]
+        "topo",
+        [complete_graph(2), complete_graph(3), complete_graph(257), star_graph(33),
+         complete_graph(2048)],
     )
     def test_random_rows_are_keyed_permutations(self, topo):
         # the definition of a RANDOM row: vertex v's canonical row permuted
         # by the generator of (seed, v)
-        seed = 17
+        for seed in (17,) + LIST_SEEDS:
+            lists = realize_lists(topo, ListStrategy.RANDOM, seed)
+            for v in range(topo.n):
+                gen = np.random.default_rng(derive_key(seed, v))
+                assert np.array_equal(lists.row(v), gen.permutation(topo.neighbors(v)))
+
+    @pytest.mark.parametrize("kind, n, seed", sorted(RANDOM_TABLE_SHA256, key=repr))
+    def test_random_tables_frozen(self, kind, n, seed):
+        topo = complete_graph(n) if kind == "complete" else star_graph(n)
         lists = realize_lists(topo, ListStrategy.RANDOM, seed)
-        for v in range(topo.n):
-            gen = np.random.default_rng(derive_key(seed, v))
-            assert np.array_equal(lists.row(v), gen.permutation(topo.neighbors(v)))
+        rows = np.concatenate([lists.row(v) for v in range(n)]).astype("<i8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == RANDOM_TABLE_SHA256[kind, n, seed]
 
     def test_functional_forms_stay_cheap_at_scale(self):
         # canonical/reversed must not materialize the n x (n-1) table
