@@ -75,7 +75,7 @@ def slowdown_factor(p: float) -> float:
 
 def chernoff_lower(expectation: float, delta: float) -> float:
     """P(X <= (1-delta) E[X]) <= exp(-delta^2 E[X] / 2) for binomial-like X."""
-    if expectation < 0:
+    if not expectation >= 0:  # NaN fails every comparison
         raise ValueError(f"expectation must be >= 0, got {expectation}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -84,7 +84,7 @@ def chernoff_lower(expectation: float, delta: float) -> float:
 
 def chernoff_upper(expectation: float, delta: float) -> float:
     """P(X >= (1+delta) E[X]) <= exp(-delta^2 E[X] / 3) for binomial-like X."""
-    if expectation < 0:
+    if not expectation >= 0:  # NaN fails every comparison
         raise ValueError(f"expectation must be >= 0, got {expectation}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -93,11 +93,11 @@ def chernoff_upper(expectation: float, delta: float) -> float:
 
 def azuma_bound(t: float, effect_bounds) -> float:
     """P(|Y - E[Y]| >= t) <= 2 exp(-2 t^2 / sum c_i^2) for c_i-Lipschitz Y."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"deviation t must be > 0, got {t}")
     total = 0.0
     for c in effect_bounds:
-        if c < 0:
+        if not c >= 0:
             raise ValueError(f"effect bounds must be >= 0, got {c}")
         total += float(c) * float(c)
     if total == 0.0:

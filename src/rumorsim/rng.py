@@ -20,7 +20,7 @@ stage.  The values are the same uint64s, element for element.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -74,6 +74,49 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
+def _derive_keys(seeds: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """derive_key(seed, word) elementwise over uint64 arrays of masked ints."""
+    return _mix_array(_mix_array(seeds * _G + np.uint64(_KEY0)) + words * _G)
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's hash multipliers: call i xors row i in, multiplies by row i + 1."""
+    return np.array([init * mult**i % 2**32 for i in range(calls + 1)], dtype=np.uint32)[:, None]
+
+
+_SS_MIX = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # entropy into the pool of 4 words
+_SS_OUT = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # pool out to 8 state words
+_SS_L, _SS_R, _S16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _ss_hash(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    x = (x ^ c[:-1]) * c[1:]
+    return x ^ (x >> _S16)
+
+
+def _pcg64_states(keys: np.ndarray) -> Iterator[dict]:
+    """The bit-generator state np.random.default_rng(k) starts in, per uint64 k.
+
+    That is PCG64's srandom step, in Python ints, on the words of
+    SeedSequence(k).generate_state(4, uint64), a fixed uint32 hash of k that
+    is replayed here for all keys at once.  numpy keeps both streams stable.
+    """
+    pool = np.zeros((4, len(keys)), dtype=np.uint32)
+    pool[0], pool[1] = keys, keys >> np.uint64(32)  # low words truncate
+    pool = _ss_hash(pool, _SS_MIX[:5])
+    for s in range(4):  # word s into every other word, in SeedSequence's order
+        others, at = [d for d in range(4) if d != s], 4 + 3 * s
+        x = _SS_L * pool[others] - _SS_R * _ss_hash(pool[s], _SS_MIX[at:at + 4])
+        pool[others] = x ^ (x >> _S16)
+    out = _ss_hash(np.concatenate([pool, pool]), _SS_OUT).astype(np.uint64)
+    for s_hi, s_lo, i_hi, i_lo in zip(*(out[0::2] | out[1::2] << np.uint64(32)).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 _TAGS = np.array(_PURPOSES, dtype=np.uint64) * _G
 
 
@@ -81,8 +124,7 @@ def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
     """Each trial's purpose keys, one row per trial in _PURPOSES order."""
     seeds = np.array([rng.master_seed & _MASK for rng in rngs], dtype=np.uint64)
     trials = np.array([rng.trial & _MASK for rng in rngs], dtype=np.uint64)
-    key = _mix_array(_mix_array(seeds * _G + np.uint64(_KEY0)) + trials * _G)  # derive_key
-    return _mix_array(key[:, None] ^ _TAGS)
+    return _mix_array(_derive_keys(seeds, trials)[:, None] ^ _TAGS)
 
 
 def _finish(first: np.ndarray, ordinals: np.ndarray) -> np.ndarray:

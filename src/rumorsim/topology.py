@@ -8,9 +8,11 @@ strategy picks the actual cyclic order per vertex.
 For the complete graph and the star the canonical and reversed orders have a
 closed form, so those assignments never materialize an n x (n-1) table and
 stay cheap at n = 10**5.  Random and explicit assignments are materialized
-and therefore capped in size.  The random table is built in place as one
-copy: the canonical rows are written in closed form, and each row is then
-shuffled by the generator of its (seed, vertex id).
+and therefore capped in size.  Row v of a random table is exactly v's
+canonical row shuffled by ``default_rng(derive_key(seed, v))``: one generator,
+set in turn to each row's state (all derived in one array pass), shuffles each
+row right after it is written.  That relies on numpy's SeedSequence and PCG64
+streams staying stable, as tests/test_rng.py checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import derive_key
+from .rng import _MASK, _derive_keys, _pcg64_states
 
 # materialized assignments above this many cells would not fit in memory
 _MAX_TABLE_CELLS = 1 << 26
@@ -171,9 +173,9 @@ def realize_lists(
 ) -> ListAssignment:
     """Build the neighbor-list assignment one protocol run walks.
 
-    RANDOM shuffles each canonical row with a generator keyed by
-    (seed, vertex id).  EXPLICIT takes caller rows, validated to be
-    permutations of the true neighbor sets.
+    RANDOM shuffles each canonical row as default_rng(derive_key(seed, v))
+    would, with one generator set to each row's state in turn.  EXPLICIT
+    takes caller rows, validated to be permutations of the true neighbor sets.
     """
     if strategy in (ListStrategy.CANONICAL, ListStrategy.REVERSED):
         if explicit_rows is not None:
@@ -198,11 +200,17 @@ def realize_lists(
 
     if explicit_rows is not None:
         raise ValueError("explicit_rows only makes sense with the explicit strategy")
-    # canonical rows in closed form, then each shuffled in place; shuffling a
-    # row draws what Generator.permutation draws for it, as that copies and shuffles
-    table = topology.neighbors_at(np.arange(height)[:, None], np.arange(n - 1))
-    for v in range(height):
-        np.random.default_rng(derive_key(seed, v)).shuffle(table[v])
+    # row v, every id but v (the star's center row too), shuffled in place as
+    # default_rng(derive_key(seed, v)).permutation would shuffle a copy
+    ids = np.arange(n, dtype=np.int64)
+    keys = _derive_keys(np.array([seed & _MASK], dtype=np.uint64), ids[:height].astype(np.uint64))
+    table = np.empty((height, n - 1), dtype=np.int64)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for v, state in enumerate(_pcg64_states(keys)):
+        row = table[v]
+        row[:v], row[v:] = ids[:v], ids[v + 1:]
+        gen.bit_generator.state = state
+        gen.shuffle(row)
     return ListAssignment(topology, strategy, seed, table)
 
 
@@ -222,6 +230,6 @@ def load_lists_file(topology: Topology, path: str) -> ListAssignment:
     for v, (lineno, line) in enumerate(lines):
         try:
             rows[v] = np.array([int(x) for x in line.split(",")], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: beyond int64
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return realize_lists(topology, ListStrategy.EXPLICIT, explicit_rows=rows)

@@ -126,6 +126,22 @@ class TestConcentration:
         with pytest.raises(ValueError):
             azuma_bound(1.0, [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "bound, args, name",
+        [
+            (chernoff_lower, (math.nan, 0.5), "expectation"),
+            (chernoff_upper, (math.nan, 0.5), "expectation"),
+            (azuma_bound, (math.nan, [1.0]), "deviation t"),
+            (azuma_bound, (1.0, [1.0, math.nan]), "effect bounds"),
+        ],
+        ids=["chernoff_lower", "chernoff_upper", "azuma_t", "azuma_effect_bound"],
+    )
+    def test_nan_rejected(self, bound, args, name):
+        # NaN fails every comparison, so each check must be written to let
+        # only valid values through
+        with pytest.raises(ValueError, match=f"{name} must be .* got nan"):
+            bound(*args)
+
     def test_chernoff_holds_empirically(self):
         # observed binomial tails stay within bound + 3 SE(bound)
         gen = np.random.default_rng(20240814)

@@ -147,6 +147,15 @@ class TestExitCodes:
         assert code == 1
         assert f"{rows}:3: " in capsys.readouterr().err
 
+    def test_lists_entry_beyond_int64_names_its_line(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0,99999999999999999999999\n0,2\n0,1\n")
+        code = run_cli(
+            "sim", "--n", "3", "--lists", "file", "--lists-path", str(rows),
+        )
+        assert code == 1
+        assert f"{rows}:1: " in capsys.readouterr().err
+
     def test_negative_phase_length_names_its_line(self, tmp_path, capsys):
         sched = tmp_path / "s.txt"
         sched.write_text("busy,4\nlazy,-1\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rumorsim import TrialRandomness, derive_key, mix64
 from rumorsim.cli import main
-from rumorsim.rng import RowRandomness
+from rumorsim.rng import RowRandomness, _derive_keys, _pcg64_states
 
 
 def test_mix64_is_deterministic_and_bounded():
@@ -178,6 +178,24 @@ def test_rows_match_python_int_reference(addresses, n, ordinal, degree):
     rng, v = rngs[-1], np.arange(n)
     assert rng.coin_uniforms(v, o[:n]).tolist() == coins[-n:]
     assert rng.target_indices(v, o[:n], degs[:n]).tolist() == targets[-n:]
+    # the array derive_key(seed, word) of one seed, as random lists key their rows
+    seed, words = addresses[0][0], [trial for _, trial in addresses]
+    keys = _derive_keys(
+        np.array([seed & (2**64 - 1)], dtype=np.uint64),
+        np.array([w & (2**64 - 1) for w in words], dtype=np.uint64),
+    )
+    assert keys.tolist() == [derive_key(seed, w) for w in words]
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_pcg64_states_match_numpy_seeding(keys):
+    # random list rows are shuffled by one generator set to these states, so
+    # they must be exactly where default_rng(key) starts; numpy promises the
+    # SeedSequence and PCG64 streams stable, and this holds it to that
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + keys
+    states = list(_pcg64_states(np.array(keys, dtype=np.uint64)))
+    assert states == [np.random.default_rng(k).bit_generator.state for k in keys]
 
 
 # CLI runs at seeds outside [0, 2**63): sha256 over stdout, out.csv and summary.json
