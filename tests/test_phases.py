@@ -347,6 +347,29 @@ class TestAgainstSteppedReference:
             (1, 1, 0), (2**64, 1, 0),
         ]
 
+    def test_coupled_stall_jumps_past_int64_with_a_capped_idle_tail(self):
+        # the delayed copy stalls after its first lazy round and jumps to the
+        # end of a busy phase past 2**63 once the undelayed copy completes
+        lists = realize_lists(complete_graph(8), ListStrategy.CANONICAL)
+        sched = [Phase(PhaseKind.LAZY, 1), Phase(PhaseKind.BUSY, 2**64)]
+        out = coupled_run(lists, FailureModel(0.05), 0, sched, TrialRandomness(0, 0), 2**64 + 3)
+        assert out.dominated is True
+        delayed, undelayed = out.delayed, out.undelayed
+        assert type(delayed.rounds) is int and delayed.rounds == 2**64 + 1
+        assert delayed.completed is False
+        # 140 rounds ran beside the undelayed copy, then the idle tail is capped at 2**20
+        assert len(delayed.trajectory) == 140 + 2**20
+        assert (delayed.trajectory == 1).all()
+        assert [(r.index, r.kind, r.length, r.executed, r.informed_after, r.newly_after)
+                for r in delayed.phases] == [
+            (0, PhaseKind.LAZY, 1, 1, 1, 0), (1, PhaseKind.BUSY, 2**64, 2**64, 1, 0),
+        ]
+        assert (undelayed.rounds, undelayed.completed) == (139, True)
+        assert len(undelayed.trajectory) == 140
+        values, first = np.unique(undelayed.trajectory, return_index=True)
+        assert values.tolist() == [1, 2, 3, 4, 6, 7, 8]
+        assert first.tolist() == [0, 6, 13, 56, 57, 93, 139]
+
 
 class TestBusyGrowth:
     def test_sample_smoke(self):
