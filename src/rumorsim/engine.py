@@ -15,13 +15,15 @@ Protocols differ only in how the target of a vertex's j-th attempt is chosen:
 
 All randomness is addressed by (vertex, attempt ordinal), which is what makes
 delayed-schedule couplings exact (see phases).  It also lets run_batch
-advance many trials as one array step without changing a draw; run is its
-one-trial case, and a sender policy restricts who transmits in it (the
-delayed variant).  step advances one trial a round, for callers that stop
-partway through a run.  Once a trial is settled (no uninformed vertex has an
-uninformed neighbor), the senders that can still inform anyone are fixed and
-their draws follow from their addresses alone, so run_batch draws a block of
-rounds at once.
+advance many trials as one array step without changing a draw, and draw
+every list's first position up front; run is its one-trial case, and a
+sender policy restricts who transmits in it (the delayed variant).  step
+advances one trial a round, for callers that stop partway through a run.
+Once a trial is settled (no uninformed vertex has an uninformed neighbor),
+the senders that can still inform anyone are fixed and their draws follow
+from their addresses alone, so run_batch draws a block of rounds at once.
+Its record of the round that informed each vertex gives run's trajectories
+and the coupling check.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -128,9 +130,6 @@ def _transmit(
         targets = topo.neighbors_at(vertices, idx)
     else:
         positions = cursor[rows[:per_round]]
-        fresh = (positions < 0).nonzero()[0]  # indices: a scattered mask is slow to apply
-        if len(fresh):
-            positions[fresh] = keys.initial_positions(rows[fresh], topo.degrees(vertices[fresh]))
         moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
         if protocol is Protocol.FEEDBACK_RETRY and p < 1.0:
             delivered = keys.coin_uniforms(rows, ordinals) < p
@@ -174,9 +173,13 @@ def step(
     if state.informed_count >= n:
         return state
     senders = (state.informed if sender_mask is None else sender_mask & state.informed).nonzero()[0]
+    keys = rng.cached(n)
+    if protocol is not Protocol.FULLY_RANDOM:  # a first sender's first list position
+        fresh = senders[state.cursor[senders] < 0]
+        state.cursor[fresh] = keys.initial_positions(fresh, lists.topology.degrees(fresh))
     new_rows, _ = _transmit(
         senders, senders, state.informed, state.cursor, state.attempts,
-        lists, protocol, failure.p, rng.cached(n),
+        lists, protocol, failure.p, keys,
     )
     new_mask = np.zeros(n, dtype=bool)
     new_mask[new_rows] = True
@@ -205,7 +208,6 @@ def run_batch(
     starts: Sequence[int],
     rngs: Iterable[TrialRandomness],
     max_rounds: int,
-    counts: list | None = None,
     policy=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one trial per (start vertex, rng) pair, all in the same round loop.
@@ -214,9 +216,8 @@ def run_batch(
     until every vertex is informed or max_rounds have elapsed, and its draws
     come only from its own rng, so the results do not depend on which other
     trials share the batch.  State is flat: trial b's vertex v is row b*n + v,
-    and a finished trial's rows are dropped.  If counts is a list, a (rounds,
-    trials) array of every trial's informed count (0 once it has stopped) is
-    appended to it for the rounds each loop step runs.
+    and a finished trial's rows are dropped.  Every row's first list position
+    is drawn when the batch starts, whether or not its vertex ever sends.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -229,10 +230,19 @@ def run_batch(
 
     A policy (phases' schedules) lets only rows in its may_send transmit.  A
     round opens with policy.stop(t, done, informed, attempts, last), the trials
-    to stop (their rows leave may_send), and closes with policy.sent(new_rows,
-    informed).  With no sender, the clock jumps to the policy's next boundary.
-    A policy run takes one round a step: a boundary reactivates senders, phase
-    records read attempts, and a coupled run checks containment every round.
+    to stop (their rows leave may_send), and closes with policy.sent(new_rows).
+    With no sender, the clock jumps to the policy's next boundary.  A policy
+    run takes one round a step: a boundary reactivates senders, and phase
+    records read attempts.
+    """
+    return _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy)[:2]
+
+
+def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
+    """run_batch, also returning each trial's informing rounds (the round in
+    which each vertex was first informed: 0 for the start, -1 for never) and
+    the clock after the last round run.  No round runs after the clock first
+    jumps: then no running trial can ever send again.
     """
     n = lists.topology.n
     starts = np.asarray(starts, dtype=np.int64)
@@ -244,27 +254,32 @@ def run_batch(
         raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
     informed = np.zeros(len(starts) * n, dtype=bool)
     informed[np.arange(len(starts)) * n + starts] = True
-    cursor = np.full(len(informed), -1, dtype=np.int64)
+    at = np.where(informed, 0, -1)  # each row's informing round
+    informing = np.empty((len(starts), n), dtype=np.int64)  # by trial, filled as trials stop
+    vertex = np.tile(np.arange(n), len(starts))  # vertex of each row; stays valid as rows drop
+    cursor = np.full(len(informed), -1, dtype=np.int64)  # random targets need no cursor
+    if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
+        degrees = np.maximum(lists.topology.degrees(vertex), 1)
+        cursor = keys.initial_positions(np.arange(len(informed)), degrees)
     attempts = np.zeros(len(informed), dtype=np.int64)
     running = np.arange(len(starts))  # trial of each block of n rows
-    vertex = np.tile(np.arange(n), len(starts))  # vertex of each row; stays valid as rows drop
     # a policy's idle jumps can take the clock past int64 when max_rounds allows it
     rounds = np.zeros(len(starts), dtype=np.int64 if max_rounds < 2**63 else object)
     completed = np.zeros(len(starts), dtype=bool)
-    got = None  # the running trials' informed counts, if the counts hook took them
-    finish = None  # the rounds in which trials finished inside the last block
     width = 1  # transmissions the next block may draw; doubles with each settled step
-    t = 0
+    t = ran = 0
     while True:
-        done = informed.reshape(-1, n).all(axis=1) if got is None else got == n
+        done = informed.reshape(-1, n).all(axis=1)
         stop = done if policy is None else policy.stop(t, done, informed, attempts, t >= max_rounds)
         if stop.any():
-            rounds[running[stop]] = t if finish is None else finish[stop]
+            informing[running[stop]] = at.reshape(-1, n)[stop]
+            rounds[running[stop]] = t
+            rounds[running[done]] = at.reshape(-1, n)[done].max(axis=1)  # may lie inside a block
             completed[running[done]] = True
             live = ~stop
-            running, got = running[live], None
+            running = running[live]
             rows = np.repeat(live, n)
-            informed, cursor, attempts = informed[rows], cursor[rows], attempts[rows]
+            informed, at, cursor, attempts = informed[rows], at[rows], cursor[rows], attempts[rows]
             keys.keep(live)
         if not len(running) or t >= max_rounds:
             break
@@ -283,45 +298,34 @@ def run_batch(
             lists, protocol, failure.p, keys, block,
         )
         if block == 1:
-            informed[new_rows] = True
-            finish = None
+            at[new_rows] = t + 1
             if policy is not None:
-                policy.sent(new_rows, informed)
-            if counts is not None:  # the next done test reads them too
-                got = by_round = informed.reshape(-1, n).sum(axis=1)
+                policy.sent(new_rows)
         else:  # a vertex is informed in the round of its first hit
             new_rows, first = np.unique(new_rows, return_index=True)
-            cell = hit[first] // len(senders) * len(running) + new_rows // n
-            gained = np.bincount(cell, minlength=block * len(running)).reshape(block, -1)
-            left = n - informed.reshape(-1, n).sum(axis=1) - gained.cumsum(axis=0)  # by round
-            informed[new_rows] = True
-            finish = t + 1 + np.count_nonzero(left, axis=0)
-            by_round = n - left
-            by_round[1:][left[:-1] == 0] = 0  # a trial counts 0 once it has stopped
-            got = None
-        t += block
-        if counts is not None:
-            row_counts = np.zeros((block, len(starts)), dtype=np.int64)
-            row_counts[:, running] = by_round
-            counts.append(row_counts)
+            at[new_rows] = t + 1 + hit[first] // len(senders)
+        informed[new_rows] = True
+        t = ran = t + block
+    informing[running] = at.reshape(-1, n)
     rounds[running] = t
-    return rounds, completed
+    return rounds, completed, informing, ran
 
 
 # a stalled trajectory repeats its last count for at most this many skipped rounds
 _IDLE_TAIL = 1 << 20
 
 
-def _results(lists, protocol, failure, starts, rngs, max_rounds, policy=None) -> list[TrialResult]:
-    """run_batch, with each trial's informed count by round as its trajectory."""
-    counts = [np.ones(len(starts), dtype=np.int64)]
-    rounds, done = run_batch(lists, protocol, failure, starts, rngs, max_rounds, counts, policy)
+def _results(*batch):
+    """_run_batch's trials as TrialResults, each trajectory its informed count
+    by round, and their informing rounds."""
+    rounds, done, informing, ran = _run_batch(*batch)
     out = []
-    for b, column in enumerate(np.vstack(counts).T):
-        ran = column[column > 0]  # 0 once the trial stopped; skipped rounds close a stall
-        idle = np.full(min(rounds[b] + 1 - len(ran), _IDLE_TAIL), ran[-1])
-        out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([ran, idle])))
-    return out
+    for b, at in enumerate(informing):
+        executed = min(rounds[b], ran)  # skipped rounds close a stall
+        counts = np.bincount(at[at >= 0], minlength=executed + 1).cumsum()
+        idle = np.full(min(rounds[b] - executed, _IDLE_TAIL), counts[-1])
+        out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([counts, idle])))
+    return out, informing
 
 
 def run(
@@ -333,4 +337,4 @@ def run(
     max_rounds: int,
 ) -> TrialResult:
     """Run until every vertex is informed or max_rounds have elapsed."""
-    return _results(lists, protocol, failure, [start_vertex], [rng], max_rounds)[0]
+    return _results(lists, protocol, failure, [start_vertex], [rng], max_rounds)[0][0]

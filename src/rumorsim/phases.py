@@ -12,7 +12,7 @@ delayed run and an undelayed run on the same trial randomness share every
 coin and every list position: the j-th attempt of vertex v is identical in
 both.  Delaying can then only postpone deliveries, so the delayed informed
 set is contained in the undelayed one at every round.  coupled_run checks
-that containment round by round.
+that containment from the round in which each copy informed each vertex.
 
 Both run on engine.run_batch under _Schedule, a sender policy: the rows that
 may send are the active set on delayed trials and all rows otherwise.  Trials
@@ -123,21 +123,17 @@ class _Schedule:
             self.records[self.running[i]].append(
                 PhaseRecord(self.k, phase.kind, phase.length, executed, *after[i]))
 
-    def sent(self, new_rows: np.ndarray, informed: np.ndarray) -> None:
+    def sent(self, new_rows: np.ndarray) -> None:
         if self.busy:
             self.may_send[new_rows] = True
 
 
-class _Coupled(_Schedule):
-    """A delayed block and an undelayed block on one rng, checked for containment."""
-
-    dominated = True
-
-    def sent(self, new_rows: np.ndarray, informed: np.ndarray) -> None:
-        super().sent(new_rows, informed)
-        if len(self.running) == 2:  # once a block stops, containment can no longer break
-            mine = new_rows[new_rows < self.n]  # it held, so only these can break it
-            self.dominated = self.dominated and bool(informed[mine + self.n].all())
+def _dominated(delayed: np.ndarray, undelayed: np.ndarray) -> bool:
+    """Whether the undelayed copy informed each vertex the delayed one did, no
+    later (informing rounds, -1 for never).  Informed sets only grow and both
+    copies share one clock and max_rounds, so this is containment every round.
+    """
+    return bool(((delayed < 0) | ((undelayed >= 0) & (undelayed <= delayed))).all())
 
 
 def run_delayed(
@@ -152,7 +148,7 @@ def run_delayed(
     if max_rounds is None:
         max_rounds = sum(ph.length for ph in schedule)
     policy = _Schedule(schedule, [True], lists.topology.n)
-    (res,) = _results(
+    (res,), _ = _results(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], max_rounds, policy
     )
     return DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
@@ -180,12 +176,12 @@ def coupled_run(
     """
     if max_rounds is None:
         max_rounds = bounds.default_max_rounds(lists.topology.n, failure.p)
-    policy = _Coupled(schedule, [True, False], lists.topology.n)
-    res, undelayed = _results(
+    policy = _Schedule(schedule, [True, False], lists.topology.n)
+    (res, undelayed), informing = _results(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex] * 2, [rng] * 2, max_rounds, policy
     )
     delayed = DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
-    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=policy.dominated)
+    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=_dominated(*informing))
 
 
 # schedule files: one `kind,length` record per line

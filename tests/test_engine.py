@@ -447,3 +447,27 @@ def test_block_size_does_not_change_results(case, cells):
     expected = outputs()
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
         assert outputs() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(coin_cases(), settled_cases()), cells=st.integers(1, 80))
+def test_informing_rounds_equal_every_coin_reference(case, cells):
+    """Each vertex's informing round is the first round it is informed in the
+    reference, at any block size."""
+    lists, protocol, p = case["lists"], case["protocol"], case["p"]
+    starts, max_rounds = case["starts"], case["max_rounds"]
+    rngs = [TrialRandomness(case["seed"], t) for t in range(len(starts))]
+    want = np.full((len(starts), lists.topology.n), -1)
+    for b, (start, rng) in enumerate(zip(starts, rngs)):
+        want[b, start] = 0
+        for t, (informed, _, _) in enumerate(
+            _every_coin_rounds(lists, protocol, p, start, rng, max_rounds), start=1
+        ):
+            want[b, informed & (want[b] < 0)] = t
+
+    def informing():
+        return engine._run_batch(lists, protocol, FailureModel(p), starts, rngs, max_rounds)[2]
+
+    assert informing().tolist() == want.tolist()
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
+        assert informing().tolist() == want.tolist()

@@ -33,6 +33,7 @@ from rumorsim import (
     upper_bound_schedule,
 )
 from rumorsim.engine import Protocol
+from rumorsim.phases import _dominated
 
 
 class TestScheduleFormat:
@@ -177,6 +178,17 @@ class TestCoupling:
             out = coupled_run(lists, fm, trial % 48, schedules[trial % 2], TrialRandomness(13, trial))
             assert out.dominated
 
+
+    # informing rounds by vertex (-1 for never), delayed copy first; vertex 0 starts
+    @pytest.mark.parametrize("delayed, undelayed, dominated", [
+        ([0, 3, -1], [0, -1, -1], False),  # a vertex only the delayed copy informed
+        ([0, 2, 5], [0, 3, 5], False),  # a vertex the delayed copy informed earlier
+        ([0, 3, 5], [0, 3, 5], True),  # equal rounds
+        ([0, -1, -1], [0, -1, -1], True),  # never on both sides
+        ([0, 5, -1], [0, 2, 4], True),  # the undelayed copy earlier, or alone
+    ])
+    def test_domination_compares_informing_rounds(self, delayed, undelayed, dominated):
+        assert _dominated(np.array(delayed), np.array(undelayed)) is dominated
 
 class _ReferenceDelayedRun:
     """One delayed trial stepped one round at a time through `step`, kept as the reference."""
