@@ -14,16 +14,15 @@ Protocols differ only in how the target of a vertex's j-th attempt is chosen:
   both the delivery and an independent feedback coin succeed.
 
 All randomness is addressed by (vertex, attempt ordinal), which is what makes
-delayed-schedule couplings exact (see phases).  It also lets run_batch
-advance many trials as one array step without changing a draw, and draw
-every list's first position up front; run is its one-trial case, and a
-sender policy restricts who transmits in it (the delayed variant).  step
-advances one trial a round, for callers that stop partway through a run.
-Once a trial is settled (no uninformed vertex has an uninformed neighbor),
-the senders that can still inform anyone are fixed and their draws follow
-from their addresses alone, so run_batch draws a block of rounds at once.
-Its record of the round that informed each vertex gives run's trajectories
-and the coupling check.
+delayed-schedule couplings exact (see phases).  It also lets run_batch advance
+many trials as one array step without changing a draw, and draw every list's
+first position up front; run is its one-trial case, and a sender policy
+restricts who transmits in it (the delayed variant).  step advances one trial
+a round, for callers that stop partway through a run.  Once a trial is settled
+(no uninformed vertex has an uninformed neighbor), the senders that can still
+inform anyone are fixed and their draws follow from their addresses alone, so
+run_batch draws a block of rounds at once.  Its record of each vertex's
+informing round yields run's trajectories and the coupling check.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -113,7 +112,8 @@ def _transmit(
     block, at row u + (row - vertex).  Transmission j * len(rows) + i is the
     j-th of sender i, and a delivery counts if its target was uninformed when
     the call began, so the returned rows may repeat.  Mutates cursors and
-    attempt counters, not informed.  Senders must all have degree > 0.
+    attempt counters, not informed.  Senders must all have degree > 0 and,
+    on lists, a cursor.
     """
     topo = lists.topology
     per_round = len(rows)

@@ -178,7 +178,6 @@ class TestCoupling:
             out = coupled_run(lists, fm, trial % 48, schedules[trial % 2], TrialRandomness(13, trial))
             assert out.dominated
 
-
     # informing rounds by vertex (-1 for never), delayed copy first; vertex 0 starts
     @pytest.mark.parametrize("delayed, undelayed, dominated", [
         ([0, 3, -1], [0, -1, -1], False),  # a vertex only the delayed copy informed
@@ -189,6 +188,7 @@ class TestCoupling:
     ])
     def test_domination_compares_informing_rounds(self, delayed, undelayed, dominated):
         assert _dominated(np.array(delayed), np.array(undelayed)) is dominated
+
 
 class _ReferenceDelayedRun:
     """One delayed trial stepped one round at a time through `step`, kept as the reference."""
