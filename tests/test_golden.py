@@ -18,6 +18,8 @@ from rumorsim.cli import main
 # explicit cyclic lists for the complete graph on 5 vertices
 LISTS_FILE = "3,1,4,2\n0,2,4,3\n4,0,3,1\n1,4,0,2\n2,3,1,0\n"
 SCHEDULE_FILE = "lazy,1\nbusy,2\nlazy,2\nbusy,40\n"
+# zero-length phases at round 0, inside the schedule and at round 5
+EDGE_SCHEDULE_FILE = "busy,0\nlazy,2\nbusy,0\nbusy,3\nlazy,0\nlazy,4\n"
 CONFIG_FILE = (
     "# delayed run, every path relative to the working directory\n"
     "protocol=delayed\n"
@@ -39,6 +41,7 @@ ARM_B = "protocol=quasi\nn=16\np=0.5\ntrials=20\nseed=1\n"
 INPUTS = {
     "lists.txt": LISTS_FILE,
     "sched.txt": SCHEDULE_FILE,
+    "edges.txt": EDGE_SCHEDULE_FILE,
     "exp.cfg": CONFIG_FILE,
     "a.cfg": ARM_A,
     "b.cfg": ARM_B,
@@ -64,6 +67,14 @@ CASES.update({
     ),
     "sim-config-file": ("sim", "--config", "exp.cfg", "--trials", "15"),
     "phases-schedule": ("phases", *SMALL, "--seed", "6", "--schedule", "sched.txt", *WRITE),
+    # the cap falls on a boundary: the zero-length phase there is recorded, the next is not
+    "phases-cap-on-boundary": (
+        "phases", *SMALL, "--seed", "6", "--max-rounds", "5", "--schedule", "edges.txt",
+    ),
+    # complete at round 0: only the leading zero-length phase is recorded
+    "phases-complete-at-start": (
+        "phases", "--n", "1", "--p", "0.6", "--trials", "3", "--seed", "6", "--schedule", "edges.txt",
+    ),
     "phases-theoretical": ("phases", "--print-theoretical", "--n", "4096", "--p", "0.5"),
     "oracle-random": ("oracle", "--protocol", "random", "--n", "5", "--p", "0.6", "--horizon", "10"),
     "oracle-quasi": (
@@ -112,6 +123,18 @@ GOLDEN = {
         0,
         {
             "stdout": "c7b77af4f57e049c82a1f8d829447753a51c2c78d5a87a74ebd6229bd5bd7874",
+        },
+    ),
+    "phases-cap-on-boundary": (
+        0,
+        {
+            "stdout": "932d85106822ae10c06ba64f0228d176fab4fec12afed17c8e0bedda8993c42f",
+        },
+    ),
+    "phases-complete-at-start": (
+        0,
+        {
+            "stdout": "e5fa7944e1134539c3fa6e8dc01036322429bf3f2be9af059d1be9955741f932",
         },
     ),
     "phases-schedule": (

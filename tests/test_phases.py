@@ -317,6 +317,19 @@ def delayed_cases(draw):
     )
 
 
+def _send_window(r, schedule):
+    """The rounds [s, e) in which a vertex informed in round r sends: those of
+    the first nonzero phase that opens at or after r, or, from r on, those of
+    the busy phase running at r; (0, 0) if there is no such phase."""
+    begin = 0
+    for ph in schedule:
+        end = begin + ph.length
+        if ph.length and (r <= begin or (ph.kind is PhaseKind.BUSY and r < end)):
+            return max(r, begin), end
+        begin = end
+    return 0, 0
+
+
 def _assert_same_delayed(got, want):
     assert type(got.rounds) is int and got.rounds == want.rounds
     assert got.completed is want.completed
@@ -339,6 +352,25 @@ class TestAgainstSteppedReference:
         assert got.undelayed.completed is want.undelayed.completed
         assert got.undelayed.trajectory.tolist() == want.undelayed.trajectory.tolist()
         assert got.dominated is want.dominated
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=delayed_cases())
+    def test_each_vertex_sends_in_its_window(self, case):
+        runner = _ReferenceDelayedRun(
+            case["lists"], case["failure"], case["start_vertex"], case["schedule"], case["rng"]
+        )
+        state, cap = runner.state, case["max_rounds"]
+        informing = np.where(state.informed, 0, -1)
+        sent = [[] for _ in range(state.n)]  # the rounds in which each vertex transmitted
+        while not runner.done and (cap is None or state.t < cap):
+            t, before = state.t, state.attempts.copy()
+            runner.round()
+            for v in (state.attempts > before).nonzero()[0]:
+                sent[v].append(t)
+            informing[state.newly_informed] = state.t
+        for v, r in enumerate(informing.tolist()):
+            s, e = _send_window(r, case["schedule"]) if r >= 0 else (0, 0)
+            assert sent[v] == list(range(s, min(e, state.t)))
 
     def test_stall_in_an_endless_phase_ends_with_the_schedule(self):
         # a run whose first transmission fails has no sender left after the
