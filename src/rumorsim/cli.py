@@ -22,7 +22,9 @@ from .harness import (
     run_experiment,
     write_json,
 )
+from .engine import Protocol
 from .phases import upper_bound_schedule
+from .topology import _read_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,21 +35,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = CONFIG_KEYS[key][1](val.strip())
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = CONFIG_KEYS[key][1](val.strip())
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
@@ -197,7 +198,8 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("oracle", help="exact distribution as CSV (t,probability)")
-    sp.add_argument("--protocol", choices=["random", "quasi"], required=True)
+    oracles = [Protocol.FULLY_RANDOM.value, Protocol.QUASIRANDOM.value]
+    sp.add_argument("--protocol", choices=oracles, required=True)
     _add_flags(sp, ("n", "p"), required=True)
     sp.add_argument("--horizon", type=int, required=True)
     _add_flags(sp, ("lists", "list_seed", "lists_path", "start", "topology"))

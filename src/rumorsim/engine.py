@@ -21,8 +21,8 @@ restricts who transmits in it (the delayed variant).  step advances one trial
 a round, for callers that stop partway through a run.  Once a trial is settled
 (no uninformed vertex has an uninformed neighbor), the senders that can still
 inform anyone are fixed and their draws follow from their addresses alone, so
-run_batch draws a block of rounds at once.  Its record of each vertex's
-informing round yields run's trajectories and the coupling check.
+run_batch draws a block of rounds at once.  Its record of informing rounds
+yields trajectories, the coupling check and the delayed senders and records.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -228,12 +228,11 @@ def run_batch(
     twice the last one's transmissions, up to _BLOCK_CELLS.  Other senders'
     cursors and attempts go stale unread: no policy runs, and settling is final.
 
-    A policy (phases' schedules) lets only rows in its may_send transmit.  A
-    round opens with policy.stop(t, done, informed, attempts, last), the trials
-    to stop (their rows leave may_send), and closes with policy.sent(new_rows).
-    With no sender, the clock jumps to the policy's next boundary.  A policy
-    run takes one round a step: a boundary reactivates senders, and phase
-    records read attempts.
+    A policy (phases' schedules) gives each trial's last round,
+    policy.caps(max_rounds), and at round 0 and at each boundary it names,
+    policy.senders(t, at, running): the rows that may send until the next one.
+    With no sender, the clock jumps to the caps, as none can come later.  A
+    policy run takes one round a step: a boundary reactivates senders.
     """
     return _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy)[:2]
 
@@ -263,31 +262,36 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
         cursor = keys.initial_positions(np.arange(len(informed)), degrees)
     attempts = np.zeros(len(informed), dtype=np.int64)
     running = np.arange(len(starts))  # trial of each block of n rows
-    # a policy's idle jumps can take the clock past int64 when max_rounds allows it
-    rounds = np.zeros(len(starts), dtype=np.int64 if max_rounds < 2**63 else object)
+    # a trial that does not complete stops at its cap, which may lie past int64
+    rounds = np.full(len(starts), max_rounds, dtype=np.int64 if max_rounds < 2**63 else object)
+    if policy is not None:
+        rounds[:] = policy.caps(max_rounds)
     completed = np.zeros(len(starts), dtype=bool)
     width = 1  # transmissions the next block may draw; doubles with each settled step
     t = ran = 0
+    boundary, may_send = (None if policy is None else 0), None  # policy's next boundary, mask
     while True:
         done = informed.reshape(-1, n).all(axis=1)
-        stop = done if policy is None else policy.stop(t, done, informed, attempts, t >= max_rounds)
+        stop = done | (rounds[running] <= t)
         if stop.any():
             informing[running[stop]] = at.reshape(-1, n)[stop]
-            rounds[running[stop]] = t
             rounds[running[done]] = at.reshape(-1, n)[done].max(axis=1)  # may lie inside a block
             completed[running[done]] = True
             live = ~stop
             running = running[live]
             rows = np.repeat(live, n)
             informed, at, cursor, attempts = informed[rows], at[rows], cursor[rows], attempts[rows]
+            may_send = None if may_send is None else may_send[rows]
             keys.keep(live)
-        if not len(running) or t >= max_rounds:
+        if not len(running):
             break
         senders = None if policy is not None else lists.topology.live_senders(informed)
+        if t == boundary:
+            may_send, boundary = policy.senders(t, at, running)
         if senders is None:
-            senders = (informed if policy is None else informed & policy.may_send).nonzero()[0]
-            if not len(senders):  # only a policy can leave no sender
-                t = min(policy.end, max_rounds)
+            senders = (informed if policy is None else informed & may_send).nonzero()[0]
+            if not len(senders):  # only a policy can leave no sender, and then for good
+                t = rounds[running].max()
                 continue
             block = 1
         else:  # settled: these senders are all that can inform a vertex from now on
@@ -299,15 +303,11 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
         )
         if block == 1:
             at[new_rows] = t + 1
-            if policy is not None:
-                policy.sent(new_rows)
         else:  # a vertex is informed in the round of its first hit
             new_rows, first = np.unique(new_rows, return_index=True)
             at[new_rows] = t + 1 + hit[first] // len(senders)
         informed[new_rows] = True
         t = ran = t + block
-    informing[running] = at.reshape(-1, n)
-    rounds[running] = t
     return rounds, completed, informing, ran
 
 
@@ -317,7 +317,7 @@ _IDLE_TAIL = 1 << 20
 
 def _results(*batch):
     """_run_batch's trials as TrialResults, each trajectory its informed count
-    by round, and their informing rounds."""
+    by round, and their informing rounds, rounds and completion."""
     rounds, done, informing, ran = _run_batch(*batch)
     out = []
     for b, at in enumerate(informing):
@@ -325,7 +325,7 @@ def _results(*batch):
         counts = np.bincount(at[at >= 0], minlength=executed + 1).cumsum()
         idle = np.full(min(rounds[b] - executed, _IDLE_TAIL), counts[-1])
         out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([counts, idle])))
-    return out, informing
+    return out, (informing, rounds, done)
 
 
 def run(

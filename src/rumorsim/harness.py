@@ -16,17 +16,16 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds, phases
-from .engine import FailureModel, Protocol, run_batch
+from .engine import FailureModel, Protocol, _run_batch
 from .phases import load_schedule
 from .rng import TrialRandomness, derive_key
 from .topology import (
+    GraphKind,
     ListAssignment,
     ListStrategy,
     Topology,
-    complete_graph,
     load_lists_file,
     realize_lists,
-    star_graph,
 )
 
 _BOOTSTRAP_RESAMPLES = 10_000
@@ -39,6 +38,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# Plain dicts built from the enums: on the cold caches of set-up, an Enum call
+# costs several times a lookup.  Explicit lists are read from a lists "file".
+_PROTOCOLS = {p.value: p for p in Protocol}
+_GRAPHS = {g.value: g for g in GraphKind}
+_LIST_STRATEGIES = {"file" if s is ListStrategy.EXPLICIT else s.value: s for s in ListStrategy}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment, and the one table of its names.
@@ -48,17 +54,13 @@ class ExperimentConfig:
     accepts and ``help`` is the flag's help text.
     """
 
-    protocol: str = field(
-        default="quasi", metadata={"choices": ("random", "quasi", "feedback", "delayed")}
-    )
-    topology: str = field(default="complete", metadata={"choices": ("complete", "star")})
+    protocol: str = field(default="quasi", metadata={"choices": (*_PROTOCOLS, "delayed")})
+    topology: str = field(default="complete", metadata={"choices": tuple(_GRAPHS)})
     n: int = 2
     p: float = 1.0
     trials: int = 1
     seed: int = 0
-    lists: str = field(
-        default="canonical", metadata={"choices": ("canonical", "reversed", "random", "file")}
-    )
+    lists: str = field(default="canonical", metadata={"choices": tuple(_LIST_STRATEGIES)})
     list_seed: int = 0
     lists_path: str | None = None
     start: str | None = field(default=None, metadata={"help": "fixed:<v> | sweep | symmetric"})
@@ -93,7 +95,7 @@ class ExperimentConfig:
         self.start_vertex_for(0)  # validates the start policy string
 
     def build_topology(self) -> Topology:
-        return complete_graph(self.n) if self.topology == "complete" else star_graph(self.n)
+        return Topology(_GRAPHS[self.topology], self.n)
 
     def build_lists(self) -> ListAssignment:
         topo = self.build_topology()
@@ -138,11 +140,8 @@ def _config_keys() -> dict[str, tuple[str, type, tuple | None, str | None]]:
 
 
 # Derived once here, so no call path pays for fields() or get_type_hints().
-# Set-up often runs on cold caches, where an Enum call costs several times a
-# lookup in a plain dict built from the enum.
 CONFIG_KEYS = _config_keys()
 _CHOICES = tuple((name, choices) for name, _, choices, _ in CONFIG_KEYS.values() if choices)
-_LIST_STRATEGIES = {s.value: s for s in ListStrategy}
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     max_rounds = config.resolved_max_rounds()
     delayed = config.protocol == "delayed"
     schedule = load_schedule(config.schedule_path) if delayed else None
-    protocol = Protocol.QUASIRANDOM if delayed else Protocol(config.protocol)
+    protocol = Protocol.QUASIRANDOM if delayed else _PROTOCOLS[config.protocol]
 
     records = []
     phase_records = []
@@ -224,13 +223,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trials = range(first, min(first + per_chunk, config.trials))
         starts = [config.start_vertex_for(trial) for trial in trials]
         rngs = (TrialRandomness(config.seed, trial) for trial in trials)
-        policy = phases._Schedule(schedule, [True] * len(trials), config.n) if delayed else None
-        rounds, completed = run_batch(
-            lists, protocol, failure, starts, rngs, max_rounds, policy=policy
+        policy = phases._Schedule(schedule, [True] * len(trials)) if delayed else None
+        rounds, completed, informing, _ = _run_batch(
+            lists, protocol, failure, starts, rngs, max_rounds, policy
         )
         records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())
         if delayed:
-            phase_records += policy.records
+            phase_records += policy.records(informing, rounds, completed)
 
     result = ExperimentResult(config, records, summarize(records), phase_records)
     if config.out_path:

@@ -4,8 +4,8 @@ The delayed variant restricts who may transmit.  At each phase boundary the
 active set resets to the vertices that are informed but have never
 transmitted.  During a lazy phase that set is frozen; during a busy phase,
 vertices informed mid-phase join the transmitters on the following round.
-Everyone else stays silent until a later boundary re-activates them (which
-happens only if they have never transmitted).
+So a vertex informed in round r sends only in the first nonzero phase that
+opens at or after r, or, from r on, in the busy phase running at r.
 
 Because all randomness is addressed by (vertex, transmission ordinal), a
 delayed run and an undelayed run on the same trial randomness share every
@@ -14,17 +14,16 @@ both.  Delaying can then only postpone deliveries, so the delayed informed
 set is contained in the undelayed one at every round.  coupled_run checks
 that containment from the round in which each copy informed each vertex.
 
-Both run on engine.run_batch under _Schedule, a sender policy: the rows that
-may send are the active set on delayed trials and all rows otherwise.  Trials
-share the schedule and start at round 0, so the phase clock is one Python int
-(lengths past 2**63 work), and one reduction over the rows at a boundary
-gives every trial's PhaseRecord.  An active set empty at a boundary stays
-empty and a non-empty one never shrinks within its phase, so when no row may
-send, the clock jumps to the next boundary (or max_rounds) at once.
+Both run on engine.run_batch under _Schedule, a sender policy that derives
+who may send, and every PhaseRecord, from each vertex's informing round.  An
+active set never shrinks within its phase and an empty one informs no one, so
+once no row may send, the clock jumps to the trials' last rounds at once.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +33,7 @@ import numpy as np
 from . import bounds
 from .engine import FailureModel, Protocol, TrialResult, _results, init_state, step
 from .rng import TrialRandomness
-from .topology import ListAssignment
+from .topology import ListAssignment, _read_lines
 
 
 class PhaseKind(str, Enum):
@@ -73,59 +72,53 @@ class DelayedResult:
 
 
 class _Schedule:
-    """run_batch's sender policy for a phase schedule: phase k spans rounds [begin, end)."""
+    """run_batch's sender policy for a phase schedule, fixed once built: phase
+    k spans rounds [begins[k], ends[k]), and a delayed trial's rows that have
+    not sent by begins[k] are those informed in round silent[k] or later."""
 
-    def __init__(self, schedule: list[Phase], delayed: list[bool], n: int):
-        self.schedule, self.n = schedule, n
-        self.delayed = np.asarray(delayed, dtype=bool)  # per running trial
-        self.running = np.arange(len(self.delayed))
-        self.records: list[list[PhaseRecord]] = [[] for _ in delayed]  # by trial
-        self.may_send = np.repeat(~self.delayed, n)
-        self.k, self.begin, self.end, self.busy = -1, 0, 0, False
+    def __init__(self, schedule: list[Phase], delayed: list[bool]):
+        self.schedule = schedule
+        self.delayed = np.asarray(delayed, dtype=bool)  # by trial
+        self.ends = list(itertools.accumulate(ph.length for ph in schedule))
+        self.begins = [end - ph.length for end, ph in zip(self.ends, schedule)]
+        self.silent = [0]  # silent[k + 1]: by the end of phase k
+        for ph, begin, end in zip(schedule, self.begins, self.ends):
+            busy = ph.kind is PhaseKind.BUSY
+            self.silent.append((end if busy else begin + 1) if ph.length else self.silent[-1])
 
-    def stop(self, t, done, informed, attempts, last) -> np.ndarray:
-        """Close and open phases at round t; returns the trials that stop now:
-        the complete ones and, once the schedule has run out, the delayed ones.
-        """
-        boundary = t == self.end
-        if not (boundary or last or np.count_nonzero(done)):
-            return done
-        got = informed.reshape(-1, self.n)
-        fresh = got & (attempts.reshape(-1, self.n) == 0)
-        after = np.stack([got.sum(axis=1), fresh.sum(axis=1)], axis=1).tolist()
-        stop = done
-        if self.k >= 0:  # the phase ends for all, or is cut short for the complete or capped
-            self._record(self.delayed if boundary or last else self.delayed & done,
-                         t - self.begin, after)
-        if boundary:
-            # a trial complete at the start records its zero-length phases; later, not
-            opening = self.delayed & ~done if t else self.delayed
-            self.k += 1
-            while self.k < len(self.schedule) and self.schedule[self.k].length == 0:
-                self._record(opening, 0, after)
-                self.k += 1
-            if self.k < len(self.schedule):
-                phase = self.schedule[self.k]
-                self.begin, self.end = t, t + phase.length
-                self.busy = phase.kind is PhaseKind.BUSY
-                self.may_send = fresh.ravel() | np.repeat(~self.delayed, self.n)
-            else:
-                stop = done | self.delayed
-        if np.count_nonzero(stop):
-            live = ~stop
-            self.delayed, self.running = self.delayed[live], self.running[live]
-            self.may_send = self.may_send[np.repeat(live, self.n)]
-        return stop
+    def caps(self, max_rounds: int) -> list[int]:
+        """Each trial's last round: a delayed trial stops with the schedule."""
+        end = min(self.ends[-1] if self.ends else 0, max_rounds)
+        return [end if delayed else max_rounds for delayed in self.delayed.tolist()]
 
-    def _record(self, which: np.ndarray, executed: int, after: list) -> None:
-        for i in which.nonzero()[0].tolist():  # phase k's record, to each trial in which
-            phase = self.schedule[self.k]
-            self.records[self.running[i]].append(
-                PhaseRecord(self.k, phase.kind, phase.length, executed, *after[i]))
+    def senders(self, t: int, at: np.ndarray, trials: np.ndarray):
+        """The rows of trials that may send from boundary t, given each row's
+        informing round, and the next boundary (None past the schedule)."""
+        k = bisect.bisect_right(self.ends, t)  # the phase running at t
+        at = at.reshape(len(trials), -1)
+        may = (at >= self.silent[k]) | ~self.delayed[trials, None]
+        if k == len(self.schedule) or self.schedule[k].kind is PhaseKind.BUSY:
+            may |= at < 0  # a row informed in a busy phase joins it
+        return may.ravel(), self.ends[k] if k < len(self.ends) else None
 
-    def sent(self, new_rows: np.ndarray) -> None:
-        if self.busy:
-            self.may_send[new_rows] = True
+    def records(self, informing: np.ndarray, rounds: np.ndarray, completed: np.ndarray):
+        """Every trial's PhaseRecords: a delayed trial's for each phase that opened
+        before it stopped, and for each zero-length one where it stopped, unless
+        it completed there after round 0."""
+        stops = rounds.tolist()
+        last = int(informing.max(initial=0)) + 1  # a threshold past every informing round
+        out = [[] for _ in stops]
+        for k, (phase, begin, end) in enumerate(zip(self.schedule, self.begins, self.ends)):
+            edge = (rounds == begin) & (phase.length == 0) & (~completed | (rounds == 0))
+            kept = (self.delayed & ((rounds > begin) | edge)).nonzero()[0]
+            at = informing[kept]
+            now = np.minimum(rounds[kept], min(end, last))[:, None]
+            got = (at >= 0) & (at <= now)
+            fresh = got & (at >= np.minimum(now, min(self.silent[k + 1], last)))
+            for i, a, f in zip(kept.tolist(), got.sum(axis=1).tolist(), fresh.sum(axis=1).tolist()):
+                executed = min(stops[i], end) - begin
+                out[i].append(PhaseRecord(k, phase.kind, phase.length, executed, a, f))
+        return out
 
 
 def _dominated(delayed: np.ndarray, undelayed: np.ndarray) -> bool:
@@ -147,11 +140,11 @@ def run_delayed(
     """Execute a phase schedule; stops early on completion or max_rounds."""
     if max_rounds is None:
         max_rounds = sum(ph.length for ph in schedule)
-    policy = _Schedule(schedule, [True], lists.topology.n)
-    (res,), _ = _results(
+    policy = _Schedule(schedule, [True])
+    (res,), record = _results(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], max_rounds, policy
     )
-    return DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
+    return DelayedResult(res.rounds, res.completed, res.trajectory, policy.records(*record)[0])
 
 
 @dataclass
@@ -176,12 +169,12 @@ def coupled_run(
     """
     if max_rounds is None:
         max_rounds = bounds.default_max_rounds(lists.topology.n, failure.p)
-    policy = _Schedule(schedule, [True, False], lists.topology.n)
-    (res, undelayed), informing = _results(
+    policy = _Schedule(schedule, [True, False])
+    (res, undelayed), record = _results(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex] * 2, [rng] * 2, max_rounds, policy
     )
-    delayed = DelayedResult(res.rounds, res.completed, res.trajectory, policy.records[0])
-    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=_dominated(*informing))
+    delayed = DelayedResult(res.rounds, res.completed, res.trajectory, policy.records(*record)[0])
+    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=_dominated(*record[0]))
 
 
 # schedule files: one `kind,length` record per line
@@ -213,8 +206,7 @@ def schedule_text(schedule: list[Phase]) -> str:
 
 
 def load_schedule(path: str) -> list[Phase]:
-    with open(path) as fh:
-        return parse_schedule(fh.read())
+    return parse_schedule("".join(_read_lines(path)))
 
 
 def save_schedule(schedule: list[Phase], path: str) -> None:

@@ -214,14 +214,21 @@ def realize_lists(
     return ListAssignment(topology, strategy, seed, table)
 
 
+def _read_lines(path: str) -> list[str]:
+    with open(path) as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:  # name the file that does not decode
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:
     """Read explicit rows from a text file, one comma-separated row per vertex."""
-    with open(path) as fh:
-        lines = [
-            (lineno, ln.strip())
-            for lineno, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    lines = [
+        (lineno, ln.strip())
+        for lineno, ln in enumerate(_read_lines(path), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
     if len(lines) != topology.n:
         raise ValueError(
             f"lists file has {len(lines)} rows, topology has {topology.n} vertices"

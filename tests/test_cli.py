@@ -162,6 +162,28 @@ class TestExitCodes:
         assert run_cli("phases", "--n", "4", "--schedule", str(sched)) == 1
         assert "schedule line 2:" in capsys.readouterr().err
 
+    def test_undecodable_schedule_file_names_its_path(self, tmp_path, capsys):
+        sched = tmp_path / "s.bin"
+        sched.write_bytes(b"busy,4\n\xff\xfe\n")
+        assert run_cli("phases", "--n", "4", "--schedule", str(sched)) == 1
+        assert f"error: {sched}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_undecodable_config_file_names_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.bin"
+        cfg.write_bytes(b"n=4\n\xff=1\n")
+        assert run_cli("sim", "--config", str(cfg)) == 1
+        assert f"error: {cfg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("sim", "--n", "3"),
+        ("oracle", "--protocol", "quasi", "--n", "3", "--p", "0.5", "--horizon", "4"),
+    ])
+    def test_undecodable_lists_file_names_its_path(self, command, tmp_path, capsys):
+        rows = tmp_path / "rows.bin"
+        rows.write_bytes(b"1,2\n0,\xff\n0,1\n")
+        assert run_cli(*command, "--lists", "file", "--lists-path", str(rows)) == 1
+        assert f"error: {rows}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, capsys):
         assert run_cli("sim", "--config", "/nonexistent/exp.cfg") == 2
         assert "i/o error" in capsys.readouterr().err
