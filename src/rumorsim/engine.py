@@ -263,16 +263,16 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
     attempts = np.zeros(len(informed), dtype=np.int64)
     running = np.arange(len(starts))  # trial of each block of n rows
     # a trial that does not complete stops at its cap, which may lie past int64
-    rounds = np.full(len(starts), max_rounds, dtype=np.int64 if max_rounds < 2**63 else object)
-    if policy is not None:
-        rounds[:] = policy.caps(max_rounds)
+    caps = [max_rounds] * len(starts) if policy is None else policy.caps(max_rounds)
+    rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
+    first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
     completed = np.zeros(len(starts), dtype=bool)
     width = 1  # transmissions the next block may draw; doubles with each settled step
     t = ran = 0
     boundary, may_send = (None if policy is None else 0), None  # policy's next boundary, mask
     while True:
         done = informed.reshape(-1, n).all(axis=1)
-        stop = done | (rounds[running] <= t)
+        stop = done | (rounds[running] <= t) if t >= first_cap else done
         if stop.any():
             informing[running[stop]] = at.reshape(-1, n)[stop]
             rounds[running[done]] = at.reshape(-1, n)[done].max(axis=1)  # may lie inside a block

@@ -106,15 +106,15 @@ class _Schedule:
         before it stopped, and for each zero-length one where it stopped, unless
         it completed there after round 0."""
         stops = rounds.tolist()
-        last = int(informing.max(initial=0)) + 1  # a threshold past every informing round
+        last = int(informing.max(initial=0)) + 1  # thresholds clamped here count the same
         out = [[] for _ in stops]
         for k, (phase, begin, end) in enumerate(zip(self.schedule, self.begins, self.ends)):
             edge = (rounds == begin) & (phase.length == 0) & (~completed | (rounds == 0))
             kept = (self.delayed & ((rounds > begin) | edge)).nonzero()[0]
             at = informing[kept]
-            now = np.minimum(rounds[kept], min(end, last))[:, None]
+            now = np.minimum(rounds[kept], min(end, last)).astype(np.int64)[:, None]
             got = (at >= 0) & (at <= now)
-            fresh = got & (at >= np.minimum(now, min(self.silent[k + 1], last)))
+            fresh = got & (at >= np.minimum(now, min(self.silent[k + 1], last)))  # silent(now)
             for i, a, f in zip(kept.tolist(), got.sum(axis=1).tolist(), fresh.sum(axis=1).tolist()):
                 executed = min(stops[i], end) - begin
                 out[i].append(PhaseRecord(k, phase.kind, phase.length, executed, a, f))
