@@ -91,7 +91,7 @@ class _Schedule:
         end = min(self.ends[-1] if self.ends else 0, max_rounds)
         return [end if delayed else max_rounds for delayed in self.delayed.tolist()]
 
-    def senders(self, t: int, at: np.ndarray, trials: np.ndarray):
+    def senders(self, t: int, at: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, int | None]:
         """The rows of trials that may send from boundary t, given each row's
         informing round, and the next boundary (None past the schedule)."""
         k = bisect.bisect_right(self.ends, t)  # the phase running at t
