@@ -27,6 +27,13 @@ def _check_p(p: float) -> None:
         raise ValueError(f"success probability must lie in (0, 1], got p={p}")
 
 
+def _finite(value: float, what: str, p: float) -> float:
+    """value, which a p near the smallest double can push to inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite at success probability p={p}")
+    return value
+
+
 def _check_eps(eps: float, open_right: bool = False) -> None:
     if not 0.0 < eps < (1.0 if open_right else math.inf):  # NaN fails every comparison
         hi = "1)" if open_right else "inf)"
@@ -37,7 +44,7 @@ def lossy_bound(n: int, p: float) -> float:
     """log_{1+p}(n) + (1/p) ln(n): the broadcast-time law under loss."""
     _check_n(n)
     _check_p(p)
-    return math.log(n) / math.log1p(p) + math.log(n) / p
+    return _finite(math.log(n) / math.log1p(p) + math.log(n) / p, "the broadcast-time law", p)
 
 
 def baseline_bound(n: int) -> float:
@@ -169,6 +176,7 @@ def schedule_constants(n: int, p: float, eps: float) -> ScheduleConstants:
     _check_eps(eps, open_right=True)
 
     k_exact = (1.0 + eps) / eps * (math.log(1.0 / p) / math.log1p(p) + 2.0)
+    k_exact = _finite(k_exact, "the busy-phase length k", p)
     k = math.ceil(k_exact - 1e-12)
 
     # zeta = min{ (1/k) (2e)^(-(E + k + 1)), eps/12 }  with

@@ -36,6 +36,7 @@ one drawing all coins would give.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -197,7 +198,8 @@ class TrialResult:
     trajectory: np.ndarray = field(repr=False)  # informed counts, index = round
 
 
-# a block of settled rounds draws for at most this many transmissions
+# a block of settled rounds, the first included, draws at most this many
+# transmissions unless it is a single round
 _BLOCK_CELLS = 1 << 16
 
 
@@ -224,9 +226,12 @@ def run_batch(
     no uninformed neighbor, and their draws follow from their own addresses
     (random: later ordinals; quasi: the cursor k slots on; feedback: the cursor
     moved by a running sum of its own acknowledged deliveries).  A vertex is
-    informed in the round of its first successful hit.  A block draws at most
-    twice the last one's transmissions, up to _BLOCK_CELLS.  Other senders'
-    cursors and attempts go stale unread: no policy runs, and settling is final.
+    informed in the round of its first successful hit.  The first block draws
+    the transmissions the live senders need, in expectation, to hit every
+    uninformed row, each later one twice the last one's; a block of more than
+    one round draws at most _BLOCK_CELLS, and none runs past max_rounds.
+    Other senders' cursors and attempts go stale unread: no policy runs, and
+    settling is final.
 
     A policy (phases' schedules) gives each trial's last round,
     policy.caps(max_rounds), and at round 0 and at each boundary it names,
@@ -267,7 +272,7 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
     rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
     first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
     completed = np.zeros(len(starts), dtype=bool)
-    width = 1  # transmissions the next block may draw; doubles with each settled step
+    width = 0  # transmissions the next settled block may draw; 0 until settled
     t = ran = 0
     boundary, may_send = (None if policy is None else 0), None  # policy's next boundary, mask
     while True:
@@ -295,17 +300,23 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
                 continue
             block = 1
         else:  # settled: these senders are all that can inform a vertex from now on
+            if not width:  # the transmissions a trial needs, in expectation, to hit its U
+                # uninformed rows: deg * H_U / p with random targets (the coupon collector,
+                # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
+                left = (len(informed) - np.count_nonzero(informed)) / len(running)
+                deg = int(np.max(lists.topology.degrees(vertex[senders])))
+                harmonic = 1.0 + math.log(left) if protocol is Protocol.FULLY_RANDOM else 1.0
+                tail = len(running) * deg * harmonic / failure.p
+                width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
             block = max(1, min(width // len(senders), max_rounds - t))
             width = min(2 * width, _BLOCK_CELLS)
         new_rows, hit = _transmit(
             senders, vertex[senders], informed, cursor, attempts,
             lists, protocol, failure.p, keys, block,
         )
-        if block == 1:
-            at[new_rows] = t + 1
-        else:  # a vertex is informed in the round of its first hit
-            new_rows, first = np.unique(new_rows, return_index=True)
-            at[new_rows] = t + 1 + hit[first] // len(senders)
+        at[new_rows] = t + block  # the block's last round, which no first hit lies after
+        if block > 1:  # a vertex is informed in the round of its first hit
+            np.minimum.at(at, new_rows, t + 1 + hit // len(senders))
         informed[new_rows] = True
         t = ran = t + block
     return rounds, completed, informing, ran

@@ -20,6 +20,7 @@ from rumorsim import (
     slowdown_factor,
     success_prob,
     upper_bound,
+    upper_bound_schedule,
 )
 from rumorsim.bounds import int_ceil_exp
 
@@ -73,6 +74,13 @@ class TestBroadcastBounds:
                 bound(64, 0.5, eps)
         with pytest.raises(ValueError, match="eps"):
             schedule_constants(64, 0.5, eps)
+
+    def test_law_past_double_range_names_p(self):
+        # ln(n) / p overflows a double near the smallest positive p
+        for bound in (lossy_bound, default_max_rounds, lambda n, p: bound_report(n, p, 0.1)):
+            with pytest.raises(ValueError, match=r"law is not finite .* p=5e-324"):
+                bound(5, 5e-324)
+        assert math.isfinite(lossy_bound(5, 1e-307))
 
     def test_report_assembles_everything(self):
         rep = bound_report(4096, 0.5, 0.2)
@@ -192,6 +200,14 @@ class TestScheduleConstants:
         assert c.zeta == 0.0
         assert math.isfinite(c.log_zeta)
         assert c.log_zeta < -1e5
+
+    @pytest.mark.parametrize("n, p", [(100, 5e-324), (2, 1e-306)])
+    def test_k_past_double_range_names_p(self, n, p):
+        # ln(1/p) / ln(1+p) overflows a double even where the law itself does not
+        with pytest.raises(ValueError, match=f"k is not finite .* p={p}"):
+            schedule_constants(n, p, 0.5)
+        with pytest.raises(ValueError, match=f"k is not finite .* p={p}"):
+            upper_bound_schedule(n, p, 0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

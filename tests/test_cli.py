@@ -184,6 +184,20 @@ class TestExitCodes:
         assert run_cli(*command, "--lists", "file", "--lists-path", str(rows)) == 1
         assert f"error: {rows}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ("sim", "--n", "5", "--trials", "2"),
+        ("phases", "--n", "5", "--schedule", "{schedule}"),
+        ("phases", "--print-theoretical", "--n", "100"),
+        ("bounds", "--n", "5", "--eps", "0.1", "--summary", "{summary}"),
+    ])
+    def test_law_past_double_range_names_p(self, command, tmp_path, capsys):
+        sched, summary = tmp_path / "s.txt", tmp_path / "b.json"
+        sched.write_text("busy,4\n")
+        argv = [a.format(schedule=sched, summary=summary) for a in command]
+        assert run_cli(*argv, "--p", "5e-324") == 1
+        assert "is not finite at success probability p=5e-324" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_missing_config_file_is_two(self, capsys):
         assert run_cli("sim", "--config", "/nonexistent/exp.cfg") == 2
         assert "i/o error" in capsys.readouterr().err

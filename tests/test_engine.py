@@ -366,7 +366,7 @@ def settled_cases(draw):
     return dict(
         lists=realize_lists(graph, strategy, seed=draw(st.integers(0, 99))),
         protocol=draw(st.sampled_from(list(Protocol))),
-        p=draw(st.sampled_from([1.0, 0.5, 0.2])),
+        p=draw(st.sampled_from([1.0, 0.5, 0.2, 1e-3, 5e-324])),
         starts=draw(st.lists(vertex, min_size=1, max_size=4)),
         seed=draw(st.integers(0, 2**40)),
         max_rounds=draw(st.integers(0, 2000)),
@@ -398,10 +398,12 @@ def test_trial_completes_inside_a_block_while_another_runs_on():
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_max_rounds_inside_a_block_reports_exactly_max_rounds(protocol):
     lists = realize_lists(star_graph(40), ListStrategy.RANDOM, seed=1)
-    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+    # one sender, so every settled block is 64 rounds until the cap cuts one
+    with mock.patch.object(engine, "_BLOCK_CELLS", 64), \
+            mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
         run_batch(lists, protocol, FailureModel(0.2), [5], [TrialRandomness(3, 0)], 123)
     sizes = [call.args[-1] for call in spy.call_args_list]
-    assert sizes[-1] < sizes[-2] * 2 and sum(sizes) == 123  # the cap cut the last block
+    assert sizes[-2] == 64 > sizes[-1] and sum(sizes) == 123  # the cap cut the last block
     (res,) = _assert_runs_equal_reference(lists, protocol, 0.2, [5], 3, 123)
     assert not res.completed and res.rounds == 123 and len(res.trajectory) == 124
 
@@ -409,11 +411,58 @@ def test_max_rounds_inside_a_block_reports_exactly_max_rounds(protocol):
 @pytest.mark.parametrize("protocol", [Protocol.QUASIRANDOM, Protocol.FEEDBACK_RETRY])
 def test_a_single_round_after_blocks_walks_on_from_the_cursor(protocol):
     lists = realize_lists(star_graph(6), ListStrategy.CANONICAL)
-    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+    with mock.patch.object(engine, "_BLOCK_CELLS", 7), \
+            mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
         run_batch(lists, protocol, FailureModel(0.2), [0], [TrialRandomness(2, 0)], 8)
-    assert [call.args[-1] for call in spy.call_args_list] == [1, 2, 4, 1]
+    assert [call.args[-1] for call in spy.call_args_list] == [7, 1]
     (res,) = _assert_runs_equal_reference(lists, protocol, 0.2, [0], 2, 8)
     assert not res.completed
+
+
+def test_random_push_from_a_star_leaf_sizes_its_first_block_from_the_tail():
+    # the tail takes about 255 * H_254 = 1,561 rounds: a first settled block of
+    # 255 * (1 + ln 254) = 1,667 rounds covers most trials, a second one of
+    # twice its size nearly all the rest
+    lists = realize_lists(star_graph(256), ListStrategy.CANONICAL)
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        _, completed = run_batch(
+            lists, Protocol.FULLY_RANDOM, FailureModel(1.0), [1], [TrialRandomness(8, 0)], 6000
+        )
+    assert completed[0] and spy.call_count <= 4
+
+
+@pytest.mark.parametrize("protocol", [Protocol.QUASIRANDOM, Protocol.FEEDBACK_RETRY])
+def test_a_list_walk_from_a_star_leaf_takes_one_block_of_one_pass(protocol):
+    # at p = 1 the center's walk reaches every leaf within its 255 slots
+    lists = realize_lists(star_graph(256), ListStrategy.RANDOM, seed=2)
+    rngs = [TrialRandomness(9, t) for t in range(20)]
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        _, completed = run_batch(lists, protocol, FailureModel(1.0), [1] * 20, rngs, 20000)
+    assert completed.all() and [call.args[-1] for call in spy.call_args_list] == [1, 255]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=settled_cases(), cells=st.one_of(st.none(), st.integers(1, 80)))
+def test_every_block_draws_at_most_block_cells(case, cells):
+    lists, protocol, fm = case["lists"], case["protocol"], FailureModel(case["p"])
+    rngs = [TrialRandomness(case["seed"], t) for t in range(len(case["starts"]))]
+    cells = engine._BLOCK_CELLS if cells is None else cells
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells), \
+            mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        run_batch(lists, protocol, fm, case["starts"], rngs, case["max_rounds"])
+    for call in spy.call_args_list:
+        senders, block = call.args[0], call.args[-1]
+        assert block == 1 or len(senders) * block <= cells
+
+
+@pytest.mark.parametrize("p", [1e-3, 5e-324])
+def test_a_first_block_past_the_cap_draws_block_cells(p):
+    # the tail estimate, 255 * (1 + ln 254) / p rounds, is far past the cap
+    lists = realize_lists(star_graph(256), ListStrategy.CANONICAL)
+    with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+        run_batch(lists, Protocol.FULLY_RANDOM, FailureModel(p), [0], [TrialRandomness(4, 0)],
+                  3 * engine._BLOCK_CELLS)
+    assert [call.args[-1] for call in spy.call_args_list] == [engine._BLOCK_CELLS] * 3
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

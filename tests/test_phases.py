@@ -178,6 +178,11 @@ class TestCoupling:
             out = coupled_run(lists, fm, trial % 48, schedules[trial % 2], TrialRandomness(13, trial))
             assert out.dominated
 
+    def test_default_cap_past_double_range_names_p(self):
+        lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
+        with pytest.raises(ValueError, match=r"not finite .* p=5e-324"):
+            coupled_run(lists, FailureModel(5e-324), 0, [], TrialRandomness(1, 0))
+
     # informing rounds by vertex (-1 for never), delayed copy first; vertex 0 starts
     @pytest.mark.parametrize("delayed, undelayed, dominated", [
         ([0, 3, -1], [0, -1, -1], False),  # a vertex only the delayed copy informed
