@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -437,6 +438,78 @@ class TestBusyGrowth:
             lists, FailureModel(1.0), TrialRandomness(1, 0), k=3, min_newly=50, max_informed=16
         )
         assert sample is None
+
+    # (graph, n, lists, p, k, min_newly, max_informed, start, seed, max_warmup)
+    # -> (start_round, start_newly, start_informed, end_newly), or None
+    GOLDEN = {
+        # the window passes the completion at round 7: end_newly is that round's
+        ("complete", 12, "canonical", 1.0, 8, 3, 12, 0, 3, 500): (3, 3, 7, 1),
+        # settled from round 15 (one vertex left), complete at 18: windows that
+        # end in the settled rounds, on the completion round and past it
+        ("complete", 40, "random", 0.5, 10, 4, 40, 0, 5, 500): (6, 4, 13, 0),
+        ("complete", 40, "random", 0.5, 11, 4, 40, 0, 5, 500): (6, 4, 13, 0),
+        ("complete", 40, "random", 0.5, 12, 4, 40, 0, 5, 500): (6, 4, 13, 1),
+        ("complete", 40, "random", 0.5, 13, 4, 40, 0, 5, 500): (6, 4, 13, 1),
+        ("complete", 40, "random", 0.5, 0, 4, 40, 0, 5, 500): (6, 4, 13, 4),
+        # warm-up caps: |N_t| is 1, 1, 3 in rounds 1 to 3
+        ("complete", 30, "random", 1.0, 3, 1, 30, 0, 7, 0): None,
+        ("complete", 30, "random", 1.0, 3, 1, 30, 0, 7, 1): (1, 1, 2, 6),
+        ("complete", 30, "random", 1.0, 3, 3, 30, 0, 7, 2): None,
+        ("complete", 30, "random", 1.0, 3, 3, 30, 0, 7, 3): (3, 3, 6, 6),
+        ("complete", 30, "random", 1.0, 3, 3, 30, 2, 7, 3): (3, 4, 8, 7),
+        # the star from its center is settled at round 0; from a leaf it never
+        # informs two vertices in one round
+        ("star", 30, "random", 0.5, 4, 1, 30, 0, 7, 500): (3, 1, 2, 1),
+        ("star", 30, "reversed", 0.5, 4, 2, 30, 4, 7, 500): None,
+        # |N_t| reaches 50 only once more than 16 vertices know
+        ("complete", 64, "canonical", 1.0, 3, 50, 16, 0, 1, 500): None,
+        # complete at round 0, 1 and 4
+        ("complete", 1, "canonical", 1.0, 3, 0, 16, 0, 1, 500): None,
+        ("complete", 2, "canonical", 1.0, 3, 0, 16, 0, 1, 500): (1, 1, 2, 1),
+        ("complete", 5, "canonical", 1.0, 3, 0, 16, 0, 1, 500): (1, 1, 2, 1),
+    }
+
+    @staticmethod
+    def _sample(graph, n, strategy, p, k, min_newly, max_informed, start, seed, max_warmup,
+                list_seed=1, trial=0):
+        topo = complete_graph(n) if graph == "complete" else star_graph(n)
+        lists = realize_lists(topo, ListStrategy(strategy), seed=list_seed)
+        sample = busy_growth_sample(
+            lists, FailureModel(p), TrialRandomness(seed, trial), k=k, min_newly=min_newly,
+            max_informed=max_informed, start_vertex=start, max_warmup=max_warmup,
+        )
+        if sample is None:
+            return None
+        return sample.start_round, sample.start_newly, sample.start_informed, sample.end_newly
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_sample_equals_golden_table(self, case):
+        assert self._sample(*case) == self.GOLDEN[case]
+
+    def test_random_grid_equals_golden_digest(self):
+        # 400 seeded draws over both graphs, n from 3 to 3,000, every list
+        # strategy, p in {1, .5, .2, .05}, k from 0 to 8 and each warm-up cap;
+        # 89 give a sample, 14 of them with max_warmup <= 2, and 19 windows
+        # reach the completion round
+        gen = np.random.default_rng(2008)
+        out = []
+        for _ in range(400):
+            graph = "star" if gen.random() < 0.3 else "complete"
+            n = int(math.exp(gen.uniform(math.log(3), math.log(3000))))
+            strategy = ["canonical", "reversed", "random"][int(gen.integers(3))]
+            list_seed = int(gen.integers(100))
+            p = float(gen.choice([1.0, 0.5, 0.2, 0.05]))
+            k = int(gen.integers(0, 9))
+            max_warmup = int(gen.choice([0, 1, 2, 5, 20, 500]))
+            min_newly = int(gen.integers(1, max(2, n // 8) + 1))
+            max_informed = int(gen.integers(1, n + 1))
+            start = int(gen.integers(n))
+            seed, trial = int(gen.integers(2**40)), int(gen.integers(100))
+            out.append(self._sample(graph, n, strategy, p, k, min_newly, max_informed, start,
+                                    seed, max_warmup, list_seed, trial))
+        assert sum(s is not None for s in out) == 89
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "7003a301bf6a26e78c1e71cc29ed15ab4677bd38e410079ac6d33ed0a198f211"
 
 
 class TestUpperBoundSchedule:
