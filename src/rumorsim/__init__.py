@@ -20,15 +20,7 @@ from .bounds import (
     success_prob,
     upper_bound,
 )
-from .engine import (
-    EngineState,
-    FailureModel,
-    Protocol,
-    TrialResult,
-    init_state,
-    run,
-    step,
-)
+from .engine import FailureModel, Protocol, TrialResult, run
 from .harness import (
     CheckReport,
     CompareResult,

@@ -17,12 +17,14 @@ All randomness is addressed by (vertex, attempt ordinal), which is what makes
 delayed-schedule couplings exact (see phases).  It also lets run_batch advance
 many trials as one array step without changing a draw, and draw every list's
 first position up front; run is its one-trial case, and a sender policy
-restricts who transmits in it (the delayed variant).  step advances one trial
-a round, for callers that stop partway through a run.  Once a trial is settled
-(no uninformed vertex has an uninformed neighbor), the senders that can still
-inform anyone are fixed and their draws follow from their addresses alone, so
-run_batch draws a block of rounds at once.  Its record of informing rounds
-yields trajectories, the coupling check and the delayed senders and records.
+restricts who transmits in it (the delayed variant).  step is the one round
+implementation: run_batch loops over it, and a caller that stops partway
+through a run (phases' growth sampling) steps an init_state itself.  Once a
+trial is settled (no uninformed vertex has an uninformed neighbor), the
+senders that can still inform anyone are fixed and their draws follow from
+their addresses alone, so a step draws a block of rounds at once.  The record
+of informing rounds yields trajectories, the coupling check and the delayed
+senders and records.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -62,35 +64,6 @@ class FailureModel:
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"success probability must lie in (0, 1], got {self.p}")
-
-
-@dataclass
-class EngineState:
-    t: int
-    informed: np.ndarray  # bool, length n
-    newly_informed: np.ndarray  # bool: informed during the latest round
-    cursor: np.ndarray  # next list position per vertex; -1 = never transmitted
-    attempts: np.ndarray  # transmissions performed so far, the rng ordinal
-    informed_count: int
-
-    @property
-    def n(self) -> int:
-        return len(self.informed)
-
-
-def init_state(n: int, start_vertex: int) -> EngineState:
-    if not 0 <= start_vertex < n:
-        raise ValueError(f"start vertex {start_vertex} out of range for n={n}")
-    informed = np.zeros(n, dtype=bool)
-    informed[start_vertex] = True
-    return EngineState(
-        t=0,
-        informed=informed,
-        newly_informed=informed.copy(),
-        cursor=np.full(n, -1, dtype=np.int64),
-        attempts=np.zeros(n, dtype=np.int64),
-        informed_count=1,
-    )
 
 
 def _transmit(
@@ -157,40 +130,6 @@ def _transmit(
     return target_rows[useful], useful
 
 
-def step(
-    state: EngineState,
-    lists: ListAssignment,
-    protocol: Protocol,
-    failure: FailureModel,
-    rng: TrialRandomness,
-    sender_mask: np.ndarray | None = None,
-) -> EngineState:
-    """Advance one round in place.  A fully informed state is left untouched.
-
-    sender_mask restricts who transmits this round (the delayed variant);
-    by default every informed vertex does.
-    """
-    n = state.n
-    if state.informed_count >= n:
-        return state
-    senders = (state.informed if sender_mask is None else sender_mask & state.informed).nonzero()[0]
-    keys = rng.cached(n)
-    if protocol is not Protocol.FULLY_RANDOM:  # a first sender's first list position
-        fresh = senders[state.cursor[senders] < 0]
-        state.cursor[fresh] = keys.initial_positions(fresh, lists.topology.degrees(fresh))
-    new_rows, _ = _transmit(
-        senders, senders, state.informed, state.cursor, state.attempts,
-        lists, protocol, failure.p, keys,
-    )
-    new_mask = np.zeros(n, dtype=bool)
-    new_mask[new_rows] = True
-    state.informed |= new_mask
-    state.newly_informed = new_mask
-    state.informed_count += int(new_mask.sum())
-    state.t += 1
-    return state
-
-
 @dataclass
 class TrialResult:
     rounds: int
@@ -217,9 +156,8 @@ def run_batch(
     Returns each trial's rounds and whether it completed.  Every trial runs
     until every vertex is informed or max_rounds have elapsed, and its draws
     come only from its own rng, so the results do not depend on which other
-    trials share the batch.  State is flat: trial b's vertex v is row b*n + v,
-    and a finished trial's rows are dropped.  Every row's first list position
-    is drawn when the batch starts, whether or not its vertex ever sends.
+    trials share the batch.  The loop is init_state, then step until every
+    trial has stopped; a finished trial's rows are dropped between steps.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -236,18 +174,44 @@ def run_batch(
     A policy (phases' schedules) gives each trial's last round,
     policy.caps(max_rounds), and at round 0 and at each boundary it names,
     policy.senders(t, at, running): the rows that may send until the next one.
-    With no sender, the clock jumps to the caps, as none can come later.  A
-    policy run takes one round a step: a boundary reactivates senders.
+    When no row may send, every running trial stops at its cap, as none can
+    send later.  A policy run takes one round a step: a boundary reactivates
+    senders.
     """
     return _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy)[:2]
 
 
-def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
-    """run_batch, also returning each trial's informing rounds (the round in
-    which each vertex was first informed: 0 for the start, -1 for never) and
-    the clock after the last round run.  No round runs after the clock first
-    jumps: then no running trial can ever send again.
-    """
+@dataclass
+class EngineState:
+    """A batch of trials between rounds.  Trial running[b]'s vertex v is row
+    b*n + v; a finished trial's rows are dropped, which leaves vertex valid."""
+
+    t: int  # rounds run
+    informed: np.ndarray  # bool by row
+    at: np.ndarray  # each row's informing round, -1 for never
+    vertex: np.ndarray  # vertex of each row
+    cursor: np.ndarray  # next list position of each row; unused by random targets
+    attempts: np.ndarray  # transmissions each row has made, its rng ordinal
+    keys: RowRandomness
+    running: np.ndarray  # trial of each block of n rows
+    width: int = 0  # transmissions the next settled block may draw; 0 until settled
+    boundary: int | None = None  # the policy's next boundary
+    may_send: np.ndarray | None = None  # the policy's rows that may send until then
+
+    @property
+    def informed_count(self) -> int:
+        return int(np.count_nonzero(self.informed))
+
+
+def init_state(
+    lists: ListAssignment,
+    protocol: Protocol,
+    starts: Sequence[int],
+    rngs: Iterable[TrialRandomness],
+    policy=None,
+) -> EngineState:
+    """Round 0 of one trial per (start vertex, rng) pair, with every row's
+    first list position drawn, whether or not its vertex ever sends."""
     n = lists.topology.n
     starts = np.asarray(starts, dtype=np.int64)
     bad = (starts < 0) | (starts >= n)
@@ -258,68 +222,97 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
         raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
     informed = np.zeros(len(starts) * n, dtype=bool)
     informed[np.arange(len(starts)) * n + starts] = True
-    at = np.where(informed, 0, -1)  # each row's informing round
-    informing = np.empty((len(starts), n), dtype=np.int64)  # by trial, filled as trials stop
-    vertex = np.tile(np.arange(n), len(starts))  # vertex of each row; stays valid as rows drop
+    vertex = np.tile(np.arange(n), len(starts))
     cursor = np.full(len(informed), -1, dtype=np.int64)  # random targets need no cursor
     if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
         degrees = np.maximum(lists.topology.degrees(vertex), 1)
         cursor = keys.initial_positions(np.arange(len(informed)), degrees)
-    attempts = np.zeros(len(informed), dtype=np.int64)
-    running = np.arange(len(starts))  # trial of each block of n rows
+    return EngineState(
+        t=0, informed=informed, at=np.where(informed, 0, -1), vertex=vertex, cursor=cursor,
+        attempts=np.zeros(len(informed), dtype=np.int64), keys=keys,
+        running=np.arange(len(starts)), boundary=None if policy is None else 0,
+    )
+
+
+def step(
+    state: EngineState,
+    lists: ListAssignment,
+    protocol: Protocol,
+    failure: FailureModel,
+    max_rounds: int,
+    policy=None,
+) -> bool:
+    """Run one round, or one settled block of rounds, of every trial in state.
+
+    Every trial must have an uninformed vertex.  Returns False, and runs
+    nothing, if no row may send.  A block ends by max_rounds unless it is a
+    single round; run_batch describes blocks and policies.
+    """
+    s = state
+    senders = None if policy is not None else lists.topology.live_senders(s.informed)
+    if s.t == s.boundary:
+        s.may_send, s.boundary = policy.senders(s.t, s.at, s.running)
+    if senders is None:
+        senders = (s.informed if policy is None else s.informed & s.may_send).nonzero()[0]
+        if not len(senders):
+            return False
+        block = 1
+    else:  # settled: these senders are all that can inform a vertex from now on
+        if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
+            # uninformed rows: deg * H_U / p with random targets (the coupon collector,
+            # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
+            left = (len(s.informed) - np.count_nonzero(s.informed)) / len(s.running)
+            deg = int(np.max(lists.topology.degrees(s.vertex[senders])))
+            harmonic = 1.0 + math.log(left) if protocol is Protocol.FULLY_RANDOM else 1.0
+            tail = len(s.running) * deg * harmonic / failure.p
+            s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
+        block = max(1, min(s.width // len(senders), max_rounds - s.t))
+        s.width = min(2 * s.width, _BLOCK_CELLS)
+    new_rows, hit = _transmit(
+        senders, s.vertex[senders], s.informed, s.cursor, s.attempts,
+        lists, protocol, failure.p, s.keys, block,
+    )
+    s.at[new_rows] = s.t + block  # the block's last round, which no first hit lies after
+    if block > 1:  # a vertex is informed in the round of its first hit
+        np.minimum.at(s.at, new_rows, s.t + 1 + hit // len(senders))
+    s.informed[new_rows] = True
+    s.t += block
+    return True
+
+
+def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
+    """run_batch, also returning each trial's informing rounds (the round in
+    which each vertex was first informed: 0 for the start, -1 for never) and
+    the clock after the last round run.
+    """
+    s = init_state(lists, protocol, starts, rngs, policy)
+    n, trials = lists.topology.n, len(s.running)
+    informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop
     # a trial that does not complete stops at its cap, which may lie past int64
-    caps = [max_rounds] * len(starts) if policy is None else policy.caps(max_rounds)
+    caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
     rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
     first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
-    completed = np.zeros(len(starts), dtype=bool)
-    width = 0  # transmissions the next settled block may draw; 0 until settled
-    t = ran = 0
-    boundary, may_send = (None if policy is None else 0), None  # policy's next boundary, mask
+    completed = np.zeros(trials, dtype=bool)
     while True:
-        done = informed.reshape(-1, n).all(axis=1)
-        stop = done | (rounds[running] <= t) if t >= first_cap else done
+        done = s.informed.reshape(-1, n).all(axis=1)
+        stop = done | (rounds[s.running] <= s.t) if s.t >= first_cap else done
         if stop.any():
-            informing[running[stop]] = at.reshape(-1, n)[stop]
-            rounds[running[done]] = at.reshape(-1, n)[done].max(axis=1)  # may lie inside a block
-            completed[running[done]] = True
+            at = s.at.reshape(-1, n)
+            informing[s.running[stop]] = at[stop]
+            rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
+            completed[s.running[done]] = True
             live = ~stop
-            running = running[live]
             rows = np.repeat(live, n)
-            informed, at, cursor, attempts = informed[rows], at[rows], cursor[rows], attempts[rows]
-            may_send = None if may_send is None else may_send[rows]
-            keys.keep(live)
-        if not len(running):
+            s.informed, s.at, s.cursor, s.attempts = (
+                s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
+            )
+            s.may_send = None if s.may_send is None else s.may_send[rows]
+            s.running = s.running[live]
+            s.keys.keep(live)
+        if not len(s.running) or not step(s, lists, protocol, failure, max_rounds, policy):
             break
-        senders = None if policy is not None else lists.topology.live_senders(informed)
-        if t == boundary:
-            may_send, boundary = policy.senders(t, at, running)
-        if senders is None:
-            senders = (informed if policy is None else informed & may_send).nonzero()[0]
-            if not len(senders):  # only a policy can leave no sender, and then for good
-                t = rounds[running].max()
-                continue
-            block = 1
-        else:  # settled: these senders are all that can inform a vertex from now on
-            if not width:  # the transmissions a trial needs, in expectation, to hit its U
-                # uninformed rows: deg * H_U / p with random targets (the coupon collector,
-                # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
-                left = (len(informed) - np.count_nonzero(informed)) / len(running)
-                deg = int(np.max(lists.topology.degrees(vertex[senders])))
-                harmonic = 1.0 + math.log(left) if protocol is Protocol.FULLY_RANDOM else 1.0
-                tail = len(running) * deg * harmonic / failure.p
-                width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
-            block = max(1, min(width // len(senders), max_rounds - t))
-            width = min(2 * width, _BLOCK_CELLS)
-        new_rows, hit = _transmit(
-            senders, vertex[senders], informed, cursor, attempts,
-            lists, protocol, failure.p, keys, block,
-        )
-        at[new_rows] = t + block  # the block's last round, which no first hit lies after
-        if block > 1:  # a vertex is informed in the round of its first hit
-            np.minimum.at(at, new_rows, t + 1 + hit // len(senders))
-        informed[new_rows] = True
-        t = ran = t + block
-    return rounds, completed, informing, ran
+    informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
+    return rounds, completed, informing, s.t
 
 
 # a stalled trajectory repeats its last count for at most this many skipped rounds
@@ -329,10 +322,10 @@ _IDLE_TAIL = 1 << 20
 def _results(*batch):
     """_run_batch's trials as TrialResults, each trajectory its informed count
     by round, and their informing rounds, rounds and completion."""
-    rounds, done, informing, ran = _run_batch(*batch)
+    rounds, done, informing, clock = _run_batch(*batch)
     out = []
     for b, at in enumerate(informing):
-        executed = min(rounds[b], ran)  # skipped rounds close a stall
+        executed = min(rounds[b], clock)  # skipped rounds close a stall
         counts = np.bincount(at[at >= 0], minlength=executed + 1).cumsum()
         idle = np.full(min(rounds[b] - executed, _IDLE_TAIL), counts[-1])
         out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([counts, idle])))

@@ -17,7 +17,8 @@ that containment from the round in which each copy informed each vertex.
 Both run on engine.run_batch under _Schedule, a sender policy that derives
 who may send, and every PhaseRecord, from each vertex's informing round.  An
 active set never shrinks within its phase and an empty one informs no one, so
-once no row may send, the clock jumps to the trials' last rounds at once.
+once no row may send, every trial stops at its last round.  Growth sampling
+steps the same engine state itself, as it stops partway through a run.
 """
 
 from __future__ import annotations
@@ -239,29 +240,37 @@ def busy_growth_sample(
 ) -> GrowthSample | None:
     """Run until |N_t| first reaches min_newly, then k busy rounds further.
 
-    Returns None if the newly-informed set never reaches min_newly while the
-    informed set is still at most max_informed (the growth regime the busy
-    phase statement is about).  The whole run uses busy dynamics, i.e. the
-    undelayed protocol.
+    Returns None if the newly-informed set never reaches min_newly within
+    max_warmup rounds while the informed set is still at most max_informed
+    (the growth regime the busy phase statement is about).  The whole run uses
+    busy dynamics, i.e. the undelayed protocol.  N_t is read from the
+    informing rounds, so a step that runs a block of rounds counts each round
+    of it, and a window that reaches the completion round ends there.
     """
-    state = init_state(lists.topology.n, start_vertex)
-    while state.t < max_warmup and state.informed_count < lists.topology.n:
-        step(state, lists, Protocol.QUASIRANDOM, failure, rng)
-        newly = int(state.newly_informed.sum())
-        if newly >= min_newly:
-            if state.informed_count > max_informed:
-                return None
-            start_round, start_newly = state.t, newly
-            start_informed = state.informed_count
-            for _ in range(k):
-                step(state, lists, Protocol.QUASIRANDOM, failure, rng)
-            return GrowthSample(
-                start_round=start_round,
-                start_newly=start_newly,
-                start_informed=start_informed,
-                end_newly=int(state.newly_informed.sum()),
-            )
-    return None
+    state = init_state(lists, Protocol.QUASIRANDOM, [start_vertex], [rng])
+    while True:  # N_t is the number of rows informed in round t
+        newly = np.bincount(state.at[state.at >= 0], minlength=state.t + 1)[1:max_warmup + 1]
+        hits = (newly >= min_newly).nonzero()[0]
+        if len(hits) or state.t >= max_warmup or state.informed.all():
+            break
+        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup + k)
+    if not len(hits):
+        return None
+    start = int(hits[0]) + 1
+    start_informed = int(np.count_nonzero(state.at[state.at >= 0] <= start))
+    if start_informed > max_informed:
+        return None
+    end = start + k
+    while state.t < end and not state.informed.all():
+        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup + k)
+    if state.informed.all():  # no round after the completion round runs
+        end = min(end, int(state.at.max()))
+    return GrowthSample(
+        start_round=start,
+        start_newly=int(newly[start - 1]),
+        start_informed=start_informed,
+        end_newly=int(np.count_nonzero(state.at == end)),
+    )
 
 
 @dataclass(frozen=True)
@@ -283,13 +292,17 @@ def upper_bound_schedule(n: int, p: float, eps: float) -> BuiltSchedule:
     false when S > n or k > 64, which holds for every practical parameter
     choice; the builder exists to make the construction inspectable.
 
-    Raises ValueError when S is so large the integer length cannot even be
-    materialized (the constants remain available via schedule_constants).
+    Raises ValueError, naming n, p and eps, when S is so large the integer
+    length cannot even be materialized (the constants remain available via
+    schedule_constants).
     """
     consts = bounds.schedule_constants(n, p, eps)
     startup = math.ceil(eps / 2.0 * math.log(n))
     ell = math.ceil(consts.ell_max - 1e-12)
-    s_len = bounds.int_ceil_exp(consts.log_s)
+    try:
+        s_len = bounds.int_ceil_exp(consts.log_s)
+    except ValueError as exc:
+        raise ValueError(f"no upper-bound schedule for n={n}, p={p}, eps={eps}: {exc}") from None
     closing = math.ceil((3.0 + eps) / (3.0 * p) * math.log(n))
     schedule = [Phase(PhaseKind.LAZY, startup), Phase(PhaseKind.LAZY, startup)]
     schedule.extend(Phase(PhaseKind.BUSY, consts.k) for _ in range(ell))

@@ -143,19 +143,14 @@ class TrialRandomness:
     def __init__(self, master_seed: int, trial: int):
         self.master_seed = int(master_seed)
         self.trial = int(trial)
-        self._cached: dict[int, RowRandomness] = {}
+        self._keys: np.ndarray | None = None  # purpose keys, derived on the first draw
 
     def _hash(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
-        key = _purpose_keys([self])[0, _PURPOSES.index(purpose)]
+        if self._keys is None:
+            self._keys = _purpose_keys([self])[0]
+        key = self._keys[_PURPOSES.index(purpose)]
         v = np.asarray(vertices, dtype=np.uint64)
         return _finish(_mix_array(key ^ (v * _G)), ordinals)
-
-    def cached(self, n: int) -> RowRandomness:
-        """This trial's draws for vertices 0..n-1, first stage computed once."""
-        rows = self._cached.get(n)
-        if rows is None:
-            rows = self._cached[n] = RowRandomness([self], n)
-        return rows
 
     def _uniforms(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         h = self._hash(purpose, vertices, ordinals)

@@ -1,0 +1,55 @@
+"""The bench tracer (bench/tracing.py) wraps package functions by name and
+reads attributes of their arguments.  The tier-1 suite never runs a traced
+bench, so this checks here that every name it wraps exists, that its hooks
+can read what the engine passes, and that it restores the originals."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from rumorsim import (
+    FailureModel,
+    ListStrategy,
+    TrialRandomness,
+    busy_growth_sample,
+    complete_graph,
+    coupled_run,
+    realize_lists,
+    run,
+)
+from rumorsim import engine
+from rumorsim.engine import Protocol, init_state
+from rumorsim.phases import Phase, PhaseKind
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_existing_names_and_reads_the_engine_state():
+    tracing = _tracing()
+    targets = tracing._targets()
+    originals = [owner.__dict__[attr] for _, owner, attr, _, _ in targets]
+    lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
+    fm = FailureModel(0.5)
+
+    state = init_state(lists, Protocol.QUASIRANDOM, [0], [TrialRandomness(1, 0)])
+    for _, owner, attr, before, after in targets:
+        if owner is engine and attr == "step":  # the hooks read the state argument
+            pre = before((state,)) if before is not None else None
+            if after is not None:
+                after((state,), pre)
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run(lists, Protocol.QUASIRANDOM, fm, 0, TrialRandomness(1, 0), 100)
+        coupled_run(lists, fm, 0, [Phase(PhaseKind.BUSY, 40)], TrialRandomness(1, 0), 100)
+        busy_growth_sample(lists, fm, TrialRandomness(1, 0), k=2, min_newly=2, max_informed=16)
+    assert len(tracer.t0) > 0
+    assert [owner.__dict__[attr] for _, owner, attr, _, _ in targets] == originals

@@ -303,6 +303,14 @@ class TestPhases:
     def test_print_theoretical_needs_parameters(self, capsys):
         assert run_cli("phases", "--print-theoretical") == 1
 
+    def test_print_theoretical_overflow_names_the_parameters(self, capsys):
+        code = run_cli(
+            "phases", "--print-theoretical", "--n", "4096", "--p", "1e-3", "--eps", "0.01"
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "n=4096, p=0.001, eps=0.01" in err
+
 
 class TestCheck:
     def test_pass_is_zero(self, capsys):

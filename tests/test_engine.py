@@ -16,15 +16,13 @@ from rumorsim import (
     TrialRandomness,
     complete_graph,
     exact_fully_random,
-    init_state,
     realize_lists,
     run,
     star_graph,
-    step,
     tv_distance,
 )
 from rumorsim import engine
-from rumorsim.engine import run_batch
+from rumorsim.engine import init_state, run_batch, step
 
 # the engine-vs-oracle TV tests fail a correct engine with probability below this
 TV_FALSE_ALARM = 1e-9
@@ -41,14 +39,32 @@ def _tv_limit(dist, trials: int) -> float:
     return mean + math.sqrt(math.log(1.0 / TV_FALSE_ALARM) / (2.0 * trials))
 
 
+class _Masks:
+    """A sender policy for stepping by hand: the rows of masks[t] may send in
+    round t, every row without masks, and each step runs one round."""
+
+    def __init__(self, masks=None):
+        self.masks = masks
+
+    def senders(self, t, at, running):
+        if self.masks is None:
+            return np.ones(len(at), dtype=bool), t + 1
+        return np.tile(self.masks[t], len(running)), t + 1
+
+
 def test_init_state():
-    s = init_state(5, 3)
+    lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
+    rng = TrialRandomness(0, 0)
+    s = init_state(lists, Protocol.QUASIRANDOM, [3], [rng])
     assert s.t == 0
     assert s.informed_count == 1
-    assert s.informed[3] and s.newly_informed[3]
-    assert (s.cursor == -1).all()
+    assert s.informed[3] and s.at.tolist() == [-1, -1, -1, 0, -1]
+    # every first list position is drawn up front, whether or not its vertex sends
+    assert s.cursor.tolist() == rng.initial_positions(np.arange(5), np.full(5, 4)).tolist()
+    assert (s.attempts == 0).all()
     with pytest.raises(ValueError):
-        init_state(4, 4)
+        init_state(realize_lists(complete_graph(4), ListStrategy.CANONICAL),
+                   Protocol.QUASIRANDOM, [4], [rng])
 
 
 def test_failure_model_validation():
@@ -60,10 +76,14 @@ def test_failure_model_validation():
 
 
 def test_step_is_noop_when_everyone_knows():
+    # a finished trial leaves the batch before the next step, so none runs
     lists = realize_lists(complete_graph(1), ListStrategy.CANONICAL)
-    s = init_state(1, 0)
-    step(s, lists, Protocol.QUASIRANDOM, FailureModel(1.0), TrialRandomness(0, 0))
-    assert s.t == 0 and s.informed_count == 1
+    with mock.patch.object(engine, "step", wraps=engine.step) as spy:
+        rounds, completed = run_batch(
+            lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], [TrialRandomness(0, 0)], 10
+        )
+    assert spy.call_count == 0
+    assert (rounds.tolist(), completed.tolist()) == ([0], [True])
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -72,14 +92,14 @@ def test_monotone_growth_and_doubling_cap(protocol):
     fm = FailureModel(0.7)
     for seed in range(10):
         rng = TrialRandomness(seed, 0)
-        s = init_state(40, 0)
+        s = init_state(lists, protocol, [0], [rng])
         prev = s.informed.copy()
         while s.informed_count < 40 and s.t < 200:
             before = s.informed_count
-            step(s, lists, protocol, fm, rng)
+            step(s, lists, protocol, fm, 200)
             assert (s.informed | prev).sum() == s.informed.sum()  # never shrinks
             assert s.informed_count <= 2 * before
-            assert (s.newly_informed & ~s.informed).sum() == 0
+            assert np.array_equal(s.at >= 0, s.informed) and s.at.max() <= s.t
             prev = s.informed.copy()
         assert s.informed_count == 40
 
@@ -103,11 +123,11 @@ def test_three_vertices_quasirandom_two_rounds_all_assignments():
         lists = realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows=rows)
         for seed in range(20):  # covers both initial choices many times over
             rng = TrialRandomness(seed, 0)
-            s = init_state(3, 0)
-            step(s, lists, Protocol.QUASIRANDOM, fm, rng)
+            s = init_state(lists, Protocol.QUASIRANDOM, [0], [rng])
+            step(s, lists, Protocol.QUASIRANDOM, fm, 2)
             assert s.informed_count == 2
-            step(s, lists, Protocol.QUASIRANDOM, fm, rng)
-            assert s.informed_count == 3
+            step(s, lists, Protocol.QUASIRANDOM, fm, 2)
+            assert s.informed_count == 3 and s.t == 2
 
 
 def test_two_vertices_fully_random_geometric():
@@ -149,31 +169,32 @@ def test_quasirandom_cursor_walks_cyclically():
     lists = realize_lists(complete_graph(24), ListStrategy.CANONICAL)
     fm = FailureModel(0.4)  # failures must not stall the cursor
     rng = TrialRandomness(3, 0)
-    s = init_state(24, 2)
-    prev = None
+    s = init_state(lists, Protocol.QUASIRANDOM, [2], [rng])
+    prev = int(s.cursor[2])  # drawn up front
     for _ in range(12):
-        step(s, lists, Protocol.QUASIRANDOM, fm, rng)
+        step(s, lists, Protocol.QUASIRANDOM, fm, 12)
         if s.informed_count == 24:
             break
         cur = int(s.cursor[2])
-        if prev is not None:
-            assert cur == (prev + 1) % 23
+        assert cur == (prev + 1) % 23
         prev = cur
-    assert prev is not None
+    assert s.t == 12
 
 
 def test_feedback_retry_advances_only_on_double_success():
     lists = realize_lists(complete_graph(6), ListStrategy.CANONICAL)
     fm = FailureModel(0.5)
     rng = TrialRandomness(8, 0)
-    s = init_state(6, 1)
+    policy = _Masks()  # one round a step, also once the trial is settled
+    s = init_state(lists, Protocol.FEEDBACK_RETRY, [1], [rng], policy)
     moves = []
-    prev = None
+    prev = int(s.cursor[1])
     for _ in range(40):
-        step(s, lists, Protocol.FEEDBACK_RETRY, fm, rng)
+        if s.informed_count == 6:
+            break
+        step(s, lists, Protocol.FEEDBACK_RETRY, fm, 40, policy)
         cur = int(s.cursor[1])
-        if prev is not None:
-            moves.append((cur - prev) % 5)
+        moves.append((cur - prev) % 5)
         prev = cur
     assert set(moves) <= {0, 1}
     assert 0 in moves and 1 in moves  # p=0.5 surely produced both by now
@@ -187,7 +208,8 @@ def test_feedback_distinct_targets_follow_cyclic_order():
     p = 0.35
     fm = FailureModel(p)
     rng = TrialRandomness(4, 0)
-    s = init_state(5, 0)
+    policy = _Masks()  # one round a step, also once the trial is settled
+    s = init_state(lists, Protocol.FEEDBACK_RETRY, [0], [rng], policy)
     row = lists.row(0).tolist()
     d = len(row)
     v = np.array([0])
@@ -201,7 +223,7 @@ def test_feedback_distinct_targets_follow_cyclic_order():
         o = np.array([j])
         advanced = (rng.coin_uniforms(v, o)[0] < p) and (rng.feedback_uniforms(v, o)[0] < p)
         pos = (pos + int(advanced)) % d
-        step(s, lists, Protocol.FEEDBACK_RETRY, fm, rng)
+        step(s, lists, Protocol.FEEDBACK_RETRY, fm, 60, policy)
         assert int(s.cursor[0]) == pos  # engine agrees with the reconstruction
 
     deduped = [t for i, t in enumerate(attempted) if i == 0 or t != attempted[i - 1]]
@@ -214,9 +236,9 @@ def test_star_leaf_start_round_one_always_reaches_center():
     lists = realize_lists(star_graph(12), ListStrategy.CANONICAL)
     fm = FailureModel(1.0)
     for seed in range(100):
-        s = init_state(12, 7)
-        step(s, lists, Protocol.FULLY_RANDOM, fm, TrialRandomness(seed, 0))
-        assert s.informed[0]
+        s = init_state(lists, Protocol.FULLY_RANDOM, [7], [TrialRandomness(seed, 0)])
+        step(s, lists, Protocol.FULLY_RANDOM, fm, 1)
+        assert s.t == 1 and s.informed[0]
 
 
 @pytest.mark.parametrize("strategy", [ListStrategy.CANONICAL, ListStrategy.RANDOM])
@@ -319,16 +341,20 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
 
     masks = np.random.default_rng(mask_seed).random((max_rounds, n)) < 0.6
     start, rng = case["starts"][0], rngs[0]
-    state = init_state(n, start)
+    policy = _Masks(masks)
+    state = init_state(lists, protocol, [start], [rng], policy)
+    first = state.cursor.copy()  # the reference draws a first position at the first send
     for t, (informed, cursor, attempts) in enumerate(
         _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks)
     ):
         before = state.informed.copy()
-        step(state, lists, protocol, fm, rng, masks[t])
+        if not step(state, lists, protocol, fm, max_rounds, policy):
+            state.t += 1  # no row may send: the round runs nothing
+        assert state.t == t + 1
         assert np.array_equal(state.informed, informed)
-        assert np.array_equal(state.newly_informed, informed & ~before)
+        assert np.array_equal(state.at == state.t, informed & ~before)
         assert state.informed_count == int(informed.sum())
-        assert np.array_equal(state.cursor, cursor)
+        assert np.array_equal(state.cursor, np.where(attempts > 0, cursor, first))
         assert np.array_equal(state.attempts, attempts)
 
 

@@ -22,7 +22,6 @@ from rumorsim import (
     complete_graph,
     coupled_run,
     default_max_rounds,
-    init_state,
     parse_schedule,
     realize_lists,
     run,
@@ -30,11 +29,11 @@ from rumorsim import (
     schedule_constants,
     schedule_text,
     star_graph,
-    step,
     upper_bound_schedule,
 )
 from rumorsim.engine import Protocol
 from rumorsim.phases import _dominated
+from test_engine import _every_coin_rounds
 
 
 class TestScheduleFormat:
@@ -197,20 +196,32 @@ class TestCoupling:
 
 
 class _ReferenceDelayedRun:
-    """One delayed trial stepped one round at a time through `step`, kept as the reference."""
+    """One delayed trial, one round at a time, kept as the reference: the
+    every-coin loop of test_engine runs its rounds with the active set as each
+    round's mask, so it shares no round code with the engine."""
 
     def __init__(self, lists, failure, start_vertex, schedule, rng):
-        self.lists = lists
-        self.failure = failure
-        self.rng = rng
+        self.n = lists.topology.n
         self.schedule = list(schedule)
-        self.state = init_state(lists.topology.n, start_vertex)
-        self.counts = [self.state.informed_count]
+        self.t = 0
+        self.informed = np.zeros(self.n, dtype=bool)
+        self.informed[start_vertex] = True
+        self.newly = self.informed.copy()  # informed in the latest round
+        self.attempts = np.zeros(self.n, dtype=np.int64)
+        self.masks = []  # each round's active set, appended before the loop runs the round
+        self.rounds = _every_coin_rounds(
+            lists, Protocol.QUASIRANDOM, failure.p, start_vertex, rng, 2**70, self.masks
+        )
+        self.counts = [1]
         self.records = []
         self.phase_idx = -1
         self.offset = 0
-        self.active = np.zeros(lists.topology.n, dtype=bool)
+        self.active = np.zeros(self.n, dtype=bool)
         self._open_next_phase()
+
+    @property
+    def informed_count(self):
+        return int(self.informed.sum())
 
     def _open_next_phase(self):
         while True:
@@ -218,31 +229,34 @@ class _ReferenceDelayedRun:
             self.offset = 0
             if self.phase_idx >= len(self.schedule):
                 return
-            self.active = self.state.informed & (self.state.attempts == 0)
+            self.active = self.informed & (self.attempts == 0)
             if self.schedule[self.phase_idx].length > 0:
                 return
             self._record_current()
 
     def _record_current(self):
         phase = self.schedule[self.phase_idx]
-        newly = int((self.state.informed & (self.state.attempts == 0)).sum())
+        newly = int((self.informed & (self.attempts == 0)).sum())
         self.records.append(PhaseRecord(
             index=self.phase_idx, kind=phase.kind, length=phase.length,
-            executed=self.offset, informed_after=self.state.informed_count, newly_after=newly,
+            executed=self.offset, informed_after=self.informed_count, newly_after=newly,
         ))
 
     @property
     def done(self):
-        return self.state.informed_count >= self.state.n or self.phase_idx >= len(self.schedule)
+        return self.informed_count >= self.n or self.phase_idx >= len(self.schedule)
 
     def round(self):
         phase = self.schedule[self.phase_idx]
-        step(self.state, self.lists, Protocol.QUASIRANDOM, self.failure, self.rng, self.active)
-        self.counts.append(self.state.informed_count)
+        self.masks.append(self.active)
+        informed, _, self.attempts = next(self.rounds)
+        self.newly, self.informed = informed & ~self.informed, informed
+        self.t += 1
+        self.counts.append(self.informed_count)
         self.offset += 1
         if phase.kind is PhaseKind.BUSY:
-            self.active = self.active | self.state.newly_informed
-        if self.state.informed_count >= self.state.n:
+            self.active = self.active | self.newly
+        if self.informed_count >= self.n:
             self._record_current()
         elif self.offset >= phase.length:
             self._record_current()
@@ -252,8 +266,8 @@ class _ReferenceDelayedRun:
         if not self.done and self.offset > 0:
             self._record_current()
         return DelayedResult(
-            rounds=self.state.t,
-            completed=self.state.informed_count >= self.state.n,
+            rounds=self.t,
+            completed=self.informed_count >= self.n,
             trajectory=np.array(self.counts, dtype=np.int64),
             phases=self.records,
         )
@@ -261,7 +275,7 @@ class _ReferenceDelayedRun:
 
 def _reference_delayed(lists, failure, start_vertex, schedule, rng, max_rounds=None):
     runner = _ReferenceDelayedRun(lists, failure, start_vertex, schedule, rng)
-    while not runner.done and (max_rounds is None or runner.state.t < max_rounds):
+    while not runner.done and (max_rounds is None or runner.t < max_rounds):
         runner.round()
     return runner.result()
 
@@ -271,24 +285,26 @@ def _reference_coupled(lists, failure, start_vertex, schedule, rng, max_rounds=N
     if max_rounds is None:
         max_rounds = default_max_rounds(n, failure.p)
     delayed = _ReferenceDelayedRun(lists, failure, start_vertex, schedule, rng)
-    und = init_state(n, start_vertex)
-    und_counts = [und.informed_count]
+    und = _every_coin_rounds(lists, Protocol.QUASIRANDOM, failure.p, start_vertex, rng, max_rounds)
+    und_informed = delayed.informed.copy()
+    und_counts = [1]
     dominated = True
     while True:
         moved = False
-        if not delayed.done and delayed.state.t < max_rounds:
+        if not delayed.done and delayed.t < max_rounds:
             delayed.round()
             moved = True
-        if und.informed_count < n and und.t < max_rounds:
-            step(und, lists, Protocol.QUASIRANDOM, failure, rng)
-            und_counts.append(und.informed_count)
+        und_round = next(und, None)  # None once complete or at max_rounds
+        if und_round is not None:
+            und_informed = und_round[0]
+            und_counts.append(int(und_informed.sum()))
             moved = True
-        if np.any(delayed.state.informed & ~und.informed):
+        if np.any(delayed.informed & ~und_informed):
             dominated = False
         if not moved:
             break
     undelayed = TrialResult(
-        rounds=und.t, completed=und.informed_count == n,
+        rounds=len(und_counts) - 1, completed=und_counts[-1] == n,
         trajectory=np.array(und_counts, dtype=np.int64),
     )
     return CoupledResult(delayed=delayed.result(), undelayed=undelayed, dominated=dominated)
@@ -365,18 +381,18 @@ class TestAgainstSteppedReference:
         runner = _ReferenceDelayedRun(
             case["lists"], case["failure"], case["start_vertex"], case["schedule"], case["rng"]
         )
-        state, cap = runner.state, case["max_rounds"]
-        informing = np.where(state.informed, 0, -1)
-        sent = [[] for _ in range(state.n)]  # the rounds in which each vertex transmitted
-        while not runner.done and (cap is None or state.t < cap):
-            t, before = state.t, state.attempts.copy()
+        cap = case["max_rounds"]
+        informing = np.where(runner.informed, 0, -1)
+        sent = [[] for _ in range(runner.n)]  # the rounds in which each vertex transmitted
+        while not runner.done and (cap is None or runner.t < cap):
+            t, before = runner.t, runner.attempts.copy()
             runner.round()
-            for v in (state.attempts > before).nonzero()[0]:
+            for v in (runner.attempts > before).nonzero()[0]:
                 sent[v].append(t)
-            informing[state.newly_informed] = state.t
+            informing[runner.newly] = runner.t
         for v, r in enumerate(informing.tolist()):
             s, e = _send_window(r, case["schedule"]) if r >= 0 else (0, 0)
-            assert sent[v] == list(range(s, min(e, state.t)))
+            assert sent[v] == list(range(s, min(e, runner.t)))
 
     def test_stall_in_an_endless_phase_ends_with_the_schedule(self):
         # a run whose first transmission fails has no sender left after the

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim import TrialRandomness, derive_key, mix64
+from rumorsim import rng as rng_module
 from rumorsim.cli import main
 from rumorsim.rng import RowRandomness, _derive_keys, _pcg64_states
 
@@ -120,12 +122,16 @@ def test_rows_draw_what_their_trials_draw():
     assert np.array_equal(rows.coin_uniforms(moved, o[:4]), expected)
 
 
-def test_cached_is_built_once_per_size():
+def test_trial_keys_are_derived_once():
     rng = TrialRandomness(1, 2)
-    assert rng.cached(8) is rng.cached(8)
     v = np.arange(8)
     o = np.arange(8) * 3
-    assert np.array_equal(rng.cached(8).coin_uniforms(v, o), rng.coin_uniforms(v, o))
+    with mock.patch.object(rng_module, "_purpose_keys", wraps=rng_module._purpose_keys) as spy:
+        coins = rng.coin_uniforms(v, o)
+        assert np.array_equal(rng.coin_uniforms(v, o), coins)
+        rng.target_indices(v, o, np.full(8, 7))
+    assert spy.call_count == 1
+    assert np.array_equal(RowRandomness([rng], 8).coin_uniforms(v, o), coins)
 
 
 # Python-int reference of the addressed draws: no numpy, no cached stage
