@@ -253,16 +253,16 @@ def busy_growth_sample(
         hits = (newly >= min_newly).nonzero()[0]
         if len(hits) or state.t >= max_warmup or state.informed.all():
             break
-        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup + k)
+        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup)
     if not len(hits):
         return None
     start = int(hits[0]) + 1
-    start_informed = int(np.count_nonzero(state.at[state.at >= 0] <= start))
+    start_informed = 1 + int(newly[:start].sum())  # the start vertex, then rounds 1 to start
     if start_informed > max_informed:
         return None
     end = start + k
     while state.t < end and not state.informed.all():
-        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup + k)
+        step(state, lists, Protocol.QUASIRANDOM, failure, end)
     if state.informed.all():  # no round after the completion round runs
         end = min(end, int(state.at.max()))
     return GrowthSample(
