@@ -8,11 +8,16 @@ strategy picks the actual cyclic order per vertex.
 For the complete graph and the star the canonical and reversed orders have a
 closed form, so those assignments never materialize an n x (n-1) table and
 stay cheap at n = 10**5.  Random and explicit assignments are materialized
-and therefore capped in size.  Row v of a random table is exactly v's
-canonical row shuffled by ``default_rng(derive_key(seed, v))``: one generator,
-set in turn to each row's state (all derived in one array pass), shuffles each
-row right after it is written.  That relies on numpy's SeedSequence and PCG64
-streams staying stable, as tests/test_rng.py checks.
+and therefore capped in size.  A table holds vertex ids below n, so it is
+stored in the narrowest unsigned type that holds n - 1
+(``np.min_scalar_type``): one byte a cell up to n = 256, two up to
+n = 65,536 (which covers every complete graph under the cap) and four beyond,
+which only a star's center row reaches.  Row v of a random table is exactly
+v's canonical row shuffled by ``default_rng(derive_key(seed, v))``: one
+generator, set in turn to each row's state (all derived in one array pass),
+shuffles an int64 buffer holding the row, which is then copied into the
+table.  That relies on numpy's SeedSequence and PCG64 streams staying stable,
+as tests/test_rng.py checks.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import numpy as np
 
 from .rng import _MASK, _derive_keys, _pcg64_states
 
-# materialized assignments above this many cells would not fit in memory
+# materialized assignments above this many cells would not fit in memory; the
+# cap admits complete graphs up to n = 8,192, whose cells take 2 bytes each,
+# so a table at the cap takes 128 MiB
 _MAX_TABLE_CELLS = 1 << 26
 
 
@@ -132,18 +139,22 @@ class ListAssignment:
         self._table = table
 
     def row(self, v: int) -> np.ndarray:
-        """The full cyclic list of one vertex, mostly for tests and oracles."""
+        """The full cyclic list of one vertex as int64, mostly for tests and oracles."""
         self.topology.check_vertex(v)
         if self.strategy is ListStrategy.CANONICAL:
             return self.topology.neighbors(v)
         if self.strategy is ListStrategy.REVERSED:
             return self.topology.neighbors(v)[::-1].copy()
         if v < len(self._table):
-            return self._table[v].copy()
+            return self._table[v].astype(np.int64)
         return np.zeros(1, dtype=np.int64)
 
     def targets_at(self, vertices: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Vectorized: the list entry at the given position of each vertex."""
+        """Vectorized: the list entry at the given position of each vertex.
+
+        int64 on canonical and reversed lists; on a table, the table's own
+        dtype, which the engine widens when it adds the row offset.
+        """
         vertices = np.asarray(vertices, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         topo = self.topology
@@ -176,6 +187,7 @@ def realize_lists(
     RANDOM shuffles each canonical row as default_rng(derive_key(seed, v))
     would, with one generator set to each row's state in turn.  EXPLICIT
     takes caller rows, validated to be permutations of the true neighbor sets.
+    Both tables are stored as np.min_scalar_type(n - 1).
     """
     if strategy in (ListStrategy.CANONICAL, ListStrategy.REVERSED):
         if explicit_rows is not None:
@@ -185,9 +197,11 @@ def realize_lists(
     n = topology.n
     if topology.kind is GraphKind.COMPLETE and n * (n - 1) > _MAX_TABLE_CELLS:
         raise ValueError(
-            f"materialized lists need {n * (n - 1)} cells; use canonical or reversed"
+            f"lists: {strategy.value} lists at n={n} need {n * (n - 1)} table cells, "
+            f"over the cap of {_MAX_TABLE_CELLS}; use canonical or reversed"
         )
     height = n if topology.kind is GraphKind.COMPLETE else 1  # star leaves are forced
+    table = np.empty((height, n - 1), dtype=np.min_scalar_type(n - 1))
     if strategy is ListStrategy.EXPLICIT:
         if explicit_rows is None:
             raise ValueError("explicit strategy needs explicit_rows")
@@ -195,22 +209,24 @@ def realize_lists(
         for v in range(n):
             if v not in rows:
                 raise ValueError(f"explicit rows missing vertex {v}")
-        table = np.stack([rows[v] for v in range(height)])
+        for v in range(height):
+            table[v] = rows[v]
         return ListAssignment(topology, strategy, seed, table)
 
     if explicit_rows is not None:
         raise ValueError("explicit_rows only makes sense with the explicit strategy")
-    # row v, every id but v (the star's center row too), shuffled in place as
-    # default_rng(derive_key(seed, v)).permutation would shuffle a copy
+    # row v, every id but v (the star's center row too), shuffled as
+    # default_rng(derive_key(seed, v)).permutation would shuffle a copy; the
+    # int64 buffer keeps numpy's fast shuffle of 8-byte items
     ids = np.arange(n, dtype=np.int64)
     keys = _derive_keys(np.array([seed & _MASK], dtype=np.uint64), ids[:height].astype(np.uint64))
-    table = np.empty((height, n - 1), dtype=np.int64)
+    row = np.empty(n - 1, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(0))
     for v, state in enumerate(_pcg64_states(keys)):
-        row = table[v]
         row[:v], row[v:] = ids[:v], ids[v + 1:]
         gen.bit_generator.state = state
         gen.shuffle(row)
+        table[v] = row
     return ListAssignment(topology, strategy, seed, table)
 
 

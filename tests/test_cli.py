@@ -156,6 +156,14 @@ class TestExitCodes:
         assert code == 1
         assert f"{rows}:1: " in capsys.readouterr().err
 
+    def test_table_over_the_cap_names_lists_n_and_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("sim", "--n", "9000", "--lists", "random", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lists: ") and "Traceback" not in err
+        assert "n=9000" in err and str(1 << 26) in err
+        assert not out.exists()
+
     def test_negative_phase_length_names_its_line(self, tmp_path, capsys):
         sched = tmp_path / "s.txt"
         sched.write_text("busy,4\nlazy,-1\n")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rumorsim import (
     FailureModel,
+    ListAssignment,
     ListStrategy,
     Protocol,
     TrialRandomness,
@@ -522,6 +523,27 @@ def test_block_size_does_not_change_results(case, cells):
     expected = outputs()
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
         assert outputs() == expected
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("topo", [complete_graph(200), star_graph(256)], ids=["complete", "star"])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_one_byte_table_runs_as_an_int64_table(topo, protocol, p):
+    # a batch of trials puts rows far past 255, so a target widened too late
+    # would wrap in its own one-byte type
+    lists = realize_lists(topo, ListStrategy.RANDOM, seed=6)
+    assert lists._table.dtype == np.uint8
+    wide = ListAssignment(topo, ListStrategy.RANDOM, 6, lists._table.astype(np.int64))
+    starts = [0, 1, topo.n - 1, 5]
+
+    def outputs(assignment):
+        rngs = [TrialRandomness(12, trial) for trial in range(len(starts))]
+        rounds, done, informing, _ = engine._run_batch(
+            assignment, protocol, FailureModel(p), starts, rngs, 4000
+        )
+        return rounds.tolist(), done.tolist(), informing.tolist()
+
+    assert outputs(lists) == outputs(wide)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,35 @@ class TestSummaries:
         assert math.isnan(s.t_mean)
         d = s.to_dict()
         assert d["trials"] == 2
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 2**62) | st.integers(0, 6), st.booleans()),
+        min_size=1, max_size=60,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_summary_equals_numpy_statistics(self, outcomes):
+        # the reference is numpy's own median, linear percentile and unique
+        records = [TrialRecord(i, 0, t, ok) for i, (t, ok) in enumerate(outcomes)]
+        done = np.array([t for t, ok in outcomes if ok], dtype=np.int64)
+        got = summarize(records)
+        if len(done):
+            support, counts = np.unique(done, return_counts=True)
+            want = harness.SummaryStats(
+                trials=len(records),
+                completion_rate=len(done) / len(records),
+                t_min=float(done.min()),
+                t_mean=float(done.mean()),
+                t_median=float(np.median(done)),
+                t_p95=float(np.percentile(done, 95)),
+                t_max=float(done.max()),
+                cdf_t=[int(t) for t in support],
+                cdf_prob=[float(c) for c in np.cumsum(counts) / len(records)],
+            )
+        else:
+            nan = math.nan
+            want = harness.SummaryStats(len(records), 0.0, nan, nan, nan, nan, nan, [], [])
+        for f in fields(want):
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
 
     def test_summary_dict_schema(self):
         d = run_experiment(cfg(trials=3)).summary.to_dict()

@@ -175,7 +175,7 @@ class TestListAssignment:
         b = realize_lists(complete_graph(12), ListStrategy.RANDOM, seed=6)
         assert any(not np.array_equal(a.row(v), b.row(v)) for v in range(12))
 
-    def test_targets_at_consistent_with_rows(self):
+    def test_targets_at_consistent_with_rows(self, tmp_path):
         big = complete_graph(257)
         explicit = {v: np.random.default_rng(v).permutation(big.neighbors(v)) for v in range(257)}
         cases = [
@@ -186,27 +186,36 @@ class TestListAssignment:
             realize_lists(big, ListStrategy.RANDOM, seed=1),
             realize_lists(big, ListStrategy.EXPLICIT, explicit_rows=explicit),
         ]
+        for topo in (complete_graph(7), star_graph(7)):  # lists files of reversed random rows
+            rows = realize_lists(topo, ListStrategy.RANDOM, seed=3)
+            path = tmp_path / f"{topo.kind.value}.txt"
+            path.write_text("".join(",".join(map(str, rows.row(v)[::-1])) + "\n" for v in range(7)))
+            cases.append(load_lists_file(topo, str(path)))
         for lists in cases:
             topo = lists.topology
             degs = np.broadcast_to(topo.degrees(np.arange(topo.n)), topo.n)  # scalar if regular
             vs = np.repeat(np.arange(topo.n), degs)
             ps = np.concatenate([np.arange(d) for d in degs])
             want = np.concatenate([lists.row(v) for v in range(topo.n)])
-            assert lists.targets_at(vs, ps).tolist() == want.tolist()
+            got = lists.targets_at(vs, ps)
+            assert got.tolist() == want.tolist()
+            if lists.strategy in (ListStrategy.RANDOM, ListStrategy.EXPLICIT):  # a table's dtype
+                assert got.dtype == np.min_scalar_type(topo.n - 1)
 
     @pytest.mark.parametrize(
         "topo",
         [complete_graph(2), complete_graph(3), complete_graph(257), star_graph(33),
-         complete_graph(2048)],
+         complete_graph(2048), complete_graph(256)],
     )
     def test_random_rows_are_keyed_permutations(self, topo):
         # the definition of a RANDOM row: vertex v's canonical row permuted
-        # by the generator of (seed, v)
+        # by the generator of (seed, v), read as int64 from any table dtype
         for seed in (17,) + LIST_SEEDS:
             lists = realize_lists(topo, ListStrategy.RANDOM, seed)
             for v in range(topo.n):
                 gen = np.random.default_rng(derive_key(seed, v))
                 assert np.array_equal(lists.row(v), gen.permutation(topo.neighbors(v)))
+                assert lists.row(v).dtype == np.int64
 
     @pytest.mark.parametrize("kind, n, seed", sorted(RANDOM_TABLE_SHA256, key=repr))
     def test_random_tables_frozen(self, kind, n, seed):
@@ -214,6 +223,39 @@ class TestListAssignment:
         lists = realize_lists(topo, ListStrategy.RANDOM, seed)
         rows = np.concatenate([lists.row(v) for v in range(n)]).astype("<i8")
         assert hashlib.sha256(rows.tobytes()).hexdigest() == RANDOM_TABLE_SHA256[kind, n, seed]
+
+    @pytest.mark.parametrize("topo, dtype", [
+        (complete_graph(2), np.uint8),
+        (complete_graph(256), np.uint8),
+        (complete_graph(257), np.uint16),
+        (star_graph(65_536), np.uint16),
+        (star_graph(65_537), np.uint32),
+    ], ids=["complete-2", "complete-256", "complete-257", "star-65536", "star-65537"])
+    def test_table_is_the_narrowest_unsigned_type_of_a_vertex_id(self, topo, dtype):
+        lists = realize_lists(topo, ListStrategy.RANDOM, seed=4)
+        assert lists._table.dtype == dtype
+        assert lists.targets_at(np.array([0]), np.array([0])).dtype == dtype
+        explicit = {v: lists.row(v) for v in range(topo.n)}
+        assert realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows=explicit)._table.dtype == dtype
+
+    def test_table_takes_two_bytes_a_cell_above_256_vertices(self):
+        lists = realize_lists(complete_graph(300), ListStrategy.RANDOM, seed=2)
+        assert lists._table.nbytes == 300 * 299 * 2
+
+    @pytest.mark.parametrize(
+        "topo", [complete_graph(2), complete_graph(256), complete_graph(257), star_graph(300)],
+        ids=["complete-2", "complete-256", "complete-257", "star-300"],
+    )
+    def test_rows_are_int64_for_every_strategy(self, topo):
+        random = realize_lists(topo, ListStrategy.RANDOM, seed=8)
+        explicit = {v: random.row(v) for v in range(topo.n)}
+        for lists in (
+            realize_lists(topo, ListStrategy.CANONICAL),
+            realize_lists(topo, ListStrategy.REVERSED),
+            random,
+            realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows=explicit),
+        ):
+            assert all(lists.row(v).dtype == np.int64 for v in range(topo.n))
 
     def test_functional_forms_stay_cheap_at_scale(self):
         # canonical/reversed must not materialize the n x (n-1) table
