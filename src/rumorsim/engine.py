@@ -9,7 +9,8 @@ Protocols differ only in how the target of a vertex's j-th attempt is chosen:
 
 * fully random: fresh uniform neighbor every attempt;
 * quasirandom: walk a cyclic neighbor list from a random initial offset,
-  advancing one slot per attempt regardless of delivery;
+  advancing one slot per attempt regardless of delivery, so attempt k reads
+  slot (first + k) mod degree;
 * feedback retry: walk the same list, but re-attempt the current slot until
   both the delivery and an independent feedback coin succeed.
 
@@ -19,12 +20,15 @@ many trials as one array step without changing a draw, and draw every list's
 first position up front; run is its one-trial case, and a sender policy
 restricts who transmits in it (the delayed variant).  step is the one round
 implementation: run_batch loops over it, and a caller that stops partway
-through a run (phases' growth sampling) steps an init_state itself.  Once a
-trial is settled (no uninformed vertex has an uninformed neighbor), the
-senders that can still inform anyone are fixed and their draws follow from
-their addresses alone, so a step draws a block of rounds at once.  The record
-of informing rounds yields trajectories, the coupling check and the delayed
-senders and records.
+through a run (phases' growth sampling) steps an init_state itself.  A
+quasirandom row keeps its first list position and reads each slot from it and
+its attempt count; only a feedback row keeps a running cursor.  The loop looks
+for finished trials only after a step that informed a row, and after every
+step once the clock reaches the first trial's cap.  Once a trial is settled
+(no uninformed vertex has an uninformed neighbor), the senders that can still
+inform anyone are fixed and their draws follow from their addresses alone, so
+a step draws a block of rounds at once.  The record of informing rounds yields
+trajectories, the coupling check and the delayed senders and records.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -85,9 +89,9 @@ def _transmit(
     the senders' vertex ids, and a sender's target u lies in its own trial's
     block, at row u + (row - vertex).  Transmission j * len(rows) + i is the
     j-th of sender i, and a delivery counts if its target was uninformed when
-    the call began, so the returned rows may repeat.  Mutates cursors and
-    attempt counters, not informed.  Senders must all have degree > 0 and,
-    on lists, a cursor.
+    the call began, so the returned rows may repeat.  Mutates attempt
+    counters and feedback cursors, not informed.  Senders must all have
+    degree > 0 and, on lists, a cursor.
     """
     topo = lists.topology
     per_round = len(rows)
@@ -102,10 +106,15 @@ def _transmit(
     if protocol is Protocol.FULLY_RANDOM:
         idx = keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
+    elif protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
+        positions = cursor[rows]
+        positions += ordinals
+        positions %= degs  # the lists are cyclic
+        targets = lists.targets_at(vertices, positions)
     else:
         positions = cursor[rows[:per_round]]
         moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
-        if protocol is Protocol.FEEDBACK_RETRY and p < 1.0:
+        if p < 1.0:
             delivered = keys.coin_uniforms(rows, ordinals) < p
             moved = delivered.nonzero()[0]  # only a delivery can be acknowledged
             moved = moved[keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
@@ -162,7 +171,7 @@ def run_batch(
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
     no uninformed neighbor, and their draws follow from their own addresses
-    (random: later ordinals; quasi: the cursor k slots on; feedback: the cursor
+    (random: later ordinals; quasi: later slots from the first; feedback: the cursor
     moved by a running sum of its own acknowledged deliveries).  A vertex is
     informed in the round of its first successful hit.  The first block draws
     the transmissions the live senders need, in expectation, to hit every
@@ -190,13 +199,16 @@ class EngineState:
     informed: np.ndarray  # bool by row
     at: np.ndarray  # each row's informing round, -1 for never
     vertex: np.ndarray  # vertex of each row
-    cursor: np.ndarray  # next list position of each row; unused by random targets
+    # each row's first list position, which its k-th transmission reads k slots
+    # on, under quasirandom; its next one under feedback; unused by random targets
+    cursor: np.ndarray
     attempts: np.ndarray  # transmissions each row has made, its rng ordinal
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
     may_send: np.ndarray | None = None  # the policy's rows that may send until then
+    newly: bool = True  # whether the last step informed a row; round 0 informs the starts
 
     @property
     def informed_count(self) -> int:
@@ -276,6 +288,7 @@ def step(
     if block > 1:  # a vertex is informed in the round of its first hit
         np.minimum.at(s.at, new_rows, s.t + 1 + hit // len(senders))
     s.informed[new_rows] = True
+    s.newly = len(new_rows) > 0
     s.t += block
     return True
 
@@ -294,21 +307,23 @@ def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
     first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
     completed = np.zeros(trials, dtype=bool)
     while True:
-        done = s.informed.reshape(-1, n).all(axis=1)
-        stop = done | (rounds[s.running] <= s.t) if s.t >= first_cap else done
-        if stop.any():
-            at = s.at.reshape(-1, n)
-            informing[s.running[stop]] = at[stop]
-            rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
-            completed[s.running[done]] = True
-            live = ~stop
-            rows = np.repeat(live, n)
-            s.informed, s.at, s.cursor, s.attempts = (
-                s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
-            )
-            s.may_send = None if s.may_send is None else s.may_send[rows]
-            s.running = s.running[live]
-            s.keys.keep(live)
+        capped = s.t >= first_cap
+        if s.newly or capped:  # a trial completes only in a step that informs a row
+            done = s.informed.reshape(-1, n).all(axis=1)
+            stop = done | (rounds[s.running] <= s.t) if capped else done
+            if stop.any():
+                at = s.at.reshape(-1, n)
+                informing[s.running[stop]] = at[stop]
+                rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
+                completed[s.running[done]] = True
+                live = ~stop
+                rows = np.repeat(live, n)
+                s.informed, s.at, s.cursor, s.attempts = (
+                    s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
+                )
+                s.may_send = None if s.may_send is None else s.may_send[rows]
+                s.running = s.running[live]
+                s.keys.keep(live)
         if not len(s.running) or not step(s, lists, protocol, failure, max_rounds, policy):
             break
     informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps

@@ -105,20 +105,29 @@ class _Schedule:
     def records(self, informing: np.ndarray, rounds: np.ndarray, completed: np.ndarray):
         """Every trial's PhaseRecords: a delayed trial's for each phase that opened
         before it stopped, and for each zero-length one where it stopped, unless
-        it completed there after round 0."""
-        stops = rounds.tolist()
+        it completed there after round 0.  One bincount gives every delayed
+        trial's informed count by round, which each record reads twice."""
         last = int(informing.max(initial=0)) + 1  # thresholds clamped here count the same
+        kept = self.delayed.nonzero()[0]
+        at = informing[kept]
+        cells = np.arange(len(kept))[:, None] * (last + 1) + at
+        by = np.bincount(cells[at >= 0], minlength=len(kept) * (last + 1))
+        by = by.reshape(len(kept), last + 1).cumsum(axis=1).tolist()  # informed by round
+        stops, done = rounds.tolist(), completed.tolist()
         out = [[] for _ in stops]
-        for k, (phase, begin, end) in enumerate(zip(self.schedule, self.begins, self.ends)):
-            edge = (rounds == begin) & (phase.length == 0) & (~completed | (rounds == 0))
-            kept = (self.delayed & ((rounds > begin) | edge)).nonzero()[0]
-            at = informing[kept]
-            now = np.minimum(rounds[kept], min(end, last)).astype(np.int64)[:, None]
-            got = (at >= 0) & (at <= now)
-            fresh = got & (at >= np.minimum(now, min(self.silent[k + 1], last)))  # silent(now)
-            for i, a, f in zip(kept.tolist(), got.sum(axis=1).tolist(), fresh.sum(axis=1).tolist()):
-                executed = min(stops[i], end) - begin
-                out[i].append(PhaseRecord(k, phase.kind, phase.length, executed, a, f))
+        phases = list(zip(self.schedule, self.begins, self.ends, self.silent[1:]))
+        for i, informed in zip(kept.tolist(), by):
+            stop = stops[i]
+            for k, (phase, begin, end, silent) in enumerate(phases):
+                edge = stop == begin and phase.length == 0 and (not done[i] or stop == 0)
+                if stop <= begin and not edge:
+                    break  # no later phase, beginning no earlier, opened before the stop
+                now = min(stop, end, last)
+                fresh = min(now, silent, last)  # the first round whose rows are silent at now
+                newly = informed[now] - (informed[fresh - 1] if fresh else 0)
+                record = PhaseRecord(k, phase.kind, phase.length, min(stop, end) - begin,
+                                     informed[now], newly)
+                out[i].append(record)
         return out
 
 

@@ -15,7 +15,8 @@ A draw hashes in two stages: h = mix(key ^ v*G) for the (trial, purpose,
 vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
 on the ordinal, so a simulation computes it once per trial, purpose and
 vertex (``RowRandomness``) and each round only gathers it and runs the second
-stage.  The values are the same uint64s, element for element.
+stage, in place on the gathered array.  The values are the same uint64s,
+element for element.
 """
 
 from __future__ import annotations
@@ -127,11 +128,6 @@ def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
     return _mix_array(_derive_keys(seeds, trials)[:, None] ^ _TAGS)
 
 
-def _finish(first: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
-    """Second hash stage: fold the attempt ordinal into a first-stage hash."""
-    return _mix_array(first ^ (np.asarray(ordinals, dtype=np.uint64) * _G))
-
-
 class TrialRandomness:
     """All random draws for one trial of one experiment.
 
@@ -145,16 +141,35 @@ class TrialRandomness:
         self.trial = int(trial)
         self._keys: np.ndarray | None = None  # purpose keys, derived on the first draw
 
-    def _hash(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+    def _first_stage(self, purpose: int, vertices: np.ndarray) -> np.ndarray:
+        """mix(key ^ v*G) for each vertex, as a new array."""
         if self._keys is None:
             self._keys = _purpose_keys([self])[0]
         key = self._keys[_PURPOSES.index(purpose)]
-        v = np.asarray(vertices, dtype=np.uint64)
-        return _finish(_mix_array(key ^ (v * _G)), ordinals)
+        return _mix_array(key ^ (np.asarray(vertices, dtype=np.uint64) * _G))
+
+    def _hash(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+        """mix(first ^ ordinal*G): the second stage, written over the new
+        first-stage array, with the ordinals' product as the scratch array."""
+        x = self._first_stage(purpose, vertices)
+        t = np.multiply(ordinals, _G, dtype=np.uint64, casting="unsafe")
+        x ^= t
+        np.right_shift(x, _S30, out=t)
+        x ^= t
+        x *= _M1
+        np.right_shift(x, _S27, out=t)
+        x ^= t
+        x *= _M2
+        np.right_shift(x, _S31, out=t)
+        x ^= t
+        return x
 
     def _uniforms(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         h = self._hash(purpose, vertices, ordinals)
-        return (h >> _S11).astype(np.float64) * _INV53
+        h >>= _S11
+        u = h.astype(np.float64)
+        u *= _INV53
+        return u
 
     def coin_uniforms(self, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         """Uniform [0,1) driving the delivery coin of each (vertex, ordinal)."""
@@ -167,23 +182,27 @@ class TrialRandomness:
     def initial_positions(self, vertices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
         """Starting offset of each vertex in its cyclic neighbor list."""
         h = self._hash(PURPOSE_INITIAL, vertices, np.zeros(len(vertices), dtype=np.uint64))
-        return (h % np.asarray(degrees, dtype=np.uint64)).astype(np.int64)
+        h %= np.asarray(degrees, dtype=np.uint64)
+        return h.view(np.int64)  # below the degree, so the same values
 
     def target_indices(
         self, vertices: np.ndarray, ordinals: np.ndarray, degrees: np.ndarray
     ) -> np.ndarray:
         """Fresh uniform neighbor index for each (vertex, ordinal) attempt."""
         h = self._hash(PURPOSE_TARGET, vertices, ordinals)
-        return (h % np.asarray(degrees, dtype=np.uint64)).astype(np.int64)
+        h %= np.asarray(degrees, dtype=np.uint64)
+        return h.view(np.int64)
 
 
 class RowRandomness(TrialRandomness):
     """The draws of several trials on n vertices, addressed by row b*n + v.
 
     Row b*n + v draws exactly what the b-th trial draws for vertex v, through
-    the same draw methods.  Each purpose's first stage is computed for every
-    row on its first draw and kept; later draws gather it by row and run only
-    the second stage.  ``keep`` drops the rows of finished trials.
+    the same draw methods.  The first stage of the coin, target and feedback
+    purposes is computed for every row on its first draw and kept; later draws
+    gather it by row and run only the second stage.  That of the initial
+    position, drawn once per row, is computed and not kept.  ``keep`` drops
+    the rows of finished trials.
     """
 
     def __init__(self, rngs: Iterable[TrialRandomness], n: int):
@@ -196,13 +215,14 @@ class RowRandomness(TrialRandomness):
         """How many trials still have rows."""
         return len(self._trial_keys)
 
-    def _hash(self, purpose: int, rows: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+    def _first_stage(self, purpose: int, rows: np.ndarray) -> np.ndarray:
         first = self._first.get(purpose)
         if first is None:
             keys = self._trial_keys[:, _PURPOSES.index(purpose), None]
             first = _mix_array(keys ^ (np.arange(self.n, dtype=np.uint64) * _G)).ravel()
-            self._first[purpose] = first
-        return _finish(first[rows], ordinals)
+            if purpose != PURPOSE_INITIAL:
+                self._first[purpose] = first
+        return first[rows]
 
     def keep(self, trials: np.ndarray) -> None:
         """Keep the rows of the trials where ``trials`` (one bool each) is set."""

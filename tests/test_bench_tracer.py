@@ -53,3 +53,28 @@ def test_tracer_wraps_existing_names_and_reads_the_engine_state():
         busy_growth_sample(lists, fm, TrialRandomness(1, 0), k=2, min_newly=2, max_informed=16)
     assert len(tracer.t0) > 0
     assert [owner.__dict__[attr] for _, owner, attr, _, _ in targets] == originals
+
+
+# what each kind of run must keep calling, or the bench's per-layer counts read 0
+LIST_WALK = ("coin_uniforms", "initial_positions", "targets_at", "step")
+TRACED_IN_A_RUN = {
+    Protocol.QUASIRANDOM: LIST_WALK,
+    Protocol.FEEDBACK_RETRY: LIST_WALK + ("feedback_uniforms",),
+    Protocol.FULLY_RANDOM: ("coin_uniforms", "target_indices", "step"),
+    "coupled": LIST_WALK,
+}
+
+
+def test_runs_and_a_coupled_run_reach_every_traced_hot_path_name():
+    tracing = _tracing()
+    lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
+    fm = FailureModel(0.5)
+    for kind, names in TRACED_IN_A_RUN.items():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            if kind == "coupled":
+                coupled_run(lists, fm, 0, [Phase(PhaseKind.BUSY, 40)], TrialRandomness(2, 1), 100)
+            else:
+                run(lists, kind, fm, 0, TrialRandomness(2, 0), 100)
+        seen = {tracer.kinds[k][1] for k in tracer.kind}
+        assert [name for name in names if name not in seen] == [], kind

@@ -23,6 +23,7 @@ from rumorsim import (
     tv_distance,
 )
 from rumorsim import engine
+from rumorsim import rng as rng_module
 from rumorsim.engine import init_state, run_batch, step
 
 # the engine-vs-oracle TV tests fail a correct engine with probability below this
@@ -66,6 +67,16 @@ def test_init_state():
     with pytest.raises(ValueError):
         init_state(realize_lists(complete_graph(4), ListStrategy.CANONICAL),
                    Protocol.QUASIRANDOM, [4], [rng])
+
+
+def test_init_state_keeps_no_first_stage_of_the_initial_positions():
+    # every row draws its first position once, so that stage is not cached
+    lists = realize_lists(complete_graph(7), ListStrategy.RANDOM, seed=3)
+    rngs = [TrialRandomness(4, t) for t in range(3)]
+    s = init_state(lists, Protocol.QUASIRANDOM, [0, 5, 2], rngs)
+    assert rng_module.PURPOSE_INITIAL not in s.keys._first
+    expected = [rng.initial_positions(np.arange(7), np.full(7, 6)) for rng in rngs]
+    assert np.array_equal(s.cursor, np.concatenate(expected))
 
 
 def test_failure_model_validation():
@@ -171,12 +182,12 @@ def test_quasirandom_cursor_walks_cyclically():
     fm = FailureModel(0.4)  # failures must not stall the cursor
     rng = TrialRandomness(3, 0)
     s = init_state(lists, Protocol.QUASIRANDOM, [2], [rng])
-    prev = int(s.cursor[2])  # drawn up front
+    prev = int(s.cursor[2])  # drawn up front; the next slot is (first + attempts) % 23
     for _ in range(12):
         step(s, lists, Protocol.QUASIRANDOM, fm, 12)
         if s.informed_count == 24:
             break
-        cur = int(s.cursor[2])
+        cur = int(s.cursor[2] + s.attempts[2]) % 23
         assert cur == (prev + 1) % 23
         prev = cur
     assert s.t == 12
@@ -355,7 +366,10 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
         assert np.array_equal(state.informed, informed)
         assert np.array_equal(state.at == state.t, informed & ~before)
         assert state.informed_count == int(informed.sum())
-        assert np.array_equal(state.cursor, np.where(attempts > 0, cursor, first))
+        walked = state.cursor  # a quasi row keeps its first position: (first + attempts) % deg
+        if protocol is Protocol.QUASIRANDOM:
+            walked = (state.cursor + state.attempts) % lists.topology.degrees(state.vertex)
+        assert np.array_equal(walked, np.where(attempts > 0, cursor, first))
         assert np.array_equal(state.attempts, attempts)
 
 

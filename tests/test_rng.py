@@ -134,6 +134,67 @@ def test_trial_keys_are_derived_once():
     assert np.array_equal(RowRandomness([rng], 8).coin_uniforms(v, o), coins)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 6),
+    trials=st.integers(1, 3),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2**62), st.integers(1, 9)),
+                   min_size=1, max_size=12),
+    ordinal_dtype=st.sampled_from([np.int64, np.uint64]),
+    stride=st.integers(1, 3),
+)
+def test_second_stage_in_place_equals_out_of_place_and_writes_no_argument(
+    seed, n, trials, picks, ordinal_dtype, stride
+):
+    rngs = [TrialRandomness(seed, t) for t in range(trials)]
+    rows = RowRandomness(rngs, n)
+
+    def strided(values, dtype):  # every stride-th cell of a larger buffer: a view unless stride 1
+        return np.repeat(np.array(values, dtype=dtype), stride)[::stride]
+
+    r = strided([i % (trials * n) for i, _, _ in picks], np.int64)
+    o = strided([o for _, o, _ in picks], ordinal_dtype)
+    degs = strided([d for _, _, d in picks], np.int64)
+    args = [r, o, degs]
+    saved = [a.copy() for a in args]
+    keys = rng_module._purpose_keys(rngs)
+
+    def out_of_place(purpose, ordinals):
+        """_mix_array(first ^ ordinal * G), with the first stage made anew."""
+        key = keys[r // n, rng_module._PURPOSES.index(purpose)]
+        first = rng_module._mix_array(key ^ ((r % n).astype(np.uint64) * rng_module._G))
+        return rng_module._mix_array(first ^ (ordinals.astype(np.uint64) * rng_module._G))
+
+    def uniforms(h):
+        return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def indices(h):
+        return (h % degs.astype(np.uint64)).astype(np.int64)
+
+    coin = uniforms(out_of_place(rng_module.PURPOSE_COIN, o))
+    feedback = uniforms(out_of_place(rng_module.PURPOSE_FEEDBACK, o))
+    target = indices(out_of_place(rng_module.PURPOSE_TARGET, o))
+    initial = indices(out_of_place(rng_module.PURPOSE_INITIAL, np.zeros(len(r), dtype=np.uint64)))
+    for _ in range(2):  # the second round gathers the kept first stages
+        cached = {purpose: first.copy() for purpose, first in rows._first.items()}
+        assert np.array_equal(rows.coin_uniforms(r, o), coin)
+        assert np.array_equal(rows.feedback_uniforms(r, o), feedback)
+        assert np.array_equal(rows.target_indices(r, o, degs), target)
+        assert np.array_equal(rows.initial_positions(r, degs), initial)
+        assert all(np.array_equal(rows._first[k], first) for k, first in cached.items())
+        assert all(np.array_equal(a, b) for a, b in zip(args, saved))
+    for b, rng in enumerate(rngs):  # one trial's draws, on its vertices
+        mine = r // n == b
+        v, ob, db = (r % n)[mine], o[mine], degs[mine]
+        assert np.array_equal(rng.coin_uniforms(v, ob), coin[mine])
+        assert np.array_equal(rng.feedback_uniforms(v, ob), feedback[mine])
+        assert np.array_equal(rng.target_indices(v, ob, db), target[mine])
+        assert np.array_equal(rng.initial_positions(v, db), initial[mine])
+    assert all(np.array_equal(a, b) for a, b in zip(args, saved))
+    assert np.array_equal(rng_module._purpose_keys(rngs), keys)
+
+
 # Python-int reference of the addressed draws: no numpy, no cached stage
 _GOLDEN = 0x9E3779B97F4A7C15
 _PURPOSE_TAGS = {"initial": 0x11, "coin": 0x22, "target": 0x33, "feedback": 0x44}
