@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # trials run in capped chunks: only n outgrows memory
+        print(f"error: n: too large for memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,11 @@ for finished trials only after a step that informed a row, and after every
 step once the clock reaches the first trial's cap.  Once a trial is settled
 (no uninformed vertex has an uninformed neighbor), the senders that can still
 inform anyone are fixed and their draws follow from their addresses alone, so
-a step draws a block of rounds at once.  The record of informing rounds yields
-trajectories, the coupling check and the delayed senders and records.
+a step draws a block of rounds at once.  run_batch returns three arrays: each
+trial's rounds, whether it completed, and its informing record, the round in
+which each vertex was first informed (-1 for never).  Every result is built
+from them, and the informed count at any round, the coupling check and the
+delayed senders and phase records are all read from the informing record.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -143,7 +146,7 @@ def _transmit(
 class TrialResult:
     rounds: int
     completed: bool
-    trajectory: np.ndarray = field(repr=False)  # informed counts, index = round
+    informing: np.ndarray = field(repr=False)  # informing round by vertex, -1 for never
 
 
 # a block of settled rounds, the first included, draws at most this many
@@ -159,14 +162,17 @@ def run_batch(
     rngs: Iterable[TrialRandomness],
     max_rounds: int,
     policy=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one trial per (start vertex, rng) pair, all in the same round loop.
 
-    Returns each trial's rounds and whether it completed.  Every trial runs
-    until every vertex is informed or max_rounds have elapsed, and its draws
-    come only from its own rng, so the results do not depend on which other
-    trials share the batch.  The loop is init_state, then step until every
-    trial has stopped; a finished trial's rows are dropped between steps.
+    Returns each trial's rounds, whether it completed, and its informing
+    record: by trial and vertex, the round in which the vertex was first
+    informed, 0 for the start and -1 for never.  Every trial runs until every
+    vertex is informed or max_rounds have elapsed, and its draws come only
+    from its own rng, so the results do not depend on which other trials
+    share the batch.  The loop is init_state, then step until every trial has
+    stopped; a finished trial's rows are dropped between steps.  Rounds may
+    lie past int64 (an object array) when max_rounds does.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -187,7 +193,36 @@ def run_batch(
     send later.  A policy run takes one round a step: a boundary reactivates
     senders.
     """
-    return _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy)[:2]
+    s = init_state(lists, protocol, starts, rngs, policy)
+    n, trials = lists.topology.n, len(s.running)
+    informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop
+    # a trial that does not complete stops at its cap, which may lie past int64
+    caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
+    rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
+    first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
+    completed = np.zeros(trials, dtype=bool)
+    while True:
+        capped = s.t >= first_cap
+        if s.newly or capped:  # a trial completes only in a step that informs a row
+            done = s.informed.reshape(-1, n).all(axis=1)
+            stop = done | (rounds[s.running] <= s.t) if capped else done
+            if stop.any():
+                at = s.at.reshape(-1, n)
+                informing[s.running[stop]] = at[stop]
+                rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
+                completed[s.running[done]] = True
+                live = ~stop
+                rows = np.repeat(live, n)
+                s.informed, s.at, s.cursor, s.attempts = (
+                    s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
+                )
+                s.may_send = None if s.may_send is None else s.may_send[rows]
+                s.running = s.running[live]
+                s.keys.keep(live)
+        if not len(s.running) or not step(s, lists, protocol, failure, max_rounds, policy):
+            break
+    informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
+    return rounds, completed, informing
 
 
 @dataclass
@@ -293,60 +328,6 @@ def step(
     return True
 
 
-def _run_batch(lists, protocol, failure, starts, rngs, max_rounds, policy=None):
-    """run_batch, also returning each trial's informing rounds (the round in
-    which each vertex was first informed: 0 for the start, -1 for never) and
-    the clock after the last round run.
-    """
-    s = init_state(lists, protocol, starts, rngs, policy)
-    n, trials = lists.topology.n, len(s.running)
-    informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop
-    # a trial that does not complete stops at its cap, which may lie past int64
-    caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
-    rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
-    first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
-    completed = np.zeros(trials, dtype=bool)
-    while True:
-        capped = s.t >= first_cap
-        if s.newly or capped:  # a trial completes only in a step that informs a row
-            done = s.informed.reshape(-1, n).all(axis=1)
-            stop = done | (rounds[s.running] <= s.t) if capped else done
-            if stop.any():
-                at = s.at.reshape(-1, n)
-                informing[s.running[stop]] = at[stop]
-                rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
-                completed[s.running[done]] = True
-                live = ~stop
-                rows = np.repeat(live, n)
-                s.informed, s.at, s.cursor, s.attempts = (
-                    s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
-                )
-                s.may_send = None if s.may_send is None else s.may_send[rows]
-                s.running = s.running[live]
-                s.keys.keep(live)
-        if not len(s.running) or not step(s, lists, protocol, failure, max_rounds, policy):
-            break
-    informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
-    return rounds, completed, informing, s.t
-
-
-# a stalled trajectory repeats its last count for at most this many skipped rounds
-_IDLE_TAIL = 1 << 20
-
-
-def _results(*batch):
-    """_run_batch's trials as TrialResults, each trajectory its informed count
-    by round, and their informing rounds, rounds and completion."""
-    rounds, done, informing, clock = _run_batch(*batch)
-    out = []
-    for b, at in enumerate(informing):
-        executed = min(rounds[b], clock)  # skipped rounds close a stall
-        counts = np.bincount(at[at >= 0], minlength=executed + 1).cumsum()
-        idle = np.full(min(rounds[b] - executed, _IDLE_TAIL), counts[-1])
-        out.append(TrialResult(int(rounds[b]), bool(done[b]), np.concatenate([counts, idle])))
-    return out, (informing, rounds, done)
-
-
 def run(
     lists: ListAssignment,
     protocol: Protocol,
@@ -356,4 +337,7 @@ def run(
     max_rounds: int,
 ) -> TrialResult:
     """Run until every vertex is informed or max_rounds have elapsed."""
-    return _results(lists, protocol, failure, [start_vertex], [rng], max_rounds)[0][0]
+    rounds, completed, informing = run_batch(
+        lists, protocol, failure, [start_vertex], [rng], max_rounds
+    )
+    return TrialResult(int(rounds[0]), bool(completed[0]), informing[0])

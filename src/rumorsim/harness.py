@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds, phases
-from .engine import FailureModel, Protocol, _run_batch
+from .engine import FailureModel, Protocol, run_batch
 from .phases import load_schedule
 from .rng import TrialRandomness, derive_key
 from .topology import (
@@ -246,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         starts = [config.start_vertex_for(trial) for trial in trials]
         rngs = (TrialRandomness(config.seed, trial) for trial in trials)
         policy = phases._Schedule(schedule, [True] * len(trials)) if delayed else None
-        rounds, completed, informing, _ = _run_batch(
+        rounds, completed, informing = run_batch(
             lists, protocol, failure, starts, rngs, max_rounds, policy
         )
         records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())

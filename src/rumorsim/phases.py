@@ -17,8 +17,11 @@ that containment from the round in which each copy informed each vertex.
 Both run on engine.run_batch under _Schedule, a sender policy that derives
 who may send, and every PhaseRecord, from each vertex's informing round.  An
 active set never shrinks within its phase and an empty one informs no one, so
-once no row may send, every trial stops at its last round.  Growth sampling
-steps the same engine state itself, as it stops partway through a run.
+once no row may send, every trial stops at its last round, which may lie past
+int64.  Their results are built from run_batch's three arrays: a
+DelayedResult is a TrialResult (rounds, completion and informing record) plus
+the trial's phase records.  Growth sampling steps the same engine state
+itself, as it stops partway through a run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .engine import FailureModel, Protocol, TrialResult, _results, init_state, step
+from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
 from .rng import TrialRandomness
 from .topology import ListAssignment, _read_lines
 
@@ -65,10 +68,7 @@ class PhaseRecord:
 
 
 @dataclass
-class DelayedResult:
-    rounds: int
-    completed: bool
-    trajectory: np.ndarray = field(repr=False)
+class DelayedResult(TrialResult):
     phases: list[PhaseRecord] = field(default_factory=list)
 
 
@@ -151,10 +151,11 @@ def run_delayed(
     if max_rounds is None:
         max_rounds = sum(ph.length for ph in schedule)
     policy = _Schedule(schedule, [True])
-    (res,), record = _results(
+    rounds, completed, informing = run_batch(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], max_rounds, policy
     )
-    return DelayedResult(res.rounds, res.completed, res.trajectory, policy.records(*record)[0])
+    records = policy.records(informing, rounds, completed)[0]
+    return DelayedResult(int(rounds[0]), bool(completed[0]), informing[0], records)
 
 
 @dataclass
@@ -180,11 +181,15 @@ def coupled_run(
     if max_rounds is None:
         max_rounds = bounds.default_max_rounds(lists.topology.n, failure.p)
     policy = _Schedule(schedule, [True, False])
-    (res, undelayed), record = _results(
+    rounds, completed, informing = run_batch(
         lists, Protocol.QUASIRANDOM, failure, [start_vertex] * 2, [rng] * 2, max_rounds, policy
     )
-    delayed = DelayedResult(res.rounds, res.completed, res.trajectory, policy.records(*record)[0])
-    return CoupledResult(delayed=delayed, undelayed=undelayed, dominated=_dominated(*record[0]))
+    records = policy.records(informing, rounds, completed)[0]
+    return CoupledResult(
+        delayed=DelayedResult(int(rounds[0]), bool(completed[0]), informing[0], records),
+        undelayed=TrialResult(int(rounds[1]), bool(completed[1]), informing[1]),
+        dominated=_dominated(*informing),
+    )
 
 
 # schedule files: one `kind,length` record per line

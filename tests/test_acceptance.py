@@ -45,7 +45,6 @@ from rumorsim import (
     chernoff_upper,
     complete_graph,
     coupled_run,
-    default_max_rounds,
     exact_fully_random,
     exact_quasirandom,
     lower_bound,
@@ -59,7 +58,6 @@ from rumorsim import (
 from rumorsim.engine import run_batch
 
 STRATEGIES = (ListStrategy.CANONICAL, ListStrategy.REVERSED, ListStrategy.RANDOM)
-BATCH_CELLS = 1 << 16  # (trial, vertex) cells per run_batch call, bounding memory
 
 # Exact values for fully random push on the complete graph, n=4096: the
 # oracle's count chain (_fully_random_round_dist, iterated as
@@ -76,28 +74,24 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _broadcast_times(lists, protocol, p, trials, seed, start=0, max_rounds=None):
-    """Rounds and completion of trials 0..trials-1, BATCH_CELLS cells per batch."""
-    failure = FailureModel(p)
-    if max_rounds is None:
-        max_rounds = default_max_rounds(lists.topology.n, p)
-    per_batch = max(1, BATCH_CELLS // lists.topology.n)
-    batches = [
-        run_batch(lists, protocol, failure, [start] * len(ids),
-                  [TrialRandomness(seed, t) for t in ids], max_rounds)
-        for ids in (range(b, min(b + per_batch, trials)) for b in range(0, trials, per_batch))
-    ]
-    return np.concatenate([r for r, _ in batches]), np.concatenate([c for _, c in batches])
+def _broadcast_times(protocol, n, p, trials, seed, topology="complete", start=0, max_rounds=None):
+    """Rounds and completion of trials 0..trials-1 from vertex start, run by the
+    harness on canonical lists (the default cap when max_rounds is None)."""
+    result = run_experiment(ExperimentConfig(
+        protocol=protocol.value, topology=topology, n=n, p=p, trials=trials, seed=seed,
+        start=f"fixed:{start}", max_rounds=max_rounds,
+    ))
+    rounds = np.array([r.rounds for r in result.records], dtype=np.int64)
+    return rounds, np.array([r.completed for r in result.records])
 
 
 def test_criterion_01_lossless_baseline_law():
     # the quasi arm is held to the law window; random push carries Pittel's
     # additive O(1) term, so its arm is held to the exact mean instead
-    lists = realize_lists(complete_graph(4096), ListStrategy.CANONICAL, 0)
     lo, hi = 0.95 * baseline_bound(4096), 1.05 * baseline_bound(4096)
     times = {}
     for proto in (Protocol.FULLY_RANDOM, Protocol.QUASIRANDOM):
-        rounds, completed = _broadcast_times(lists, proto, 1.0, 500, seed=101)
+        rounds, completed = _broadcast_times(proto, 4096, 1.0, 500, seed=101)
         assert completed.all()
         times[proto] = rounds
     quasi_mean = float(times[Protocol.QUASIRANDOM].mean())
@@ -118,9 +112,8 @@ def test_criterion_01_lossless_baseline_law():
 
 
 def test_criterion_02_slowdown_ratio_at_half():
-    lists = realize_lists(complete_graph(4096), ListStrategy.CANONICAL, 0)
-    lossless, c1 = _broadcast_times(lists, Protocol.QUASIRANDOM, 1.0, 1000, seed=202)
-    lossy, c2 = _broadcast_times(lists, Protocol.QUASIRANDOM, 0.5, 1000, seed=203)
+    lossless, c1 = _broadcast_times(Protocol.QUASIRANDOM, 4096, 1.0, 1000, seed=202)
+    lossy, c2 = _broadcast_times(Protocol.QUASIRANDOM, 4096, 0.5, 1000, seed=203)
     assert c1.all() and c2.all()
     ratio = float(np.median(lossy) / np.median(lossless))
     ok = 1.70 <= ratio <= 1.95
@@ -131,12 +124,11 @@ def test_criterion_02_slowdown_ratio_at_half():
 def test_criterion_03_upper_bound_conformance():
     # at least as robust as fully random push: the quasi fraction above the
     # bound may exceed random push's exact one by at most 3 standard errors
-    lists = realize_lists(complete_graph(4096), ListStrategy.CANONICAL, 0)
     trials = 1000
     over = []
     details = []
     for p in (0.3, 0.5, 1.0):
-        rounds, completed = _broadcast_times(lists, Protocol.QUASIRANDOM, p, trials, seed=303)
+        rounds, completed = _broadcast_times(Protocol.QUASIRANDOM, 4096, p, trials, seed=303)
         hi = upper_bound(4096, p, 0.2)
         frac = float(np.mean(~completed | (rounds > hi)))
         ref = RANDOM_TAIL_4096_EPS02[p]
@@ -149,11 +141,10 @@ def test_criterion_03_upper_bound_conformance():
 
 
 def test_criterion_04_lower_bound_conformance():
-    lists = realize_lists(complete_graph(4096), ListStrategy.CANONICAL, 0)
     worst = 0.0
     details = []
     for p in (0.3, 0.5, 1.0):
-        rounds, completed = _broadcast_times(lists, Protocol.FULLY_RANDOM, p, 1000, seed=404)
+        rounds, completed = _broadcast_times(Protocol.FULLY_RANDOM, 4096, p, 1000, seed=404)
         lo = lower_bound(4096, p, 0.2)
         frac = float(np.mean(completed & (rounds < lo)))
         worst = max(worst, frac)
@@ -164,9 +155,8 @@ def test_criterion_04_lower_bound_conformance():
 
 
 def test_criterion_05_fully_random_matches_oracle():
-    lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL, 0)
     rounds, completed = _broadcast_times(
-        lists, Protocol.FULLY_RANDOM, 0.7, 100_000, seed=505, max_rounds=100
+        Protocol.FULLY_RANDOM, 5, 0.7, 100_000, seed=505, max_rounds=100
     )
     dist = exact_fully_random(5, 0.7, 60)
     tv = tv_distance(dist, rounds, completed)
@@ -178,7 +168,7 @@ def test_criterion_05_fully_random_matches_oracle():
 def test_criterion_06_quasirandom_matches_oracle():
     lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL, 0)
     rounds, completed = _broadcast_times(
-        lists, Protocol.QUASIRANDOM, 0.6, 100_000, seed=606, max_rounds=80
+        Protocol.QUASIRANDOM, 4, 0.6, 100_000, seed=606, max_rounds=80
     )
     dist = exact_quasirandom(4, lists, 0.6, horizon=8, start_vertex=0)
     tv = tv_distance(dist, rounds, completed)
@@ -206,7 +196,7 @@ def test_criterion_07_lossless_coverage_bound():
             else:
                 batches = [(realize_lists(topo, strategy, 0), range(100))]
             for lists, seeds in batches:
-                rounds, completed = run_batch(
+                rounds, completed, _ = run_batch(
                     lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0] * len(seeds),
                     [TrialRandomness(seed, 0) for seed in seeds], max_rounds=n + 8,
                 )
@@ -221,7 +211,7 @@ def test_criterion_08_star_contrast():
     n, start = 256, 1
     lists = realize_lists(star_graph(n), ListStrategy.CANONICAL, 0)
     quasi_rounds, quasi_completed = _broadcast_times(
-        lists, Protocol.QUASIRANDOM, 1.0, 500, seed=808, start=start, max_rounds=300
+        Protocol.QUASIRANDOM, n, 1.0, 500, seed=808, topology="star", start=start, max_rounds=300
     )
     assert quasi_completed.all()
     # The start leaf informs the center in round 1; the center then walks its
@@ -237,7 +227,7 @@ def test_criterion_08_star_contrast():
     quasi_max = int(quasi_rounds.max())
 
     rand_rounds, rand_completed = _broadcast_times(
-        lists, Protocol.FULLY_RANDOM, 1.0, 500, seed=809, start=1, max_rounds=6000
+        Protocol.FULLY_RANDOM, n, 1.0, 500, seed=809, topology="star", start=1, max_rounds=6000
     )
     assert rand_completed.all()
     expected = star_fully_random_expectation(256)

@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rumorsim
 from rumorsim import exact_fully_random
 from rumorsim.cli import main
+from rumorsim.harness import CONFIG_KEYS
 
 
 def run_cli(*argv: str) -> int:
@@ -210,12 +214,69 @@ class TestExitCodes:
         assert run_cli("sim", "--config", "/nonexistent/exp.cfg") == 2
         assert "i/o error" in capsys.readouterr().err
 
+    def test_unallocatable_n_is_one(self, capsys):
+        # 2**62 one-byte cells exceed every address space: the allocation cannot succeed
+        assert run_cli("sim", "--n", str(2**62), "--p", "0.5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n: ") and "Traceback" not in err
+
     def test_unwritable_output_is_two(self, capsys):
         code = run_cli(
             "sim", "--n", "4", "--p", "1.0", "--trials", "1",
             "--out", "/nonexistent/dir/r.csv",
         )
         assert code == 2
+
+
+def _file_contents(record):
+    """Arbitrary text or bytes, or lines mixing a format's records with text."""
+    lines = st.lists(st.one_of(record, st.text(max_size=20)), max_size=6).map("\n".join)
+    return st.one_of(st.text(), st.binary(), lines)
+
+
+_INPUT_FILES = {  # what a file holds, and the command line that reads it as {path}
+    "config": (
+        _file_contents(st.builds(
+            "{}={}".format,
+            st.sampled_from(sorted(CONFIG_KEYS)),
+            st.one_of(st.text(max_size=12), st.integers(-2, 2**70).map(str),
+                      st.floats().map(str), st.sampled_from(["quasi", "delayed", "star", "file"])),
+        )),
+        # the flags fix a small run, and its outputs, whatever the file says
+        ("sim", "--config", "{path}", "--n", "4", "--trials", "2", "--max-rounds", "40",
+         "--out", "{dir}/r.csv", "--summary", "{dir}/s.json"),
+    ),
+    "schedule": (
+        _file_contents(st.builds(
+            "{},{}".format,
+            st.one_of(st.sampled_from(["lazy", "busy", "BUSY"]), st.text(max_size=5)),
+            st.one_of(st.integers(-2, 2**70).map(str), st.text(max_size=5)),
+        )),
+        ("phases", "--schedule", "{path}", "--n", "4", "--trials", "2"),
+    ),
+    "lists": (
+        _file_contents(st.lists(
+            st.one_of(st.integers(-2, 5).map(str), st.text(max_size=3)), max_size=5,
+        ).map(",".join)),
+        ("sim", "--lists", "file", "--lists-path", "{path}", "--n", "4", "--trials", "2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUT_FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_input_file_gives_an_exit_code(kind, data):
+    contents, command = _INPUT_FILES[kind]
+    blob = data.draw(contents)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        if isinstance(blob, bytes):
+            path.write_bytes(blob)
+        else:
+            path.write_text(blob)
+        argv = [arg.format(path=path, dir=tmp) for arg in command]
+        assert run_cli(*argv) in (0, 1, 2, 3)
 
 
 class TestBounds:

@@ -91,7 +91,7 @@ def test_step_is_noop_when_everyone_knows():
     # a finished trial leaves the batch before the next step, so none runs
     lists = realize_lists(complete_graph(1), ListStrategy.CANONICAL)
     with mock.patch.object(engine, "step", wraps=engine.step) as spy:
-        rounds, completed = run_batch(
+        rounds, completed, _ = run_batch(
             lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], [TrialRandomness(0, 0)], 10
         )
     assert spy.call_count == 0
@@ -122,7 +122,7 @@ def test_replay_is_exact():
     a = run(lists, Protocol.FEEDBACK_RETRY, fm, 5, TrialRandomness(99, 3), 500)
     b = run(lists, Protocol.FEEDBACK_RETRY, fm, 5, TrialRandomness(99, 3), 500)
     assert a.rounds == b.rounds
-    assert np.array_equal(a.trajectory, b.trajectory)
+    assert np.array_equal(a.informing, b.informing)
 
 
 def test_three_vertices_quasirandom_two_rounds_all_assignments():
@@ -146,7 +146,7 @@ def test_two_vertices_fully_random_geometric():
     lists = realize_lists(complete_graph(2), ListStrategy.CANONICAL)
     p = 0.55
     fm = FailureModel(p)
-    rounds, _ = run_batch(
+    rounds, _, _ = run_batch(
         lists, Protocol.FULLY_RANDOM, fm, [0] * 20_000,
         [TrialRandomness(1, i) for i in range(20_000)], 100,
     )
@@ -159,7 +159,7 @@ def test_two_vertices_fully_random_geometric():
 def test_fully_random_n64_matches_oracle(p):
     trials = 10_000
     lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
-    rounds, completed = run_batch(
+    rounds, completed, _ = run_batch(
         lists, Protocol.FULLY_RANDOM, FailureModel(p), [0] * trials,
         [TrialRandomness(64, t) for t in range(trials)], 400,
     )
@@ -268,15 +268,23 @@ def test_truncation_reports_incomplete():
     res = run(lists, Protocol.QUASIRANDOM, FailureModel(0.5), 0, TrialRandomness(0, 0), 3)
     assert not res.completed
     assert res.rounds == 3
-    assert len(res.trajectory) == 4
+    assert res.informing.max() <= 3
 
 
 def test_trajectory_matches_counts():
     lists = realize_lists(complete_graph(32), ListStrategy.CANONICAL)
     res = run(lists, Protocol.QUASIRANDOM, FailureModel(0.8), 0, TrialRandomness(5, 1), 200)
-    assert res.trajectory[0] == 1
-    assert res.trajectory[-1] == 32
-    assert (np.diff(res.trajectory) >= 0).all()
+    counts = _counts(res.informing, range(res.rounds + 1))
+    assert counts[0] == 1
+    assert counts[-1] == 32
+    assert (np.diff(counts) >= 0).all()
+
+
+def _counts(informing, rounds):
+    """The informed count after each of rounds, read from an informing record
+    (by vertex, the round it was first informed in, -1 for never)."""
+    at = np.sort(informing[informing >= 0])
+    return np.searchsorted(at, [min(t, int(at[-1])) for t in rounds], side="right").tolist()
 
 
 def _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks=None):
@@ -342,13 +350,13 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
     rngs = [TrialRandomness(case["seed"], t) for t in range(len(case["starts"]))]
     fm = FailureModel(p)
 
-    rounds, completed = run_batch(lists, protocol, fm, case["starts"], rngs, max_rounds)
+    rounds, completed, _ = run_batch(lists, protocol, fm, case["starts"], rngs, max_rounds)
     for b, (start, rng) in enumerate(zip(case["starts"], rngs)):
         states = list(_every_coin_rounds(lists, protocol, p, start, rng, max_rounds))
         trajectory = [1] + [int(informed.sum()) for informed, _, _ in states]
         res = run(lists, protocol, fm, start, rng, max_rounds)
         assert (res.rounds, res.completed) == (len(states), trajectory[-1] == n)
-        assert res.trajectory.tolist() == trajectory
+        assert _counts(res.informing, range(res.rounds + 1)) == trajectory
         assert (int(rounds[b]), bool(completed[b])) == (res.rounds, res.completed)
 
     masks = np.random.default_rng(mask_seed).random((max_rounds, n)) < 0.6
@@ -378,14 +386,14 @@ def _assert_runs_equal_reference(lists, protocol, p, starts, seed, max_rounds):
     n = lists.topology.n
     rngs = [TrialRandomness(seed, t) for t in range(len(starts))]
     fm = FailureModel(p)
-    rounds, completed = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
+    rounds, completed, _ = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
     results = []
     for b, (start, rng) in enumerate(zip(starts, rngs)):
         states = list(_every_coin_rounds(lists, protocol, p, start, rng, max_rounds))
         trajectory = [1] + [int(informed.sum()) for informed, _, _ in states]
         res = run(lists, protocol, fm, start, rng, max_rounds)
         assert (res.rounds, res.completed) == (len(states), trajectory[-1] == n)
-        assert res.trajectory.tolist() == trajectory
+        assert _counts(res.informing, range(res.rounds + 1)) == trajectory
         assert (int(rounds[b]), bool(completed[b])) == (res.rounds, res.completed)
         results.append(res)
     return results
@@ -446,7 +454,7 @@ def test_max_rounds_inside_a_block_reports_exactly_max_rounds(protocol):
     sizes = [call.args[-1] for call in spy.call_args_list]
     assert sizes[-2] == 64 > sizes[-1] and sum(sizes) == 123  # the cap cut the last block
     (res,) = _assert_runs_equal_reference(lists, protocol, 0.2, [5], 3, 123)
-    assert not res.completed and res.rounds == 123 and len(res.trajectory) == 124
+    assert not res.completed and res.rounds == 123 and res.informing.max() <= 123
 
 
 @pytest.mark.parametrize("protocol", [Protocol.QUASIRANDOM, Protocol.FEEDBACK_RETRY])
@@ -466,7 +474,7 @@ def test_random_push_from_a_star_leaf_sizes_its_first_block_from_the_tail():
     # twice its size nearly all the rest
     lists = realize_lists(star_graph(256), ListStrategy.CANONICAL)
     with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
-        _, completed = run_batch(
+        _, completed, _ = run_batch(
             lists, Protocol.FULLY_RANDOM, FailureModel(1.0), [1], [TrialRandomness(8, 0)], 6000
         )
     assert completed[0] and spy.call_count <= 4
@@ -478,7 +486,7 @@ def test_a_list_walk_from_a_star_leaf_takes_one_block_of_one_pass(protocol):
     lists = realize_lists(star_graph(256), ListStrategy.RANDOM, seed=2)
     rngs = [TrialRandomness(9, t) for t in range(20)]
     with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
-        _, completed = run_batch(lists, protocol, FailureModel(1.0), [1] * 20, rngs, 20000)
+        _, completed, _ = run_batch(lists, protocol, FailureModel(1.0), [1] * 20, rngs, 20000)
     assert completed.all() and [call.args[-1] for call in spy.call_args_list] == [1, 255]
 
 
@@ -530,9 +538,9 @@ def test_block_size_does_not_change_results(case, cells):
     rngs = [TrialRandomness(case["seed"], t) for t in range(len(starts))]
 
     def outputs():
-        rounds, completed = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
+        rounds, completed, _ = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
         runs = [run(lists, protocol, fm, s, rng, max_rounds) for s, rng in zip(starts, rngs)]
-        return rounds.tolist(), completed.tolist(), [r.trajectory.tolist() for r in runs]
+        return rounds.tolist(), completed.tolist(), [r.informing.tolist() for r in runs]
 
     expected = outputs()
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
@@ -552,7 +560,7 @@ def test_one_byte_table_runs_as_an_int64_table(topo, protocol, p):
 
     def outputs(assignment):
         rngs = [TrialRandomness(12, trial) for trial in range(len(starts))]
-        rounds, done, informing, _ = engine._run_batch(
+        rounds, done, informing = engine.run_batch(
             assignment, protocol, FailureModel(p), starts, rngs, 4000
         )
         return rounds.tolist(), done.tolist(), informing.tolist()
@@ -577,7 +585,7 @@ def test_informing_rounds_equal_every_coin_reference(case, cells):
             want[b, informed & (want[b] < 0)] = t
 
     def informing():
-        return engine._run_batch(lists, protocol, FailureModel(p), starts, rngs, max_rounds)[2]
+        return engine.run_batch(lists, protocol, FailureModel(p), starts, rngs, max_rounds)[2]
 
     assert informing().tolist() == want.tolist()
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes

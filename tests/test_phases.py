@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorsim import (
@@ -33,7 +33,7 @@ from rumorsim import (
 )
 from rumorsim.engine import Protocol
 from rumorsim.phases import _dominated
-from test_engine import _every_coin_rounds
+from test_engine import _counts, _every_coin_rounds
 
 
 class TestScheduleFormat:
@@ -64,7 +64,7 @@ class TestRunDelayed:
         assert res.rounds == 0 and not res.completed
         res = run_delayed(lists, fm, 0, [Phase(PhaseKind.LAZY, 0)], TrialRandomness(0, 0))
         assert res.rounds == 0 and not res.completed
-        assert res.trajectory.tolist() == [1]
+        assert _counts(res.informing, range(res.rounds + 1)) == [1]
 
     def test_single_lazy_phase_initiator_covers_triangle(self):
         # two deterministic transmissions from the initiator's cyclic list
@@ -99,7 +99,7 @@ class TestRunDelayed:
         res = run_delayed(
             lists, FailureModel(1.0), 0, [Phase(PhaseKind.LAZY, 3)], TrialRandomness(5, 0)
         )
-        assert res.trajectory.tolist() == [1, 2, 3, 4]
+        assert _counts(res.informing, range(res.rounds + 1)) == [1, 2, 3, 4]
 
     def test_busy_phase_equals_undelayed(self):
         lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
@@ -110,7 +110,7 @@ class TestRunDelayed:
         )
         assert delayed.completed
         assert delayed.rounds == plain.rounds
-        assert np.array_equal(delayed.trajectory, plain.trajectory)
+        assert np.array_equal(delayed.informing, plain.informing)
 
     def test_phase_records_bookkeeping(self):
         lists = realize_lists(complete_graph(32), ListStrategy.CANONICAL)
@@ -151,7 +151,7 @@ class TestCoupling:
         )
         assert out.dominated
         assert out.delayed.completed and out.undelayed.completed
-        assert np.array_equal(out.delayed.trajectory, out.undelayed.trajectory)
+        assert np.array_equal(out.delayed.informing, out.undelayed.informing)
 
     def test_single_huge_lazy_phase_is_initiator_sweep(self):
         # at p=1 the delayed run is just the initiator covering everyone
@@ -207,12 +207,12 @@ class _ReferenceDelayedRun:
         self.informed = np.zeros(self.n, dtype=bool)
         self.informed[start_vertex] = True
         self.newly = self.informed.copy()  # informed in the latest round
+        self.informing = np.where(self.informed, 0, -1)  # the round each vertex was informed in
         self.attempts = np.zeros(self.n, dtype=np.int64)
         self.masks = []  # each round's active set, appended before the loop runs the round
         self.rounds = _every_coin_rounds(
             lists, Protocol.QUASIRANDOM, failure.p, start_vertex, rng, 2**70, self.masks
         )
-        self.counts = [1]
         self.records = []
         self.phase_idx = -1
         self.offset = 0
@@ -252,7 +252,7 @@ class _ReferenceDelayedRun:
         informed, _, self.attempts = next(self.rounds)
         self.newly, self.informed = informed & ~self.informed, informed
         self.t += 1
-        self.counts.append(self.informed_count)
+        self.informing[self.newly] = self.t
         self.offset += 1
         if phase.kind is PhaseKind.BUSY:
             self.active = self.active | self.newly
@@ -268,7 +268,7 @@ class _ReferenceDelayedRun:
         return DelayedResult(
             rounds=self.t,
             completed=self.informed_count >= self.n,
-            trajectory=np.array(self.counts, dtype=np.int64),
+            informing=self.informing,
             phases=self.records,
         )
 
@@ -287,7 +287,8 @@ def _reference_coupled(lists, failure, start_vertex, schedule, rng, max_rounds=N
     delayed = _ReferenceDelayedRun(lists, failure, start_vertex, schedule, rng)
     und = _every_coin_rounds(lists, Protocol.QUASIRANDOM, failure.p, start_vertex, rng, max_rounds)
     und_informed = delayed.informed.copy()
-    und_counts = [1]
+    und_informing = np.where(und_informed, 0, -1)
+    und_t = 0
     dominated = True
     while True:
         moved = False
@@ -297,15 +298,15 @@ def _reference_coupled(lists, failure, start_vertex, schedule, rng, max_rounds=N
         und_round = next(und, None)  # None once complete or at max_rounds
         if und_round is not None:
             und_informed = und_round[0]
-            und_counts.append(int(und_informed.sum()))
+            und_t += 1
+            und_informing[und_informed & (und_informing < 0)] = und_t
             moved = True
         if np.any(delayed.informed & ~und_informed):
             dominated = False
         if not moved:
             break
     undelayed = TrialResult(
-        rounds=len(und_counts) - 1, completed=und_counts[-1] == n,
-        trajectory=np.array(und_counts, dtype=np.int64),
+        rounds=und_t, completed=bool(und_informed.all()), informing=und_informing,
     )
     return CoupledResult(delayed=delayed.result(), undelayed=undelayed, dominated=dominated)
 
@@ -355,7 +356,7 @@ def _send_window(r, schedule):
 def _assert_same_delayed(got, want):
     assert type(got.rounds) is int and got.rounds == want.rounds
     assert got.completed is want.completed
-    assert got.trajectory.tolist() == want.trajectory.tolist()
+    assert got.informing.tolist() == want.informing.tolist()
     assert got.phases == want.phases
 
 
@@ -372,8 +373,20 @@ class TestAgainstSteppedReference:
         _assert_same_delayed(got.delayed, want.delayed)
         assert type(got.undelayed.rounds) is int and got.undelayed.rounds == want.undelayed.rounds
         assert got.undelayed.completed is want.undelayed.completed
-        assert got.undelayed.trajectory.tolist() == want.undelayed.trajectory.tolist()
+        assert got.undelayed.informing.tolist() == want.undelayed.informing.tolist()
         assert got.dominated is want.dominated
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=delayed_cases().filter(lambda case: case["max_rounds"] is not None))
+    @example(case=dict(  # a stall whose delayed copy jumps past int64 beside its partner
+        lists=realize_lists(complete_graph(8), ListStrategy.CANONICAL),
+        failure=FailureModel(0.05), start_vertex=0,
+        schedule=[Phase(PhaseKind.LAZY, 1), Phase(PhaseKind.BUSY, 2**64)],
+        rng=TrialRandomness(0, 0), max_rounds=2**64 + 3,
+    ))
+    def test_coupled_delayed_copy_equals_run_delayed(self, case):
+        # the undelayed partner shares the batch but not the delayed copy's result
+        _assert_same_delayed(coupled_run(**case).delayed, run_delayed(**case))
 
     @settings(max_examples=200, deadline=None)
     @given(case=delayed_cases())
@@ -408,12 +421,12 @@ class TestAgainstSteppedReference:
         res = run_delayed(lists, fm, 0, sched, TrialRandomness(seed, 0))
         assert type(res.rounds) is int and res.rounds == 2**64 + 1
         assert not res.completed
-        assert (res.trajectory == 1).all()
+        assert _counts(res.informing, [0, 1, 2**63, 2**64 + 1]) == [1, 1, 1, 1]
         assert [(r.executed, r.informed_after, r.newly_after) for r in res.phases] == [
             (1, 1, 0), (2**64, 1, 0),
         ]
 
-    def test_coupled_stall_jumps_past_int64_with_a_capped_idle_tail(self):
+    def test_coupled_stall_jumps_past_int64(self):
         # the delayed copy stalls after its first lazy round and jumps to the
         # end of a busy phase past 2**63 once the undelayed copy completes
         lists = realize_lists(complete_graph(8), ListStrategy.CANONICAL)
@@ -423,16 +436,14 @@ class TestAgainstSteppedReference:
         delayed, undelayed = out.delayed, out.undelayed
         assert type(delayed.rounds) is int and delayed.rounds == 2**64 + 1
         assert delayed.completed is False
-        # 140 rounds ran beside the undelayed copy, then the idle tail is capped at 2**20
-        assert len(delayed.trajectory) == 140 + 2**20
-        assert (delayed.trajectory == 1).all()
+        # 140 rounds ran beside the undelayed copy, then the clock jumped to the cap
+        assert _counts(delayed.informing, [0, 139, 140, 2**63, 2**64 + 1]) == [1] * 5
         assert [(r.index, r.kind, r.length, r.executed, r.informed_after, r.newly_after)
                 for r in delayed.phases] == [
             (0, PhaseKind.LAZY, 1, 1, 1, 0), (1, PhaseKind.BUSY, 2**64, 2**64, 1, 0),
         ]
         assert (undelayed.rounds, undelayed.completed) == (139, True)
-        assert len(undelayed.trajectory) == 140
-        values, first = np.unique(undelayed.trajectory, return_index=True)
+        values, first = np.unique(_counts(undelayed.informing, range(140)), return_index=True)
         assert values.tolist() == [1, 2, 3, 4, 6, 7, 8]
         assert first.tolist() == [0, 6, 13, 56, 57, 93, 139]
 
