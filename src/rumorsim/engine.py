@@ -18,20 +18,23 @@ All randomness is addressed by (vertex, attempt ordinal), which is what makes
 delayed-schedule couplings exact (see phases).  It also lets run_batch advance
 many trials as one array step without changing a draw, and draw every list's
 first position up front; run is its one-trial case, and a sender policy
-restricts who transmits in it (the delayed variant).  step is the one round
-implementation: run_batch loops over it, and a caller that stops partway
-through a run (phases' growth sampling) steps an init_state itself.  A
-quasirandom row keeps its first list position and reads each slot from it and
-its attempt count; only a feedback row keeps a running cursor.  The loop looks
-for finished trials only after a step that informed a row, and after every
-step once the clock reaches the first trial's cap.  Once a trial is settled
-(no uninformed vertex has an uninformed neighbor), the senders that can still
-inform anyone are fixed and their draws follow from their addresses alone, so
-a step draws a block of rounds at once.  run_batch returns three arrays: each
-trial's rounds, whether it completed, and its informing record, the round in
-which each vertex was first informed (-1 for never).  Every result is built
-from them, and the informed count at any round, the coupling check and the
-delayed senders and phase records are all read from the informing record.
+restricts who transmits in it (the delayed variant).  An EngineState owns its
+run: init_state(lists, protocol, failure, starts, rngs, policy) checks the
+protocol once and keeps all four, so step(state, max_rounds), the one round
+implementation, reads them from the state.  run_batch loops over step, and a
+caller that stops partway through a run (phases' growth sampling) steps an
+init_state itself.  A quasirandom row keeps its first list position and reads
+each slot from it and its attempt count; only a feedback row keeps a running
+cursor.  The loop looks for finished trials only after a step that informed a
+row, and after every step once the clock reaches the first trial's cap, and
+EngineState.keep drops their rows.  Once a trial is settled (no uninformed
+vertex has an uninformed neighbor), the senders that can still inform anyone
+are fixed and their draws follow from their addresses alone, so a step draws a
+block of rounds at once.  run_batch returns three arrays: each trial's rounds,
+whether it completed, and its informing record, the round in which each vertex
+was first informed (-1 for never).  Every result is built from them, and the
+informed count at any round, the coupling check and the delayed senders and
+phase records are all read from the informing record.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -73,72 +76,55 @@ class FailureModel:
             raise ValueError(f"success probability must lie in (0, 1], got {self.p}")
 
 
-def _transmit(
-    rows: np.ndarray,
-    vertices: np.ndarray,
-    informed: np.ndarray,
-    cursor: np.ndarray,
-    attempts: np.ndarray,
-    lists: ListAssignment,
-    protocol: Protocol,
-    p: float,
-    keys: RowRandomness,
-    rounds: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """rounds transmissions per sender; returns the rows its deliveries newly
-    inform, and the index of the transmission that informs each.
+def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """rounds transmissions per sender row of state; returns the rows its
+    deliveries newly inform, and the index of the transmission that informs each.
 
-    rows index informed, cursor, attempts and the draws of keys; vertices are
-    the senders' vertex ids, and a sender's target u lies in its own trial's
-    block, at row u + (row - vertex).  Transmission j * len(rows) + i is the
-    j-th of sender i, and a delivery counts if its target was uninformed when
-    the call began, so the returned rows may repeat.  Mutates attempt
-    counters and feedback cursors, not informed.  Senders must all have
-    degree > 0 and, on lists, a cursor.
+    A sender's target u lies in its own trial's block, at row u + (row - vertex).
+    Transmission j * len(rows) + i is the j-th of sender i, and a delivery
+    counts if its target was uninformed when the call began, so the returned
+    rows may repeat.  Mutates attempt counters and feedback cursors, not
+    informed.  Senders must all have degree > 0 and, on lists, a cursor.
     """
+    s, lists, p = state, state.lists, state.p
     topo = lists.topology
     per_round = len(rows)
-    ordinals = attempts[rows]
-    attempts[rows] = ordinals + rounds
+    vertices = s.vertex[rows]
+    ordinals = s.attempts[rows]
+    s.attempts[rows] = ordinals + rounds
     if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
         ordinals = (ordinals + np.arange(rounds)[:, None]).ravel()
         rows, vertices = np.tile(rows, rounds), np.tile(vertices, rounds)
     degs = topo.degrees(vertices)
     delivered = None  # drawn for every sender only where the cursor needs it
 
-    if protocol is Protocol.FULLY_RANDOM:
-        idx = keys.target_indices(rows, ordinals, degs)
+    if s.protocol is Protocol.FULLY_RANDOM:
+        idx = s.keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
-    elif protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
-        positions = cursor[rows]
+    elif s.protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
+        positions = s.cursor[rows]
         positions += ordinals
         positions %= degs  # the lists are cyclic
         targets = lists.targets_at(vertices, positions)
     else:
-        positions = cursor[rows[:per_round]]
         moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
         if p < 1.0:
-            delivered = keys.coin_uniforms(rows, ordinals) < p
+            delivered = s.keys.coin_uniforms(rows, ordinals) < p
             moved = delivered.nonzero()[0]  # only a delivery can be acknowledged
-            moved = moved[keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
-        if rounds == 1:
-            targets = lists.targets_at(vertices, positions)
-            positions[moved] += 1
-            positions[positions == degs] = 0  # the lists are cyclic
-        else:  # a sender's cursor moves on its own coins only: a running sum
-            steps = np.zeros((rounds, per_round), dtype=np.int64)
-            steps.ravel()[moved] = 1
-            walked = steps.cumsum(axis=0) + positions
-            targets = lists.targets_at(vertices, (walked - steps).ravel() % degs)
-            positions = walked[-1] % topo.degrees(vertices[:per_round])
-        cursor[rows[:per_round]] = positions
+            moved = moved[s.keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
+        # a sender's cursor moves on its own coins only: a running sum
+        steps = np.zeros((rounds, per_round), dtype=np.int64)
+        steps.ravel()[moved] = 1
+        walked = steps.cumsum(axis=0) + s.cursor[rows[:per_round]]
+        targets = lists.targets_at(vertices, (walked - steps).ravel() % degs)
+        s.cursor[rows[:per_round]] = walked[-1] % topo.degrees(vertices[:per_round])
 
     target_rows = targets + (rows - vertices)
-    useful = (~informed[target_rows]).nonzero()[0]
+    useful = (~s.informed[target_rows]).nonzero()[0]
     if delivered is not None:
         useful = useful[delivered[useful]]
     elif p < 1.0 and len(useful):
-        useful = useful[keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
+        useful = useful[s.keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
     return target_rows[useful], useful
 
 
@@ -171,8 +157,8 @@ def run_batch(
     vertex is informed or max_rounds have elapsed, and its draws come only
     from its own rng, so the results do not depend on which other trials
     share the batch.  The loop is init_state, then step until every trial has
-    stopped; a finished trial's rows are dropped between steps.  Rounds may
-    lie past int64 (an object array) when max_rounds does.
+    stopped; EngineState.keep drops a finished trial's rows between steps.
+    Rounds may lie past int64 (an object array) when max_rounds does.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -193,7 +179,9 @@ def run_batch(
     send later.  A policy run takes one round a step: a boundary reactivates
     senders.
     """
-    s = init_state(lists, protocol, starts, rngs, policy)
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds: must be >= 0, got {max_rounds}")
+    s = init_state(lists, protocol, failure, starts, rngs, policy)
     n, trials = lists.topology.n, len(s.running)
     informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop
     # a trial that does not complete stops at its cap, which may lie past int64
@@ -211,15 +199,8 @@ def run_batch(
                 informing[s.running[stop]] = at[stop]
                 rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
                 completed[s.running[done]] = True
-                live = ~stop
-                rows = np.repeat(live, n)
-                s.informed, s.at, s.cursor, s.attempts = (
-                    s.informed[rows], s.at[rows], s.cursor[rows], s.attempts[rows]
-                )
-                s.may_send = None if s.may_send is None else s.may_send[rows]
-                s.running = s.running[live]
-                s.keys.keep(live)
-        if not len(s.running) or not step(s, lists, protocol, failure, max_rounds, policy):
+                s.keep(~stop)
+        if not len(s.running) or not step(s, max_rounds):
             break
     informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
     return rounds, completed, informing
@@ -227,10 +208,14 @@ def run_batch(
 
 @dataclass
 class EngineState:
-    """A batch of trials between rounds.  Trial running[b]'s vertex v is row
-    b*n + v; a finished trial's rows are dropped, which leaves vertex valid."""
+    """A batch of trials of one run between rounds: the lists, protocol,
+    success probability and sender policy it was built with, and its rows.
+    Trial running[b]'s vertex v is row b*n + v."""
 
-    t: int  # rounds run
+    lists: ListAssignment
+    protocol: Protocol
+    p: float
+    policy: object | None  # see run_batch
     informed: np.ndarray  # bool by row
     at: np.ndarray  # each row's informing round, -1 for never
     vertex: np.ndarray  # vertex of each row
@@ -238,27 +223,42 @@ class EngineState:
     # on, under quasirandom; its next one under feedback; unused by random targets
     cursor: np.ndarray
     attempts: np.ndarray  # transmissions each row has made, its rng ordinal
+    may_send: np.ndarray  # the policy's rows that may send until its next boundary
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
+    t: int = 0  # rounds run
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
-    may_send: np.ndarray | None = None  # the policy's rows that may send until then
     newly: bool = True  # whether the last step informed a row; round 0 informs the starts
 
     @property
     def informed_count(self) -> int:
         return int(np.count_nonzero(self.informed))
 
+    def keep(self, live: np.ndarray) -> None:
+        """Keep only the trials running[live]: their rows and their draws."""
+        n, kept = self.lists.topology.n, live.nonzero()[0]
+        self.informed, self.at, self.cursor, self.attempts, self.may_send = (
+            rows.reshape(-1, n).take(kept, axis=0).ravel()  # by trial: whole blocks at once
+            for rows in (self.informed, self.at, self.cursor, self.attempts, self.may_send)
+        )
+        self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
+        self.running = self.running[live]
+        self.keys.keep(live)
+
 
 def init_state(
     lists: ListAssignment,
     protocol: Protocol,
+    failure: FailureModel,
     starts: Sequence[int],
     rngs: Iterable[TrialRandomness],
     policy=None,
 ) -> EngineState:
     """Round 0 of one trial per (start vertex, rng) pair, with every row's
-    first list position drawn, whether or not its vertex ever sends."""
+    first list position drawn, whether or not its vertex ever sends.  protocol
+    may be a Protocol or its value; an unknown one raises ValueError."""
+    protocol = Protocol(protocol)
     n = lists.topology.n
     starts = np.asarray(starts, dtype=np.int64)
     bad = (starts < 0) | (starts >= n)
@@ -275,20 +275,15 @@ def init_state(
         degrees = np.maximum(lists.topology.degrees(vertex), 1)
         cursor = keys.initial_positions(np.arange(len(informed)), degrees)
     return EngineState(
-        t=0, informed=informed, at=np.where(informed, 0, -1), vertex=vertex, cursor=cursor,
-        attempts=np.zeros(len(informed), dtype=np.int64), keys=keys,
-        running=np.arange(len(starts)), boundary=None if policy is None else 0,
+        lists=lists, protocol=protocol, p=failure.p, policy=policy, informed=informed,
+        at=np.where(informed, 0, -1), vertex=vertex, cursor=cursor,
+        attempts=np.zeros(len(informed), dtype=np.int64),
+        may_send=np.ones(len(informed), dtype=bool),  # read only under a policy
+        keys=keys, running=np.arange(len(starts)), boundary=None if policy is None else 0,
     )
 
 
-def step(
-    state: EngineState,
-    lists: ListAssignment,
-    protocol: Protocol,
-    failure: FailureModel,
-    max_rounds: int,
-    policy=None,
-) -> bool:
+def step(state: EngineState, max_rounds: int) -> bool:
     """Run one round, or one settled block of rounds, of every trial in state.
 
     Every trial must have an uninformed vertex.  Returns False, and runs
@@ -296,11 +291,12 @@ def step(
     single round; run_batch describes blocks and policies.
     """
     s = state
-    senders = None if policy is not None else lists.topology.live_senders(s.informed)
+    topo = s.lists.topology
+    senders = None if s.policy is not None else topo.live_senders(s.informed)
     if s.t == s.boundary:
-        s.may_send, s.boundary = policy.senders(s.t, s.at, s.running)
+        s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
     if senders is None:
-        senders = (s.informed if policy is None else s.informed & s.may_send).nonzero()[0]
+        senders = (s.informed if s.policy is None else s.informed & s.may_send).nonzero()[0]
         if not len(senders):
             return False
         block = 1
@@ -309,16 +305,13 @@ def step(
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
             # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
             left = (len(s.informed) - np.count_nonzero(s.informed)) / len(s.running)
-            deg = int(np.max(lists.topology.degrees(s.vertex[senders])))
-            harmonic = 1.0 + math.log(left) if protocol is Protocol.FULLY_RANDOM else 1.0
-            tail = len(s.running) * deg * harmonic / failure.p
+            deg = int(np.max(topo.degrees(s.vertex[senders])))
+            harmonic = 1.0 + math.log(left) if s.protocol is Protocol.FULLY_RANDOM else 1.0
+            tail = len(s.running) * deg * harmonic / s.p
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
         block = max(1, min(s.width // len(senders), max_rounds - s.t))
         s.width = min(2 * s.width, _BLOCK_CELLS)
-    new_rows, hit = _transmit(
-        senders, s.vertex[senders], s.informed, s.cursor, s.attempts,
-        lists, protocol, failure.p, s.keys, block,
-    )
+    new_rows, hit = _transmit(s, senders, block)
     s.at[new_rows] = s.t + block  # the block's last round, which no first hit lies after
     if block > 1:  # a vertex is informed in the round of its first hit
         np.minimum.at(s.at, new_rows, s.t + 1 + hit // len(senders))

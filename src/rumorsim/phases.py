@@ -20,8 +20,9 @@ active set never shrinks within its phase and an empty one informs no one, so
 once no row may send, every trial stops at its last round, which may lie past
 int64.  Their results are built from run_batch's three arrays: a
 DelayedResult is a TrialResult (rounds, completion and informing record) plus
-the trial's phase records.  Growth sampling steps the same engine state
-itself, as it stops partway through a run.
+the trial's phase records.  Growth sampling builds the same engine state with
+init_state(lists, Protocol.QUASIRANDOM, failure, ...) and steps it itself with
+step(state, max_rounds), as it stops partway through a run.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class Phase:
     length: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, PhaseKind):  # a value runs as its member
+            object.__setattr__(self, "kind", PhaseKind(self.kind))
         if self.length < 0:
             raise ValueError(f"phase length must be >= 0, got {self.length}")
 
@@ -261,13 +264,16 @@ def busy_growth_sample(
     informing rounds, so a step that runs a block of rounds counts each round
     of it, and a window that reaches the completion round ends there.
     """
-    state = init_state(lists, Protocol.QUASIRANDOM, [start_vertex], [rng])
+    for name, value in (("k", k), ("max_warmup", max_warmup)):
+        if value < 0:
+            raise ValueError(f"{name}: must be >= 0, got {value}")
+    state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng])
     while True:  # N_t is the number of rows informed in round t
         newly = np.bincount(state.at[state.at >= 0], minlength=state.t + 1)[1:max_warmup + 1]
         hits = (newly >= min_newly).nonzero()[0]
         if len(hits) or state.t >= max_warmup or state.informed.all():
             break
-        step(state, lists, Protocol.QUASIRANDOM, failure, max_warmup)
+        step(state, max_warmup)
     if not len(hits):
         return None
     start = int(hits[0]) + 1
@@ -276,7 +282,7 @@ def busy_growth_sample(
         return None
     end = start + k
     while state.t < end and not state.informed.all():
-        step(state, lists, Protocol.QUASIRANDOM, failure, end)
+        step(state, end)
     if state.informed.all():  # no round after the completion round runs
         end = min(end, int(state.at.max()))
     return GrowthSample(

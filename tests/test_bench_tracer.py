@@ -39,7 +39,7 @@ def test_tracer_wraps_existing_names_and_reads_the_engine_state():
     lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
     fm = FailureModel(0.5)
 
-    state = init_state(lists, Protocol.QUASIRANDOM, [0], [TrialRandomness(1, 0)])
+    state = init_state(lists, Protocol.QUASIRANDOM, fm, [0], [TrialRandomness(1, 0)])
     for _, owner, attr, before, after in targets:
         if owner is engine and attr == "step":  # the hooks read the state argument
             pre = before((state,)) if before is not None else None

@@ -57,7 +57,7 @@ class _Masks:
 def test_init_state():
     lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
     rng = TrialRandomness(0, 0)
-    s = init_state(lists, Protocol.QUASIRANDOM, [3], [rng])
+    s = init_state(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [3], [rng])
     assert s.t == 0
     assert s.informed_count == 1
     assert s.informed[3] and s.at.tolist() == [-1, -1, -1, 0, -1]
@@ -66,14 +66,14 @@ def test_init_state():
     assert (s.attempts == 0).all()
     with pytest.raises(ValueError):
         init_state(realize_lists(complete_graph(4), ListStrategy.CANONICAL),
-                   Protocol.QUASIRANDOM, [4], [rng])
+                   Protocol.QUASIRANDOM, FailureModel(1.0), [4], [rng])
 
 
 def test_init_state_keeps_no_first_stage_of_the_initial_positions():
     # every row draws its first position once, so that stage is not cached
     lists = realize_lists(complete_graph(7), ListStrategy.RANDOM, seed=3)
     rngs = [TrialRandomness(4, t) for t in range(3)]
-    s = init_state(lists, Protocol.QUASIRANDOM, [0, 5, 2], rngs)
+    s = init_state(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 5, 2], rngs)
     assert rng_module.PURPOSE_INITIAL not in s.keys._first
     expected = [rng.initial_positions(np.arange(7), np.full(7, 6)) for rng in rngs]
     assert np.array_equal(s.cursor, np.concatenate(expected))
@@ -104,11 +104,11 @@ def test_monotone_growth_and_doubling_cap(protocol):
     fm = FailureModel(0.7)
     for seed in range(10):
         rng = TrialRandomness(seed, 0)
-        s = init_state(lists, protocol, [0], [rng])
+        s = init_state(lists, protocol, fm, [0], [rng])
         prev = s.informed.copy()
         while s.informed_count < 40 and s.t < 200:
             before = s.informed_count
-            step(s, lists, protocol, fm, 200)
+            step(s, 200)
             assert (s.informed | prev).sum() == s.informed.sum()  # never shrinks
             assert s.informed_count <= 2 * before
             assert np.array_equal(s.at >= 0, s.informed) and s.at.max() <= s.t
@@ -135,10 +135,10 @@ def test_three_vertices_quasirandom_two_rounds_all_assignments():
         lists = realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows=rows)
         for seed in range(20):  # covers both initial choices many times over
             rng = TrialRandomness(seed, 0)
-            s = init_state(lists, Protocol.QUASIRANDOM, [0], [rng])
-            step(s, lists, Protocol.QUASIRANDOM, fm, 2)
+            s = init_state(lists, Protocol.QUASIRANDOM, fm, [0], [rng])
+            step(s, 2)
             assert s.informed_count == 2
-            step(s, lists, Protocol.QUASIRANDOM, fm, 2)
+            step(s, 2)
             assert s.informed_count == 3 and s.t == 2
 
 
@@ -177,14 +177,48 @@ def test_batch_rejects_bad_inputs():
         run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 1, 2], rngs, 10)
 
 
+def test_negative_max_rounds_raises():
+    lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
+    fm, rng = FailureModel(1.0), TrialRandomness(0, 0)
+    with pytest.raises(ValueError, match="max_rounds"):
+        run(lists, Protocol.QUASIRANDOM, fm, 0, rng, -5)
+    with pytest.raises(ValueError, match="max_rounds"):
+        run_batch(lists, Protocol.QUASIRANDOM, fm, [0], [rng], -1)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_protocol_given_as_its_value_runs_as_the_member(protocol):
+    lists = realize_lists(complete_graph(32), ListStrategy.RANDOM, seed=5)
+    fm = FailureModel(0.6)
+    by_value = run(lists, protocol.value, fm, 3, TrialRandomness(11, 0), 500)
+    by_member = run(lists, protocol, fm, 3, TrialRandomness(11, 0), 500)
+    assert (by_value.rounds, by_value.completed) == (by_member.rounds, by_member.completed)
+    assert np.array_equal(by_value.informing, by_member.informing)
+    rngs = [TrialRandomness(11, t) for t in range(4)]
+    for a, b in zip(run_batch(lists, protocol.value, fm, [0, 1, 2, 3], rngs, 500),
+                    run_batch(lists, protocol, fm, [0, 1, 2, 3], rngs, 500)):
+        assert np.array_equal(a, b)
+    for other in set(Protocol) - {protocol}:  # so a value run as another protocol fails
+        res = run(lists, other, fm, 3, TrialRandomness(11, 0), 500)
+        assert not np.array_equal(by_value.informing, res.informing)
+
+
+def test_an_unknown_protocol_raises():
+    lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
+    with pytest.raises(ValueError, match="bogus"):
+        run(lists, "bogus", FailureModel(1.0), 0, TrialRandomness(0, 0), 10)
+    with pytest.raises(ValueError, match="bogus"):
+        run_batch(lists, "bogus", FailureModel(1.0), [0], [TrialRandomness(0, 0)], 10)
+
+
 def test_quasirandom_cursor_walks_cyclically():
     lists = realize_lists(complete_graph(24), ListStrategy.CANONICAL)
     fm = FailureModel(0.4)  # failures must not stall the cursor
     rng = TrialRandomness(3, 0)
-    s = init_state(lists, Protocol.QUASIRANDOM, [2], [rng])
+    s = init_state(lists, Protocol.QUASIRANDOM, fm, [2], [rng])
     prev = int(s.cursor[2])  # drawn up front; the next slot is (first + attempts) % 23
     for _ in range(12):
-        step(s, lists, Protocol.QUASIRANDOM, fm, 12)
+        step(s, 12)
         if s.informed_count == 24:
             break
         cur = int(s.cursor[2] + s.attempts[2]) % 23
@@ -198,13 +232,13 @@ def test_feedback_retry_advances_only_on_double_success():
     fm = FailureModel(0.5)
     rng = TrialRandomness(8, 0)
     policy = _Masks()  # one round a step, also once the trial is settled
-    s = init_state(lists, Protocol.FEEDBACK_RETRY, [1], [rng], policy)
+    s = init_state(lists, Protocol.FEEDBACK_RETRY, fm, [1], [rng], policy)
     moves = []
     prev = int(s.cursor[1])
     for _ in range(40):
         if s.informed_count == 6:
             break
-        step(s, lists, Protocol.FEEDBACK_RETRY, fm, 40, policy)
+        step(s, 40)
         cur = int(s.cursor[1])
         moves.append((cur - prev) % 5)
         prev = cur
@@ -221,7 +255,7 @@ def test_feedback_distinct_targets_follow_cyclic_order():
     fm = FailureModel(p)
     rng = TrialRandomness(4, 0)
     policy = _Masks()  # one round a step, also once the trial is settled
-    s = init_state(lists, Protocol.FEEDBACK_RETRY, [0], [rng], policy)
+    s = init_state(lists, Protocol.FEEDBACK_RETRY, fm, [0], [rng], policy)
     row = lists.row(0).tolist()
     d = len(row)
     v = np.array([0])
@@ -235,7 +269,7 @@ def test_feedback_distinct_targets_follow_cyclic_order():
         o = np.array([j])
         advanced = (rng.coin_uniforms(v, o)[0] < p) and (rng.feedback_uniforms(v, o)[0] < p)
         pos = (pos + int(advanced)) % d
-        step(s, lists, Protocol.FEEDBACK_RETRY, fm, 60, policy)
+        step(s, 60)
         assert int(s.cursor[0]) == pos  # engine agrees with the reconstruction
 
     deduped = [t for i, t in enumerate(attempted) if i == 0 or t != attempted[i - 1]]
@@ -248,8 +282,8 @@ def test_star_leaf_start_round_one_always_reaches_center():
     lists = realize_lists(star_graph(12), ListStrategy.CANONICAL)
     fm = FailureModel(1.0)
     for seed in range(100):
-        s = init_state(lists, Protocol.FULLY_RANDOM, [7], [TrialRandomness(seed, 0)])
-        step(s, lists, Protocol.FULLY_RANDOM, fm, 1)
+        s = init_state(lists, Protocol.FULLY_RANDOM, fm, [7], [TrialRandomness(seed, 0)])
+        step(s, 1)
         assert s.t == 1 and s.informed[0]
 
 
@@ -362,13 +396,13 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
     masks = np.random.default_rng(mask_seed).random((max_rounds, n)) < 0.6
     start, rng = case["starts"][0], rngs[0]
     policy = _Masks(masks)
-    state = init_state(lists, protocol, [start], [rng], policy)
+    state = init_state(lists, protocol, fm, [start], [rng], policy)
     first = state.cursor.copy()  # the reference draws a first position at the first send
     for t, (informed, cursor, attempts) in enumerate(
         _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks)
     ):
         before = state.informed.copy()
-        if not step(state, lists, protocol, fm, max_rounds, policy):
+        if not step(state, max_rounds):
             state.t += 1  # no row may send: the round runs nothing
         assert state.t == t + 1
         assert np.array_equal(state.informed, informed)
@@ -439,7 +473,7 @@ def test_trial_completes_inside_a_block_while_another_runs_on():
     ends = np.cumsum(sizes)  # no policy, so no round is skipped
     block = int(np.searchsorted(ends, 94))
     assert ends[block] - sizes[block] < 94 < ends[block]  # trial 0 ends inside a block
-    assert len(spy.call_args_list[block].args[0]) == 2  # in which both centers send
+    assert len(spy.call_args_list[block].args[1]) == 2  # in which both centers send
     res = _assert_runs_equal_reference(lists, Protocol.FULLY_RANDOM, 1.0, [0, 0], 6, 1000)
     assert [(r.rounds, r.completed) for r in res] == [(94, True), (164, True)]
 
@@ -500,7 +534,7 @@ def test_every_block_draws_at_most_block_cells(case, cells):
             mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
         run_batch(lists, protocol, fm, case["starts"], rngs, case["max_rounds"])
     for call in spy.call_args_list:
-        senders, block = call.args[0], call.args[-1]
+        senders, block = call.args[1], call.args[-1]
         assert block == 1 or len(senders) * block <= cells
 
 

@@ -55,6 +55,20 @@ class TestScheduleFormat:
         with pytest.raises(ValueError):
             parse_schedule("busy,-1\n")
 
+    def test_a_kind_given_as_its_value_runs_as_the_member(self):
+        assert Phase("busy", 40) == Phase(PhaseKind.BUSY, 40)
+        assert Phase("busy", 40).kind is PhaseKind.BUSY
+        lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
+        fm = FailureModel(1.0)
+        by_value = run_delayed(lists, fm, 0, [Phase("busy", 40)], TrialRandomness(0, 0))
+        by_member = run_delayed(lists, fm, 0, [Phase(PhaseKind.BUSY, 40)], TrialRandomness(0, 0))
+        assert (by_value.rounds, by_value.completed) == (by_member.rounds, by_member.completed)
+        assert by_value.completed and by_value.rounds < 40  # a lazy phase would not complete
+        assert np.array_equal(by_value.informing, by_member.informing)
+        assert by_value.phases == by_member.phases
+        with pytest.raises(ValueError, match="bogus"):
+            Phase("bogus", 40)
+
 
 class TestRunDelayed:
     def test_empty_and_zero_length_phases_do_nothing(self):
@@ -140,6 +154,13 @@ class TestRunDelayed:
             TrialRandomness(0, 0), max_rounds=2,
         )
         assert res.rounds == 2 and not res.completed
+
+    def test_negative_max_rounds_raises(self):
+        lists = realize_lists(complete_graph(8), ListStrategy.CANONICAL)
+        sched = [Phase(PhaseKind.BUSY, 10)]
+        for entry in (run_delayed, coupled_run):
+            with pytest.raises(ValueError, match="max_rounds"):
+                entry(lists, FailureModel(1.0), 0, sched, TrialRandomness(0, 0), max_rounds=-5)
 
 
 class TestCoupling:
@@ -465,6 +486,14 @@ class TestBusyGrowth:
             lists, FailureModel(1.0), TrialRandomness(1, 0), k=3, min_newly=50, max_informed=16
         )
         assert sample is None
+
+    @pytest.mark.parametrize("name, value", [("k", -2), ("max_warmup", -1)])
+    def test_negative_window_or_warmup_raises(self, name, value):
+        lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
+        args = dict(k=3, min_newly=2, max_informed=64, max_warmup=500)
+        args[name] = value
+        with pytest.raises(ValueError, match=name):
+            busy_growth_sample(lists, FailureModel(1.0), TrialRandomness(1, 0), **args)
 
     # (graph, n, lists, p, k, min_newly, max_informed, start, seed, max_warmup)
     # -> (start_round, start_newly, start_informed, end_newly), or None
