@@ -24,7 +24,7 @@ from .harness import (
 )
 from .engine import Protocol
 from .phases import upper_bound_schedule
-from .topology import _read_lines
+from .topology import _read_lines, _write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,8 +135,7 @@ def _cmd_oracle(args) -> int:
     lines.append(f"tail,{dist.tail:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds
 from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
 from .rng import TrialRandomness
-from .topology import ListAssignment, _read_lines
+from .topology import ListAssignment, _read_lines, _write_text
 
 
 class PhaseKind(str, Enum):
@@ -228,8 +228,7 @@ def load_schedule(path: str) -> list[Phase]:
 
 
 def save_schedule(schedule: list[Phase], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(schedule_text(schedule))
+    _write_text(path, schedule_text(schedule))
 
 
 @dataclass(frozen=True)

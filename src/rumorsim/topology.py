@@ -22,6 +22,8 @@ as tests/test_rng.py checks.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +55,8 @@ class Topology:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, GraphKind):  # a value runs as its member
+            object.__setattr__(self, "kind", GraphKind(self.kind))
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n={self.n}")
         if self.kind is GraphKind.STAR and self.n < 3:
@@ -134,7 +138,7 @@ class ListAssignment:
         table: np.ndarray | None = None,
     ):
         self.topology = topology
-        self.strategy = strategy
+        self.strategy = strategy if isinstance(strategy, ListStrategy) else ListStrategy(strategy)
         self.seed = seed
         self._table = table
 
@@ -189,6 +193,8 @@ def realize_lists(
     takes caller rows, validated to be permutations of the true neighbor sets.
     Both tables are stored as np.min_scalar_type(n - 1).
     """
+    if not isinstance(strategy, ListStrategy):  # a value runs as its member
+        strategy = ListStrategy(strategy)
     if strategy in (ListStrategy.CANONICAL, ListStrategy.REVERSED):
         if explicit_rows is not None:
             raise ValueError("explicit_rows only makes sense with the explicit strategy")
@@ -236,6 +242,30 @@ def _read_lines(path: str) -> list[str]:
             return fh.readlines()
         except UnicodeDecodeError as exc:  # name the file that does not decode
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text over path in place; every output file is written here.
+
+    The file is opened without O_TRUNC, written from its first byte and then,
+    if it is a regular file, cut to the new length: truncating an existing
+    file to zero on open frees its blocks and, on ext4, starts writeback when
+    it is closed, which costs more than a small rewrite.  A path that is not
+    a regular file (/dev/null, /dev/stdout, a pipe) is written without
+    truncation, which such a file would refuse.  The mode and umask apply as
+    with open(path, "w"), and the bytes are the text's UTF-8 encoding with
+    its newlines as given.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:  # os.write may write less than it is given
+            data = data[os.write(fd, data):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:

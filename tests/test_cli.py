@@ -75,6 +75,13 @@ class TestSim:
         assert d["completion_rate"] == 0.0
         assert [d[k] for k in ("min", "mean", "median", "p95", "max")] == [None] * 5
 
+    def test_device_outputs_keep_stdout(self, capsys):
+        argv = ("sim", "--n", "9", "--p", "0.6", "--trials", "20", "--seed", "5")
+        assert run_cli(*argv) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(*argv, "--out", os.devnull, "--summary", os.devnull) == 0
+        assert capsys.readouterr().out == plain
+
 
 class _Built(Exception):
     """Raised by the stand-in run_experiment to hand the parsed config back."""
@@ -220,6 +227,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: n: ") and "Traceback" not in err
 
+    def test_directory_as_output_is_two_and_names_it(self, tmp_path, capsys):
+        code = run_cli("sim", "--n", "4", "--p", "1.0", "--trials", "1", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and str(tmp_path) in err
+
     def test_unwritable_output_is_two(self, capsys):
         code = run_cli(
             "sim", "--n", "4", "--p", "1.0", "--trials", "1",
@@ -331,6 +344,17 @@ class TestOracle:
         rows = dict(line.split(",") for line in path.read_text().splitlines()[1:])
         assert float(rows["2"]) == pytest.approx(1 / 3)
         assert float(rows["3"]) == pytest.approx(2 / 3)
+
+    def test_out_over_a_longer_file_equals_stdout(self, tmp_path, capsys, monkeypatch):
+        argv = ("oracle", "--protocol", "random", "--n", "4", "--p", "0.6", "--horizon", "6")
+        assert run_cli(*argv) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / "o.csv"
+        path.write_text("9,0.5\n" * 500)
+        real = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:7])))
+        assert run_cli(*argv, "--out", str(path)) == 0
+        assert path.read_text() == text
 
     def test_out_of_range_is_one(self, capsys):
         code = run_cli(

@@ -331,3 +331,14 @@ def run_case(argv, directory, capsys, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_digests(case, tmp_path, capsys, monkeypatch):
     assert run_case(CASES[case], tmp_path, capsys, monkeypatch) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_overwritten_outputs_keep_the_digests(case, tmp_path, capsys, monkeypatch):
+    """A re-run over longer files leaves exactly its own bytes in them."""
+    assert run_case(CASES[case], tmp_path, capsys, monkeypatch) == GOLDEN[case]
+    for name in OUTPUTS:
+        path = tmp_path / name
+        if path.exists():
+            path.write_bytes(b"junk,\n" * (path.stat().st_size // 6 + 64))
+    assert run_case(CASES[case], tmp_path, capsys, monkeypatch) == GOLDEN[case]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -301,3 +302,39 @@ class TestDelayedThroughHarness:
         assert len(res.phase_records) == 3
         for phases in res.phase_records:
             assert phases[0].kind.value == "busy"
+
+
+class TestWriters:
+    RECORDS = [TrialRecord(0, 2, 11, True), TrialRecord(1, 0, 40, False)]
+    CSV = b"trial,start_vertex,rounds,completed\n0,2,11,true\n1,0,40,false\n"
+    PAYLOAD = {"b": [1, 2.5], "a": float("nan")}
+    JSON = b'{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+    def write_both(self, tmp_path):
+        write_records_csv(self.RECORDS, str(tmp_path / "r.csv"))
+        harness.write_json(self.PAYLOAD, str(tmp_path / "s.json"))
+        return (tmp_path / "r.csv").read_bytes(), (tmp_path / "s.json").read_bytes()
+
+    def test_a_longer_file_is_cut_to_the_new_bytes(self, tmp_path):
+        for name in ("r.csv", "s.json"):
+            (tmp_path / name).write_bytes(b"old junk line\n" * 100)
+        inode = (tmp_path / "r.csv").stat().st_ino
+        assert self.write_both(tmp_path) == (self.CSV, self.JSON)
+        assert (tmp_path / "r.csv").stat().st_ino == inode  # written in place
+
+    def test_a_new_file_takes_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            self.write_both(tmp_path)
+        finally:
+            os.umask(old)
+        assert (tmp_path / "r.csv").stat().st_mode & 0o777 == 0o640
+
+    def test_short_writes_deliver_the_whole_text(self, tmp_path, monkeypatch):
+        real = os.write  # at most 7 bytes a call
+        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:7])))
+        assert self.write_both(tmp_path) == (self.CSV, self.JSON)
+
+    def test_a_device_is_written_without_truncation(self):
+        write_records_csv(self.RECORDS, os.devnull)
+        harness.write_json(self.PAYLOAD, os.devnull)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from rumorsim import (
     complete_graph,
     coupled_run,
     default_max_rounds,
+    load_schedule,
     parse_schedule,
     realize_lists,
     run,
     run_delayed,
+    save_schedule,
     schedule_constants,
     schedule_text,
     star_graph,
@@ -40,6 +43,21 @@ class TestScheduleFormat:
     def test_roundtrip(self):
         sched = [Phase(PhaseKind.LAZY, 3), Phase(PhaseKind.BUSY, 0), Phase(PhaseKind.BUSY, 12)]
         assert parse_schedule(schedule_text(sched)) == sched
+
+    def test_save_over_a_longer_file_leaves_the_new_bytes(self, tmp_path):
+        sched = [Phase(PhaseKind.LAZY, 3), Phase(PhaseKind.BUSY, 12)]
+        path = tmp_path / "sched.txt"
+        path.write_text("busy,99\n" * 50)
+        save_schedule(sched, str(path))
+        assert path.read_bytes() == b"lazy,3\nbusy,12\n"
+        assert load_schedule(str(path)) == sched
+
+    def test_save_with_short_writes_writes_the_whole_text(self, tmp_path, monkeypatch):
+        real = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:7])))
+        sched = [Phase(PhaseKind.BUSY, 100 + i) for i in range(20)]
+        save_schedule(sched, str(tmp_path / "sched.txt"))
+        assert (tmp_path / "sched.txt").read_text() == schedule_text(sched)
 
     def test_parse_ignores_comments_and_blanks(self):
         text = "# warmup\nlazy, 2\n\nbusy,4\n"

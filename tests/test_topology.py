@@ -94,6 +94,16 @@ class TestTopology:
         assert star_graph(5).degree(0) == 4
         assert star_graph(5).degree(3) == 1
 
+    def test_a_kind_given_as_its_value_runs_as_the_member(self):
+        topo = Topology("complete", 5)
+        assert topo.kind is GraphKind.COMPLETE and topo == complete_graph(5)
+        assert np.all(topo.degrees(np.arange(5)) == 4)  # not a star's [4, 1, 1, 1, 1]
+        assert Topology("star", 5).degrees(np.arange(5)).tolist() == [4, 1, 1, 1, 1]
+
+    def test_an_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="bogus"):
+            Topology("bogus", 5)
+
     def test_live_senders_once_every_trial_is_settled(self):
         # two trials of n = 4 rows; settled means no uninformed vertex has an
         # uninformed neighbor, and then the rows that can still inform one
@@ -154,6 +164,21 @@ class TestListAssignment:
         assert [canon.row(v).tolist() for v in range(3)] == [[1, 2], [0, 2], [0, 1]]
         rev = realize_lists(topo, ListStrategy.REVERSED)
         assert [rev.row(v).tolist() for v in range(3)] == [[2, 1], [2, 0], [1, 0]]
+
+    @pytest.mark.parametrize("strategy", list(ListStrategy)[:3])
+    @pytest.mark.parametrize("graph", [complete_graph, star_graph])
+    def test_a_strategy_given_as_its_value_runs_as_the_member(self, strategy, graph):
+        topo = graph(6)
+        by_value = realize_lists(topo, strategy.value, seed=4)
+        by_member = realize_lists(topo, strategy, seed=4)
+        assert by_value.strategy is strategy
+        vertices = np.repeat(np.arange(6), 5)
+        positions = np.tile(np.arange(5), 6) % topo.degrees(vertices)
+        assert np.array_equal(
+            by_value.targets_at(vertices, positions), by_member.targets_at(vertices, positions)
+        )
+        with pytest.raises(ValueError, match="bogus"):
+            realize_lists(topo, "bogus")
 
     @pytest.mark.parametrize("strategy", list(ListStrategy)[:3])
     def test_rows_are_neighbor_permutations(self, strategy):
