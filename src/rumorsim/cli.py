@@ -24,7 +24,7 @@ from .harness import (
 )
 from .engine import Protocol
 from .phases import upper_bound_schedule
-from .topology import _read_lines, _write_text
+from .topology import _open_output, _read_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +135,8 @@ def _cmd_oracle(args) -> int:
     lines.append(f"tail,{dist.tail:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        with _open_output(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -3,9 +3,9 @@
 Everything an experiment produces is a pure function of its config, master
 seed included: trial i draws from the RNG address (seed, i) no matter when
 or in what order it runs, and output files are written with fixed formats so
-re-runs are byte-identical.  Each file is built in memory and written over
-its path in place, then cut to its new length; a path that is not a regular
-file (/dev/null, /dev/stdout) is written without truncation.
+re-runs are byte-identical.  Each file is written over its path in place
+and, if the old file was longer, cut to its new length; a path that is not a
+regular file (/dev/null, /dev/stdout) is written without truncation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .topology import (
     ListAssignment,
     ListStrategy,
     Topology,
-    _write_text,
+    _open_output,
     load_lists_file,
     realize_lists,
 )
@@ -265,10 +265,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
-    rows = "".join(
-        [f"{r.trial},{r.start_vertex},{r.rounds},{str(r.completed).lower()}\n" for r in records]
-    )
-    _write_text(path, "trial,start_vertex,rounds,completed\n" + rows)
+    with _open_output(path) as fh:
+        fh.write("trial,start_vertex,rounds,completed\n")
+        for r in records:
+            fh.write(f"{r.trial},{r.start_vertex},{r.rounds},{str(r.completed).lower()}\n")
 
 
 def _null_for_nan(value):
@@ -283,8 +283,9 @@ def _null_for_nan(value):
 
 
 def write_json(payload: dict, path: str) -> None:
-    text = json.dumps(_null_for_nan(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    with _open_output(path) as fh:
+        json.dump(_null_for_nan(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 @dataclass

@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds
 from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
 from .rng import TrialRandomness
-from .topology import ListAssignment, _read_lines, _write_text
+from .topology import ListAssignment, _open_output, _read_lines
 
 
 class PhaseKind(str, Enum):
@@ -228,7 +228,8 @@ def load_schedule(path: str) -> list[Phase]:
 
 
 def save_schedule(schedule: list[Phase], path: str) -> None:
-    _write_text(path, schedule_text(schedule))
+    with _open_output(path) as fh:
+        fh.write(schedule_text(schedule))
 
 
 @dataclass(frozen=True)

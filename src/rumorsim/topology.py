@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -244,28 +245,26 @@ def _read_lines(path: str) -> list[str]:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text over path in place; every output file is written here.
+@contextmanager
+def _open_output(path: str):
+    """Open path for writing text in place; every output file is opened here.
 
-    The file is opened without O_TRUNC, written from its first byte and then,
-    if it is a regular file, cut to the new length: truncating an existing
-    file to zero on open frees its blocks and, on ext4, starts writeback when
-    it is closed, which costs more than a small rewrite.  A path that is not
-    a regular file (/dev/null, /dev/stdout, a pipe) is written without
-    truncation, which such a file would refuse.  The mode and umask apply as
-    with open(path, "w"), and the bytes are the text's UTF-8 encoding with
-    its newlines as given.
+    Unlike open(path, "w"), the open does not truncate: the text is written
+    from the file's first byte and, when the block ends without an error, a
+    regular file left longer than the text is cut to its length.  Truncating a
+    file to zero on open frees its blocks and, on ext4 (auto_da_alloc), starts
+    writeback when it is closed, which costs more than rewriting a small file;
+    a truncate that frees nothing is skipped, since ext4 charges one even
+    then.  A path that is not a regular file (/dev/null, /dev/stdout, a pipe)
+    is written without truncation, which such a file would refuse.  The mode
+    and umask apply as with open(path, "w"), and newlines are written as given.
     """
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        size = len(data)
-        while data:  # os.write may write less than it is given
-            data = data[os.write(fd, data):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, size)
-    finally:
-        os.close(fd)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        yield fh
+        fh.flush()
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > fh.tell():
+            fh.truncate()
 
 
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:

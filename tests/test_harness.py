@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -330,10 +331,17 @@ class TestWriters:
             os.umask(old)
         assert (tmp_path / "r.csv").stat().st_mode & 0o777 == 0o640
 
-    def test_short_writes_deliver_the_whole_text(self, tmp_path, monkeypatch):
-        real = os.write  # at most 7 bytes a call
-        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:7])))
-        assert self.write_both(tmp_path) == (self.CSV, self.JSON)
+    def test_records_are_streamed_not_held_as_one_text(self, tmp_path):
+        records = [TrialRecord(i, i % 97, 1000 + i % 5000, True) for i in range(50_000)]
+        tracemalloc.start()
+        try:
+            write_records_csv(records, str(tmp_path / "r.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "r.csv").stat().st_size
+        assert size > 500_000 and peak < size // 8  # a few buffers, not the whole CSV
+        assert (tmp_path / "r.csv").read_text().splitlines()[-1] == "49999,44,5999,true"
 
     def test_a_device_is_written_without_truncation(self):
         write_records_csv(self.RECORDS, os.devnull)

