@@ -80,22 +80,23 @@ def slowdown_factor(p: float) -> float:
     return (1.0 / (math.log1p(p) / _LN2) + _LN2 / p) / (1.0 + _LN2)
 
 
-def chernoff_lower(expectation: float, delta: float) -> float:
-    """P(X <= (1-delta) E[X]) <= exp(-delta^2 E[X] / 2) for binomial-like X."""
+def _chernoff(expectation: float, delta: float, denominator: float) -> float:
+    """exp(-delta^2 E[X] / denominator), with the arguments of both tails checked."""
     if not expectation >= 0:  # NaN fails every comparison
         raise ValueError(f"expectation must be >= 0, got {expectation}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return math.exp(-delta * delta * expectation / 2.0)
+    return math.exp(-delta * delta * expectation / denominator)
+
+
+def chernoff_lower(expectation: float, delta: float) -> float:
+    """P(X <= (1-delta) E[X]) <= exp(-delta^2 E[X] / 2) for binomial-like X."""
+    return _chernoff(expectation, delta, 2.0)
 
 
 def chernoff_upper(expectation: float, delta: float) -> float:
     """P(X >= (1+delta) E[X]) <= exp(-delta^2 E[X] / 3) for binomial-like X."""
-    if not expectation >= 0:  # NaN fails every comparison
-        raise ValueError(f"expectation must be >= 0, got {expectation}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return math.exp(-delta * delta * expectation / 3.0)
+    return _chernoff(expectation, delta, 3.0)
 
 
 def azuma_bound(t: float, effect_bounds) -> float:

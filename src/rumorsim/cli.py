@@ -24,7 +24,7 @@ from .harness import (
 )
 from .engine import Protocol
 from .phases import upper_bound_schedule
-from .topology import _open_output, _read_lines
+from .topology import _content_lines, _open_output, _read_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,10 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _content_lines(_read_lines(path)):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")

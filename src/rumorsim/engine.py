@@ -55,6 +55,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import _check_p
 from .rng import RowRandomness, TrialRandomness
 from .topology import ListAssignment
 
@@ -72,8 +73,13 @@ class FailureModel:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"success probability must lie in (0, 1], got {self.p}")
+        _check_p(self.p)
+
+
+def _check_integer(name: str, value) -> None:
+    """A Python or numpy integer, not a bool, passes; a float would be truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
 def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +185,7 @@ def run_batch(
     send later.  A policy run takes one round a step: a boundary reactivates
     senders.
     """
+    _check_integer("max_rounds", max_rounds)
     if max_rounds < 0:
         raise ValueError(f"max_rounds: must be >= 0, got {max_rounds}")
     s = init_state(lists, protocol, failure, starts, rngs, policy)
@@ -260,7 +267,10 @@ def init_state(
     may be a Protocol or its value; an unknown one raises ValueError."""
     protocol = Protocol(protocol)
     n = lists.topology.n
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.asarray(starts)
+    if starts.size and starts.dtype.kind not in "iu":  # [] is float, and runs no trial
+        raise ValueError(f"start vertex: must be an integer, got dtype {starts.dtype}")
+    starts = starts.astype(np.int64, copy=False)
     bad = (starts < 0) | (starts >= n)
     if bad.any():
         raise ValueError(f"start vertex {starts[bad][0]} out of range for n={n}")

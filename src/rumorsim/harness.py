@@ -187,6 +187,8 @@ def summarize(records: list[TrialRecord]) -> SummaryStats:
     cumulative counts give, float for float.
     """
     trials = len(records)
+    if not trials:
+        raise ValueError("trials: need at least one record to summarize, got none")
     done = np.array([r.rounds for r in records if r.completed], dtype=np.int64)
     rate = len(done) / trials
     if len(done) == 0:

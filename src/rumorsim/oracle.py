@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _check_p
 from .topology import ListAssignment
 
 _CONSERVATION_TOL = 1e-12
@@ -72,8 +73,7 @@ def exact_fully_random(n: int, p: float, horizon: int) -> ExactDistribution:
         raise ValueError(f"supported range is 1 <= n <= 64, got n={n}")
     if not 0 <= horizon <= 10_000:
         raise ValueError(f"supported horizon range is 0..10000, got {horizon}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"success probability must lie in (0, 1], got p={p}")
+    _check_p(p)
     mass = np.zeros(horizon + 1)
     if n == 1:
         mass[0] = 1.0
@@ -111,8 +111,7 @@ def exact_quasirandom(
         raise ValueError(f"supported range is 2 <= n <= 5, got n={n}")
     if not 0 <= horizon <= 8:
         raise ValueError(f"supported horizon range is 0..8, got {horizon}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"success probability must lie in (0, 1], got p={p}")
+    _check_p(p)
     if lists.topology.n != n:
         raise ValueError(f"lists are for n={lists.topology.n}, oracle asked n={n}")
     lists.topology.check_vertex(start_vertex)
@@ -197,6 +196,8 @@ def tv_distance(dist: ExactDistribution, rounds: np.ndarray, completed: np.ndarr
     rounds = np.asarray(rounds)
     completed = np.asarray(completed, dtype=bool)
     trials = len(rounds)
+    if not trials:
+        raise ValueError("trials: need at least one empirical broadcast time, got none")
     in_range = completed & (rounds <= dist.horizon)
     counts = np.bincount(rounds[in_range], minlength=dist.horizon + 1)
     emp = counts / trials

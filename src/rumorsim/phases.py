@@ -36,9 +36,9 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
+from .engine import FailureModel, Protocol, TrialResult, _check_integer, init_state, run_batch, step
 from .rng import TrialRandomness
-from .topology import ListAssignment, _open_output, _read_lines
+from .topology import ListAssignment, _content_lines, _open_output, _read_lines
 
 
 class PhaseKind(str, Enum):
@@ -200,10 +200,7 @@ def coupled_run(
 
 def parse_schedule(text: str) -> list[Phase]:
     phases = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _content_lines(text.splitlines()):
         parts = [x.strip() for x in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"schedule line {lineno}: expected 'kind,length', got {raw!r}")
@@ -265,6 +262,7 @@ def busy_growth_sample(
     of it, and a window that reaches the completion round ends there.
     """
     for name, value in (("k", k), ("max_warmup", max_warmup)):
+        _check_integer(name, value)
         if value < 0:
             raise ValueError(f"{name}: must be >= 0, got {value}")
     state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng])
@@ -298,9 +296,6 @@ class BuiltSchedule:
     schedule: list[Phase]
     constants: bounds.ScheduleConstants
     feasible: bool
-
-    def total_rounds(self) -> int:
-        return sum(ph.length for ph in self.schedule)
 
 
 def upper_bound_schedule(n: int, p: float, eps: float) -> BuiltSchedule:

@@ -16,7 +16,9 @@ vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
 on the ordinal, so a simulation computes it once per trial, purpose and
 vertex (``RowRandomness``) and each round only gathers it and runs the second
 stage, in place on the gathered array.  The values are the same uint64s,
-element for element.
+element for element.  Every array hash runs the one finalizer, ``_mix_array``,
+which finalizes a new array in place: each caller passes it one it has just
+made, and a draw also passes the ordinals' product as its scratch array.
 """
 
 from __future__ import annotations
@@ -67,12 +69,18 @@ def derive_key(*words: int) -> int:
     return h
 
 
-def _mix_array(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _S30)
-    x = x * _M1
-    x = x ^ (x >> _S27)
-    x = x * _M2
-    return x ^ (x >> _S31)
+def _mix_array(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """mix64 of each element, written over the uint64 array x and returned;
+    t, an array of x's shape, is overwritten as scratch (a new one if None)."""
+    t = np.right_shift(x, _S30, out=t)
+    x ^= t
+    x *= _M1
+    np.right_shift(x, _S27, out=t)
+    x ^= t
+    x *= _M2
+    np.right_shift(x, _S31, out=t)
+    x ^= t
+    return x
 
 
 def _derive_keys(seeds: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -154,15 +162,7 @@ class TrialRandomness:
         x = self._first_stage(purpose, vertices)
         t = np.multiply(ordinals, _G, dtype=np.uint64, casting="unsafe")
         x ^= t
-        np.right_shift(x, _S30, out=t)
-        x ^= t
-        x *= _M1
-        np.right_shift(x, _S27, out=t)
-        x ^= t
-        x *= _M2
-        np.right_shift(x, _S31, out=t)
-        x ^= t
-        return x
+        return _mix_array(x, t)
 
     def _uniforms(self, purpose: int, vertices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         h = self._hash(purpose, vertices, ordinals)

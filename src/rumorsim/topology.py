@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import stat
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -245,6 +246,15 @@ def _read_lines(path: str) -> list[str]:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, str]]:
+    """(line number from 1, line, line stripped) for each line of a text file
+    that is neither blank nor a comment, one whose first non-blank is #."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
+
+
 @contextmanager
 def _open_output(path: str):
     """Open path for writing text in place; every output file is opened here.
@@ -269,11 +279,7 @@ def _open_output(path: str):
 
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:
     """Read explicit rows from a text file, one comma-separated row per vertex."""
-    lines = [
-        (lineno, ln.strip())
-        for lineno, ln in enumerate(_read_lines(path), start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = [(lineno, line) for lineno, _, line in _content_lines(_read_lines(path))]
     if len(lines) != topology.n:
         raise ValueError(
             f"lists file has {len(lines)} rows, topology has {topology.n} vertices"

@@ -292,6 +292,25 @@ def test_any_input_file_gives_an_exit_code(kind, data):
         assert run_cli(*argv) in (0, 1, 2, 3)
 
 
+# blank, whitespace-only, # and indented-# lines, then a malformed record on line 5
+_SKIPPED = "\n# a comment\n   # an indented comment\n \t\n"
+
+
+@pytest.mark.parametrize("kind, record, rest, where", [
+    ("config", "no pair here", "", "{path}:5: expected key=value"),
+    ("schedule", "lazy", "busy,3\n", "schedule line 5: expected 'kind,length'"),
+    ("lists", "1,x,3", "0,2,3\n# between\n0,1,3\n0,1,2\n", "{path}:5: invalid literal"),
+])
+def test_input_files_skip_the_same_lines_and_count_every_line(
+    kind, record, rest, where, tmp_path, capsys
+):
+    path = tmp_path / "input"
+    path.write_text(_SKIPPED + record + "\n" + rest)
+    command = _INPUT_FILES[kind][1]
+    assert run_cli(*[arg.format(path=path, dir=tmp_path) for arg in command]) == 1
+    assert where.format(path=path) in capsys.readouterr().err
+
+
 class TestBounds:
     def test_prints_report(self, capsys):
         code = run_cli("bounds", "--n", "4096", "--p", "0.5", "--eps", "0.2")

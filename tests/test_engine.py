@@ -81,6 +81,8 @@ def test_init_state_keeps_no_first_stage_of_the_initial_positions():
 
 def test_failure_model_validation():
     FailureModel(1.0)
+    with pytest.raises(ValueError, match=r"got p=0\b"):
+        FailureModel(0)
     with pytest.raises(ValueError):
         FailureModel(0.0)
     with pytest.raises(ValueError):
@@ -184,6 +186,55 @@ def test_negative_max_rounds_raises():
         run(lists, Protocol.QUASIRANDOM, fm, 0, rng, -5)
     with pytest.raises(ValueError, match="max_rounds"):
         run_batch(lists, Protocol.QUASIRANDOM, fm, [0], [rng], -1)
+
+
+@pytest.mark.parametrize("max_rounds", [100.0, 3.7, np.float64(3.0), True, "10", None])
+@pytest.mark.parametrize("graph, protocol", [
+    (star_graph(256), Protocol.FULLY_RANDOM), (complete_graph(50), Protocol.QUASIRANDOM),
+])
+def test_a_max_rounds_that_is_not_an_integer_raises(graph, protocol, max_rounds):
+    # a list walk would truncate a float, and a settled block of random push crash on it
+    lists = realize_lists(graph, ListStrategy.CANONICAL)
+    fm, rng = FailureModel(1.0), TrialRandomness(3, 0)
+    with pytest.raises(ValueError, match="max_rounds: must be an integer"):
+        run(lists, protocol, fm, 1, rng, max_rounds)
+    with pytest.raises(ValueError, match="max_rounds: must be an integer"):
+        run_batch(lists, protocol, fm, [1], [rng], max_rounds)
+
+
+@pytest.mark.parametrize("start", [2.5, 2.0, True, np.float32(1)])
+def test_a_start_vertex_that_is_not_an_integer_raises(start):
+    # a cast to int64 would run 2.5 from vertex 2, and True from vertex 1
+    lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
+    fm, rng = FailureModel(1.0), TrialRandomness(0, 0)
+    with pytest.raises(ValueError, match="start vertex: must be an integer"):
+        run(lists, Protocol.QUASIRANDOM, fm, start, rng, 10)
+    with pytest.raises(ValueError, match="start vertex: must be an integer"):
+        init_state(lists, Protocol.QUASIRANDOM, fm, [start], [rng])
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_numpy_integers_run_as_python_ints(protocol):
+    lists = realize_lists(complete_graph(9), ListStrategy.RANDOM, seed=2)
+    fm, rngs = FailureModel(0.7), [TrialRandomness(5, t) for t in range(3)]
+    want = run_batch(lists, protocol, fm, [0, 4, 8], rngs, 30)
+    for starts, max_rounds in [
+        (np.array([0, 4, 8], dtype=np.uint8), np.int64(30)),
+        ([np.int16(0), np.int32(4), 8], np.uint16(30)),
+    ]:
+        got = run_batch(lists, protocol, fm, starts, rngs, max_rounds)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    one = run(lists, protocol, fm, np.int64(4), rngs[1], np.int32(30))
+    assert (one.rounds, one.completed) == (want[0][1], want[1][1])
+    assert np.array_equal(one.informing, want[2][1])
+
+
+def test_an_empty_batch_runs():
+    lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
+    rounds, completed, informing = run_batch(
+        lists, Protocol.QUASIRANDOM, FailureModel(1.0), [], [], 10
+    )
+    assert (len(rounds), len(completed), informing.shape) == (0, 0, (0, 5))
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

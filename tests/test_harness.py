@@ -112,6 +112,11 @@ class TestSummaries:
         d = s.to_dict()
         assert d["trials"] == 2
 
+    def test_no_records_raises(self):
+        # no completion rate without a record; run_experiment always has one
+        with pytest.raises(ValueError, match="trials"):
+            summarize([])
+
     @given(st.lists(
         st.tuples(st.integers(0, 2**62) | st.integers(0, 6), st.booleans()),
         min_size=1, max_size=60,

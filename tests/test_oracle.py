@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,3 +338,12 @@ class TestTvDistance:
         rounds = np.array([1, 1, 9, 9])
         completed = np.array([True, True, False, False])
         assert tv_distance(dist, rounds, completed) == pytest.approx(0.0)
+
+    def test_no_trials_raises(self):
+        # no empirical law without a trial: not nan and two RuntimeWarnings
+        dist = ExactDistribution(horizon=4, mass=np.full(5, 0.2), tail=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rounds in ([], np.array([], dtype=np.int64)):
+                with pytest.raises(ValueError, match="trials"):
+                    tv_distance(dist, rounds, np.zeros(0, dtype=bool))

@@ -90,6 +90,24 @@ class TestRunDelayed:
         assert res.rounds == 0 and not res.completed
         assert _counts(res.informing, range(res.rounds + 1)) == [1]
 
+    @pytest.mark.parametrize("runner", [run_delayed, coupled_run])
+    def test_a_max_rounds_or_start_that_is_not_an_integer_raises(self, runner):
+        # a float cap would stop the run at its floor
+        lists = realize_lists(complete_graph(50), ListStrategy.CANONICAL)
+        fm, sched = FailureModel(1.0), [Phase(PhaseKind.BUSY, 10)]
+        with pytest.raises(ValueError, match="max_rounds: must be an integer"):
+            runner(lists, fm, 0, sched, TrialRandomness(0, 0), max_rounds=3.5)
+        with pytest.raises(ValueError, match="start vertex: must be an integer"):
+            runner(lists, fm, 2.5, sched, TrialRandomness(0, 0))
+
+    def test_numpy_integer_max_rounds_and_start_run_as_python_ints(self):
+        lists = realize_lists(complete_graph(50), ListStrategy.CANONICAL)
+        fm, sched = FailureModel(1.0), [Phase(PhaseKind.BUSY, 10)]
+        want = run_delayed(lists, fm, 2, sched, TrialRandomness(0, 0), max_rounds=3)
+        got = run_delayed(lists, fm, np.int64(2), sched, TrialRandomness(0, 0), np.int32(3))
+        assert (got.rounds, got.completed, got.phases) == (want.rounds, want.completed, want.phases)
+        assert np.array_equal(got.informing, want.informing)
+
     def test_single_lazy_phase_initiator_covers_triangle(self):
         # two deterministic transmissions from the initiator's cyclic list
         lists = realize_lists(complete_graph(3), ListStrategy.CANONICAL)
@@ -504,6 +522,28 @@ class TestBusyGrowth:
         args[name] = value
         with pytest.raises(ValueError, match=name):
             busy_growth_sample(lists, FailureModel(1.0), TrialRandomness(1, 0), **args)
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("k", 3.0), ("k", True), ("max_warmup", 499.5), ("max_warmup", np.float64(9)),
+    ])
+    def test_a_window_or_warmup_that_is_not_an_integer_raises(self, name, value):
+        lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
+        args = dict(k=3, min_newly=2, max_informed=64, max_warmup=500)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            busy_growth_sample(lists, FailureModel(1.0), TrialRandomness(1, 0), **args)
+
+    def test_numpy_integer_window_and_warmup_run_as_python_ints(self):
+        lists = realize_lists(complete_graph(64), ListStrategy.RANDOM, seed=4)
+        args = dict(min_newly=4, max_informed=64)
+        want = busy_growth_sample(
+            lists, FailureModel(0.5), TrialRandomness(1, 0), k=3, max_warmup=40, **args
+        )
+        got = busy_growth_sample(
+            lists, FailureModel(0.5), TrialRandomness(1, 0),
+            k=np.int64(3), max_warmup=np.uint16(40), **args,
+        )
+        assert want is not None and got == want
 
     # (graph, n, lists, p, k, min_newly, max_informed, start, seed, max_warmup)
     # -> (start_round, start_newly, start_informed, end_newly), or None
