@@ -224,7 +224,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # trials run in capped chunks: only n outgrows memory
+    except MemoryError as exc:
+        # a run's trial columns are allocated up front, and a trial count they
+        # cannot hold is a ConfigError naming trials; trials then run in capped
+        # chunks, so only n outgrows memory here
         print(f"error: n: too large for memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -151,11 +151,12 @@ def run_batch(
     protocol: Protocol,
     failure: FailureModel,
     starts: Sequence[int],
-    rngs: Iterable[TrialRandomness],
+    rngs: Iterable[TrialRandomness] | RowRandomness,
     max_rounds: int,
     policy=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one trial per (start vertex, rng) pair, all in the same round loop.
+    """Run one trial per (start vertex, rng) pair, all in the same round loop;
+    rngs may be the trials' RowRandomness, which the run then consumes.
 
     Returns each trial's rounds, whether it completed, and its informing
     record: by trial and vertex, the round in which the vertex was first
@@ -259,14 +260,18 @@ def init_state(
     protocol: Protocol,
     failure: FailureModel,
     starts: Sequence[int],
-    rngs: Iterable[TrialRandomness],
+    rngs: Iterable[TrialRandomness] | RowRandomness,
     policy=None,
 ) -> EngineState:
     """Round 0 of one trial per (start vertex, rng) pair, with every row's
     first list position drawn, whether or not its vertex ever sends.  protocol
-    may be a Protocol or its value; an unknown one raises ValueError."""
+    may be a Protocol or its value; an unknown one raises ValueError.  rngs
+    may be the trials' RowRandomness on n vertices, which the state keeps."""
     protocol = Protocol(protocol)
     n = lists.topology.n
+    if not isinstance(starts, np.ndarray):  # an array's dtype is checked below
+        for v in starts:
+            _check_integer("start vertex", v)
     starts = np.asarray(starts)
     if starts.size and starts.dtype.kind not in "iu":  # [] is float, and runs no trial
         raise ValueError(f"start vertex: must be an integer, got dtype {starts.dtype}")
@@ -274,9 +279,11 @@ def init_state(
     bad = (starts < 0) | (starts >= n)
     if bad.any():
         raise ValueError(f"start vertex {starts[bad][0]} out of range for n={n}")
-    keys = RowRandomness(rngs, n)
+    keys = rngs if isinstance(rngs, RowRandomness) else RowRandomness(rngs, n)
     if keys.trials != len(starts):
         raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
+    if keys.n != n:
+        raise ValueError(f"rngs: rows of n={keys.n} for lists of n={n}")
     informed = np.zeros(len(starts) * n, dtype=bool)
     informed[np.arange(len(starts)) * n + starts] = True
     vertex = np.tile(np.arange(n), len(starts))

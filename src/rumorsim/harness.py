@@ -3,9 +3,13 @@
 Everything an experiment produces is a pure function of its config, master
 seed included: trial i draws from the RNG address (seed, i) no matter when
 or in what order it runs, and output files are written with fixed formats so
-re-runs are byte-identical.  Each file is written over its path in place
-and, if the old file was longer, cut to its new length; a path that is not a
-regular file (/dev/null, /dev/stdout) is written without truncation.
+re-runs are byte-identical.  A run keeps its trials as columns (start,
+rounds, completed), filled a chunk at a time with no Python object per
+trial; the summary and the files are read from them, and the per-trial
+records are built only when first read.  Each file is written over its path
+in place and, if the old file was longer, cut to its new length; a path that
+is not a regular file (/dev/null, /dev/stdout) is written without
+truncation.
 """
 
 from __future__ import annotations
@@ -14,13 +18,15 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from . import bounds, phases
 from .engine import FailureModel, Protocol, run_batch
 from .phases import load_schedule
-from .rng import TrialRandomness, derive_key
+from .rng import RowRandomness, _words, derive_key
 from .topology import (
     GraphKind,
     ListAssignment,
@@ -35,6 +41,8 @@ _BOOTSTRAP_RESAMPLES = 10_000
 # Trials run in chunks of at most this many (trial, vertex) cells, which
 # bounds a chunk's memory; records do not depend on where chunks split.
 _CHUNK_CELLS = 1 << 16
+# The CSV is formatted and written this many rows at a time.
+_CSV_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -95,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError(f"max_rounds: must be >= 0, got {self.max_rounds}")
         if (self.schedule_path is not None) != (self.protocol == "delayed"):
             raise ConfigError("schedule_path: present exactly when protocol=delayed")
-        self.start_vertex_for(0)  # validates the start policy string
+        self._fixed_start()  # validates the start policy string
 
     def build_topology(self) -> Topology:
         return Topology(_GRAPHS[self.topology], self.n)
@@ -107,13 +115,22 @@ class ExperimentConfig:
         return realize_lists(topo, _LIST_STRATEGIES[self.lists], self.list_seed)
 
     def start_vertex_for(self, trial: int) -> int:
+        return int(self._starts(np.array([trial]))[0])
+
+    def _starts(self, trials: np.ndarray) -> np.ndarray:
+        """The start vertex of each trial number in trials, by the start policy."""
+        v = self._fixed_start()
+        return trials % self.n if v is None else np.full(len(trials), v, dtype=np.int64)
+
+    def _fixed_start(self) -> int | None:
+        """The start policy's one start vertex, or None for a sweep."""
         policy = self.start
         if policy is None:
             policy = "symmetric" if self.topology == "complete" else "sweep"
+        if policy == "sweep":
+            return None
         if policy == "symmetric":
             return 0
-        if policy == "sweep":
-            return trial % self.n
         if policy.startswith("fixed:"):
             try:
                 v = int(policy.split(":", 1)[1])
@@ -155,6 +172,54 @@ class TrialRecord:
     completed: bool
 
 
+@dataclass
+class _Columns:
+    """Trials as columns: record i is (trial[i], start[i], rounds[i], completed[i]).
+
+    A run allocates its columns once for all its trials, and its trial column
+    is a range.  A list of records is read into columns where it is summarized
+    or written; the CSV writer reads a slice at a time.
+    """
+
+    trial: range | list[int]
+    start: np.ndarray  # int64
+    rounds: np.ndarray  # int64, or object where a run's cap lies past int64
+    completed: np.ndarray  # bool
+
+    @classmethod
+    def of(cls, records: list[TrialRecord] | _Columns) -> _Columns:
+        if isinstance(records, _Columns):
+            return records
+        return cls(
+            [r.trial for r in records],
+            np.array([r.start_vertex for r in records], dtype=np.int64),
+            np.array([r.rounds for r in records], dtype=object),  # not floats past int64
+            np.array([r.completed for r in records], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def __getitem__(self, rows: slice) -> _Columns:
+        return _Columns(self.trial[rows], self.start[rows], self.rounds[rows], self.completed[rows])
+
+    def completed_rounds(self) -> np.ndarray:
+        """The rounds of the completed trials, as a new int64 array."""
+        return self.rounds[self.completed].astype(np.int64, copy=False)
+
+    def records(self) -> list[TrialRecord]:
+        """One TrialRecord per row, each made as copy and pickle make one: a new
+        instance given its fields, which skips the frozen __init__'s setattr calls
+        and about half its cost."""
+        new, records = object.__new__, []
+        columns = (self.start.tolist(), self.rounds.tolist(), self.completed.tolist())
+        for trial, start, rounds, completed in zip(self.trial, *columns):
+            record = new(TrialRecord)
+            record.__dict__.update(trial=trial, start_vertex=start, rounds=rounds, completed=completed)
+            records.append(record)
+        return records
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     trials: int
@@ -180,8 +245,9 @@ class SummaryStats:
         }
 
 
-def summarize(records: list[TrialRecord]) -> SummaryStats:
-    """Statistics of the completed trials' rounds, all read from one sort.
+def summarize(records: list[TrialRecord] | _Columns) -> SummaryStats:
+    """Statistics of the completed trials' rounds, all read from one sort;
+    records may be a list of them or a run's columns.
 
     Each equals what np.median, np.percentile (linear) and np.unique's
     cumulative counts give, float for float.
@@ -189,7 +255,7 @@ def summarize(records: list[TrialRecord]) -> SummaryStats:
     trials = len(records)
     if not trials:
         raise ValueError("trials: need at least one record to summarize, got none")
-    done = np.array([r.rounds for r in records if r.completed], dtype=np.int64)
+    done = _Columns.of(records).completed_rounds()
     rate = len(done) / trials
     if len(done) == 0:
         nan = float("nan")
@@ -228,9 +294,14 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    records: list[TrialRecord]
+    _columns: _Columns = field(repr=False, compare=False)
     summary: SummaryStats
     phase_records: list[list[phases.PhaseRecord]] = field(default_factory=list)
+
+    @cached_property
+    def records(self) -> list[TrialRecord]:
+        """One TrialRecord per trial, built from the run's columns on first read."""
+        return self._columns.records()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -243,34 +314,57 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedule = load_schedule(config.schedule_path) if delayed else None
     protocol = Protocol.QUASIRANDOM if delayed else _PROTOCOLS[config.protocol]
 
-    records = []
+    trials = config.trials
+    try:
+        columns = _Columns(
+            range(trials),
+            np.empty(trials, dtype=np.int64),
+            # run_batch's rounds are objects where a cap lies past int64
+            np.empty(trials, dtype=np.int64 if max_rounds < 2**63 else object),
+            np.empty(trials, dtype=bool),
+        )
+    except (MemoryError, ValueError) as exc:  # ValueError: more than an array can index
+        raise ConfigError(f"trials: too large for memory: {exc}") from None
+    seed = _words([config.seed])
     phase_records = []
     per_chunk = max(1, _CHUNK_CELLS // config.n)
-    for first in range(0, config.trials, per_chunk):
-        trials = range(first, min(first + per_chunk, config.trials))
-        starts = [config.start_vertex_for(trial) for trial in trials]
-        rngs = (TrialRandomness(config.seed, trial) for trial in trials)
-        policy = phases._Schedule(schedule, [True] * len(trials)) if delayed else None
+    for first in range(0, trials, per_chunk):
+        chunk = slice(first, min(first + per_chunk, trials))
+        numbers = np.arange(chunk.start, chunk.stop)
+        starts = config._starts(numbers)
+        keys = RowRandomness._of(seed, numbers.view(np.uint64), config.n)
+        policy = phases._Schedule(schedule, [True] * len(numbers)) if delayed else None
         rounds, completed, informing = run_batch(
-            lists, protocol, failure, starts, rngs, max_rounds, policy
+            lists, protocol, failure, starts, keys, max_rounds, policy
         )
-        records += map(TrialRecord, trials, starts, rounds.tolist(), completed.tolist())
+        columns.start[chunk], columns.rounds[chunk], columns.completed[chunk] = (
+            starts, rounds, completed
+        )
         if delayed:
             phase_records += policy.records(informing, rounds, completed)
 
-    result = ExperimentResult(config, records, summarize(records), phase_records)
+    result = ExperimentResult(config, columns, summarize(columns), phase_records)
     if config.out_path:
-        write_records_csv(records, config.out_path)
+        write_records_csv(columns, config.out_path)
     if config.summary_path:
         write_json(result.summary.to_dict(), config.summary_path)
     return result
 
 
-def write_records_csv(records: list[TrialRecord], path: str) -> None:
+_CSV_ROW = "%s,%s,%s,%s\n"
+_FLAGS = ("false", "true")
+
+
+def write_records_csv(records: list[TrialRecord] | _Columns, path: str) -> None:
+    """One CSV row per record, formatted and written _CSV_ROWS rows at a time;
+    records may be a list of them or a run's columns."""
     with _open_output(path) as fh:
         fh.write("trial,start_vertex,rounds,completed\n")
-        for r in records:
-            fh.write(f"{r.trial},{r.start_vertex},{r.rounds},{str(r.completed).lower()}\n")
+        for first in range(0, len(records), _CSV_ROWS):
+            part = _Columns.of(records[first:first + _CSV_ROWS])
+            flags = map(_FLAGS.__getitem__, part.completed.tolist())
+            cells = zip(part.trial, part.start.tolist(), part.rounds.tolist(), flags)
+            fh.write(_CSV_ROW * len(part) % tuple(chain.from_iterable(cells)))
 
 
 def _null_for_nan(value):
@@ -321,8 +415,8 @@ def compare(config_a: ExperimentConfig, config_b: ExperimentConfig) -> CompareRe
     """
     res_a = run_experiment(replace(config_a, out_path=None, summary_path=None))
     res_b = run_experiment(replace(config_b, out_path=None, summary_path=None))
-    t_a = np.array([r.rounds for r in res_a.records if r.completed], dtype=np.float64)
-    t_b = np.array([r.rounds for r in res_b.records if r.completed], dtype=np.float64)
+    t_a = res_a._columns.completed_rounds().astype(np.float64)
+    t_b = res_b._columns.completed_rounds().astype(np.float64)
     if len(t_a) == 0 or len(t_b) == 0:
         raise ConfigError("trials: comparison needs completed trials in both arms")
 
@@ -367,9 +461,9 @@ def check_bounds(config: ExperimentConfig, eps: float, threshold: float = 0.05) 
     """
     lo = bounds.lower_bound(config.n, config.p, eps)
     hi = bounds.upper_bound(config.n, config.p, eps)
-    result = run_experiment(replace(config, summary_path=None))
-    below = sum(1 for r in result.records if r.completed and r.rounds < lo)
-    above = sum(1 for r in result.records if not r.completed or r.rounds > hi)
+    columns = run_experiment(replace(config, summary_path=None))._columns
+    below = int(np.count_nonzero(columns.completed & (columns.rounds < lo)))
+    above = int(np.count_nonzero(~columns.completed | (columns.rounds > hi)))
     frac_below = below / config.trials
     frac_above = above / config.trials
     report = CheckReport(

@@ -54,6 +54,7 @@ class Phase:
     def __post_init__(self):
         if not isinstance(self.kind, PhaseKind):  # a value runs as its member
             object.__setattr__(self, "kind", PhaseKind(self.kind))
+        _check_integer("length", self.length)
         if self.length < 0:
             raise ValueError(f"phase length must be >= 0, got {self.length}")
 

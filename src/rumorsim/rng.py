@@ -129,11 +129,20 @@ def _pcg64_states(keys: np.ndarray) -> Iterator[dict]:
 _TAGS = np.array(_PURPOSES, dtype=np.uint64) * _G
 
 
-def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
-    """Each trial's purpose keys, one row per trial in _PURPOSES order."""
-    seeds = np.array([rng.master_seed & _MASK for rng in rngs], dtype=np.uint64)
-    trials = np.array([rng.trial & _MASK for rng in rngs], dtype=np.uint64)
+def _words(ints: list[int]) -> np.ndarray:
+    """Python ints masked to 64 bits, as a uint64 array."""
+    return np.array([i & _MASK for i in ints], dtype=np.uint64)
+
+
+def _keys_of(seeds: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The purpose keys of trials (seeds[i], trials[i]), one row per trial in
+    _PURPOSES order, from uint64 arrays of masked ints; one seed may serve all."""
     return _mix_array(_derive_keys(seeds, trials)[:, None] ^ _TAGS)
+
+
+def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
+    """_keys_of each rng's seed and trial."""
+    return _keys_of(_words([rng.master_seed for rng in rngs]), _words([rng.trial for rng in rngs]))
 
 
 class TrialRandomness:
@@ -202,12 +211,24 @@ class RowRandomness(TrialRandomness):
     purposes is computed for every row on its first draw and kept; later draws
     gather it by row and run only the second stage.  That of the initial
     position, drawn once per row, is computed and not kept.  ``keep`` drops
-    the rows of finished trials.
+    the rows of finished trials.  ``_of`` builds the same rows from arrays of
+    seeds and trial numbers, with no TrialRandomness per trial.
     """
 
     def __init__(self, rngs: Iterable[TrialRandomness], n: int):
+        self._set_keys(_purpose_keys(list(rngs)), n)
+
+    @classmethod
+    def _of(cls, seeds: np.ndarray, trials: np.ndarray, n: int) -> RowRandomness:
+        """RowRandomness([TrialRandomness(s, t) for s, t in zip(seeds, trials)], n),
+        from the uint64 arrays of _keys_of."""
+        rows = cls.__new__(cls)
+        rows._set_keys(_keys_of(seeds, trials), n)
+        return rows
+
+    def _set_keys(self, keys: np.ndarray, n: int) -> None:
         self.n = n
-        self._trial_keys = _purpose_keys(list(rngs))
+        self._trial_keys = keys
         self._first: dict[int, np.ndarray] = {}
 
     @property

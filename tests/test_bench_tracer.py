@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from rumorsim import (
+    ExperimentConfig,
     FailureModel,
     ListStrategy,
     TrialRandomness,
@@ -18,7 +19,7 @@ from rumorsim import (
     realize_lists,
     run,
 )
-from rumorsim import engine
+from rumorsim import engine, harness
 from rumorsim.engine import Protocol, init_state
 from rumorsim.phases import Phase, PhaseKind
 
@@ -78,3 +79,18 @@ def test_runs_and_a_coupled_run_reach_every_traced_hot_path_name():
                 run(lists, kind, fm, 0, TrialRandomness(2, 0), 100)
         seen = {tracer.kinds[k][1] for k in tracer.kind}
         assert [name for name in names if name not in seen] == [], kind
+
+
+def test_a_traced_run_experiment_reaches_the_traced_harness_names(tmp_path):
+    # the bench times the run's summary and writes by these names
+    tracing = _tracing()
+    config = ExperimentConfig(protocol="quasi", n=6, p=0.5, trials=20, seed=3,
+                              out_path=str(tmp_path / "r.csv"), summary_path=str(tmp_path / "s.json"))
+    tracer = tracing.Tracer()
+    with tracer.installed():  # patched where it is looked up, as the bench calls it
+        harness.run_experiment(config)
+    seen = [tracer.kinds[k][1] for k in tracer.kind]
+    assert seen[0] == "run_experiment"
+    assert {"summarize", "write_records_csv", "write_json"} <= set(seen)
+    metrics = tracer.metrics(1.0, config.trials)
+    assert metrics["harness.bytes_written"][0] > 0

@@ -227,6 +227,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: n: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("trials", [10**15, 2**62, 10**20])
+    def test_unallocatable_trials_is_one(self, trials, capsys):
+        # petabytes of trial columns, or more than an array can index: the
+        # allocation cannot succeed
+        assert run_cli("sim", "--n", "3", "--p", "0.5", "--trials", str(trials)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials: ") and "Traceback" not in err
+
     def test_directory_as_output_is_two_and_names_it(self, tmp_path, capsys):
         code = run_cli("sim", "--n", "4", "--p", "1.0", "--trials", "1", "--out", str(tmp_path))
         assert code == 2

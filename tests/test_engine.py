@@ -179,6 +179,23 @@ def test_batch_rejects_bad_inputs():
         run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 1, 2], rngs, 10)
 
 
+@pytest.mark.parametrize("starts", [[0, True], [0, 1.0], (np.int64(0), np.float32(1))])
+def test_each_start_element_that_is_not_an_integer_raises(starts):
+    # a list of ints and a bool, or a float, casts to int64 and would run the
+    # odd one out from vertex 1
+    lists = realize_lists(complete_graph(50), ListStrategy.CANONICAL)
+    rngs = [TrialRandomness(0, 0), TrialRandomness(0, 1)]
+    with pytest.raises(ValueError, match="start vertex: must be an integer"):
+        run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), starts, rngs, 10)
+
+
+def test_rows_of_another_n_raise():
+    lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
+    rows = rng_module.RowRandomness([TrialRandomness(0, 0)], 5)
+    with pytest.raises(ValueError, match="rngs: rows of n=5 for lists of n=4"):
+        run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], rows, 10)
+
+
 def test_negative_max_rounds_raises():
     lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
     fm, rng = FailureModel(1.0), TrialRandomness(0, 0)

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorsim import (
@@ -84,6 +85,25 @@ class TestStartPolicies:
     def test_recorded_start_matches_policy(self):
         res = run_experiment(cfg(topology="star", n=4, trials=6, start="sweep"))
         assert [r.start_vertex for r in res.records] == [0, 1, 2, 3, 0, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        topology=st.sampled_from(["complete", "star"]),
+        n=st.integers(3, 9),
+        policy=st.sampled_from([None, "sweep", "symmetric", "fixed"]),
+        first=st.integers(0, 2**40),
+        count=st.integers(1, 30),
+    )
+    @example(topology="complete", n=3, policy="sweep", first=0, count=20)  # more trials than n
+    def test_start_array_is_the_per_trial_rule(self, topology, n, policy, first, count):
+        config = cfg(topology=topology, n=n, start=f"fixed:{n // 2}" if policy == "fixed" else policy)
+        trials = list(range(first, first + count))
+        sweep = policy == "sweep" or (policy is None and topology == "star")
+        rule = [t % n if sweep else n // 2 if policy == "fixed" else 0 for t in trials]
+        assert [config.start_vertex_for(t) for t in trials] == rule
+        assert config._starts(np.array(trials)).tolist() == rule
+        records = run_experiment(replace(config, trials=count)).records  # trials 0 to count - 1
+        assert [r.start_vertex for r in records] == [config.start_vertex_for(t) for t in range(count)]
 
 
 class TestSummaries:
@@ -308,6 +328,80 @@ class TestDelayedThroughHarness:
         assert len(res.phase_records) == 3
         for phases in res.phase_records:
             assert phases[0].kind.value == "busy"
+
+
+class TestColumns:
+    """A run keeps its trials as columns and builds records only when read."""
+
+    def test_a_run_retains_at_most_24_bytes_a_trial(self):
+        config = cfg(protocol="random", n=3, p=0.5, trials=100_000, seed=8)
+        run_experiment(replace(config, trials=10))  # first-call caches are not the run's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(config)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.summary.trials == 100_000 and "records" not in vars(result)
+        assert retained <= 24 * 100_000  # start, rounds and completed: 17 B a trial
+
+    def test_no_object_per_trial_until_records_are_read(self, monkeypatch, tmp_path):
+        made = []
+        init = TrialRandomness.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        def live_records():
+            return sum(isinstance(o, TrialRecord) for o in gc.get_objects())
+
+        monkeypatch.setattr(TrialRandomness, "__init__", counting)
+        before = live_records()
+        result = run_experiment(cfg(
+            protocol="quasi", n=6, p=0.5, trials=500, seed=3,
+            out_path=str(tmp_path / "r.csv"), summary_path=str(tmp_path / "s.json"),
+        ))
+        assert made == [] and live_records() == before
+        records = result.records
+        assert made == [] and live_records() == before + 500
+        assert result.records is records
+
+    def test_records_are_frozen_trial_records(self):
+        records = run_experiment(cfg(protocol="random", n=5, p=0.5, trials=3, seed=1)).records
+        built = [TrialRecord(r.trial, r.start_vertex, r.rounds, r.completed) for r in records]
+        assert records == built and list(map(hash, records)) == list(map(hash, built))
+        assert [type(r.rounds) for r in records] == [int] * 3
+        with pytest.raises(FrozenInstanceError):
+            records[0].rounds = 1
+
+    @pytest.mark.parametrize("trials", [1, harness._CSV_ROWS, 2 * harness._CSV_ROWS + 3])
+    def test_columns_and_records_write_and_summarize_alike(self, trials, tmp_path):
+        result = run_experiment(cfg(protocol="random", n=7, p=0.4, trials=trials, seed=6,
+                                    out_path=str(tmp_path / "run.csv")))
+        write_records_csv(result.records, str(tmp_path / "records.csv"))
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert (tmp_path / "records.csv").read_text().splitlines() == lines
+        assert lines[1:] == [
+            f"{r.trial},{r.start_vertex},{r.rounds},{str(r.completed).lower()}"
+            for r in result.records
+        ]
+        assert summarize(result.records) == result.summary
+
+    def test_rounds_past_int64_are_kept_and_written(self, tmp_path):
+        # a trial whose first transmission fails has no sender after the lazy
+        # round, and stops at the end of the endless busy phase, past int64
+        sched = tmp_path / "s.txt"
+        sched.write_text(f"lazy,1\nbusy,{2**64}\n")
+        out = tmp_path / "r.csv"
+        config = cfg(protocol="delayed", n=8, p=0.05, trials=3, seed=2, max_rounds=2**64 + 3,
+                     schedule_path=str(sched), out_path=str(out))
+        result = run_experiment(config)
+        assert [(r.rounds, r.completed) for r in result.records] == [(2**64 + 1, False)] * 3
+        assert out.read_text().splitlines()[1:] == [f"{t},0,{2**64 + 1},false" for t in range(3)]
+        assert result.summary.completion_rate == 0.0
+        assert check_bounds(config, eps=0.5).frac_above_upper == 1.0
 
 
 class TestWriters:

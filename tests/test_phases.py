@@ -79,6 +79,22 @@ class TestScheduleFormat:
         with pytest.raises(ValueError, match="bogus"):
             Phase("bogus", 40)
 
+    @pytest.mark.parametrize("length", [2.5, 2.0, True, np.float64(3)])
+    def test_a_length_that_is_not_an_integer_raises(self, length):
+        # a float length would run as its floor and be recorded as given
+        with pytest.raises(ValueError, match="length: must be an integer"):
+            Phase("busy", length)
+
+    def test_numpy_integer_lengths_run_as_python_ints(self):
+        lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
+        fm = FailureModel(0.5)
+        runs = [
+            run_delayed(lists, fm, 0, [Phase("lazy", length), Phase("busy", 40)],
+                        TrialRandomness(4, 0), 60)
+            for length in (3, np.int64(3), np.uint8(3))
+        ]
+        assert all(r.phases == runs[0].phases and r.rounds == runs[0].rounds for r in runs)
+
 
 class TestRunDelayed:
     def test_empty_and_zero_length_phases_do_nothing(self):

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorsim import TrialRandomness, derive_key, mix64
 from rumorsim import rng as rng_module
 from rumorsim.cli import main
-from rumorsim.rng import RowRandomness, _derive_keys, _pcg64_states
+from rumorsim.rng import RowRandomness, _derive_keys, _pcg64_states, _words
 
 
 def test_mix64_is_deterministic_and_bounded():
@@ -193,6 +193,37 @@ def test_second_stage_in_place_equals_out_of_place_and_writes_no_argument(
         assert np.array_equal(rng.initial_positions(v, db), initial[mine])
     assert all(np.array_equal(a, b) for a, b in zip(args, saved))
     assert np.array_equal(rng_module._purpose_keys(rngs), keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**64 - 1), st.integers(2**64, 2**70)),
+    first=st.integers(0, 2**62),
+    count=st.integers(1, 4),
+    n=st.integers(1, 5),
+    ordinal=st.integers(0, 2**40),
+)
+@example(seed=-1, first=0, count=3, n=4, ordinal=0)
+@example(seed=2**64 + 7, first=2**40, count=2, n=3, ordinal=5)
+def test_rows_from_arrays_draw_what_each_trial_draws(seed, first, count, n, ordinal):
+    # a harness chunk: one masked seed for all, and its trial numbers as an array
+    trials = np.arange(first, first + count, dtype=np.uint64)
+    rows = RowRandomness._of(_words([seed]), trials, n)
+    rngs = [TrialRandomness(seed, t) for t in range(first, first + count)]
+    assert np.array_equal(rows._trial_keys, RowRandomness(rngs, n)._trial_keys)
+    r = np.arange(count * n)
+    v, o, degs = r % n, np.full(len(r), ordinal), r % 3 + 1
+
+    def per_trial(draw, *args):
+        return np.concatenate([
+            getattr(rng, draw)(v[:n], *(a[b * n:(b + 1) * n] for a in args))
+            for b, rng in enumerate(rngs)
+        ])
+
+    assert np.array_equal(rows.coin_uniforms(r, o), per_trial("coin_uniforms", o))
+    assert np.array_equal(rows.feedback_uniforms(r, o), per_trial("feedback_uniforms", o))
+    assert np.array_equal(rows.target_indices(r, o, degs), per_trial("target_indices", o, degs))
+    assert np.array_equal(rows.initial_positions(r, degs), per_trial("initial_positions", degs))
 
 
 # Python-int reference of the addressed draws: no numpy, no cached stage
