@@ -215,7 +215,9 @@ class _Columns:
         columns = (self.start.tolist(), self.rounds.tolist(), self.completed.tolist())
         for trial, start, rounds, completed in zip(self.trial, *columns):
             record = new(TrialRecord)
-            record.__dict__.update(trial=trial, start_vertex=start, rounds=rounds, completed=completed)
+            record.__dict__.update(
+                trial=trial, start_vertex=start, rounds=rounds, completed=completed
+            )
             records.append(record)
         return records
 

@@ -84,8 +84,10 @@ def test_runs_and_a_coupled_run_reach_every_traced_hot_path_name():
 def test_a_traced_run_experiment_reaches_the_traced_harness_names(tmp_path):
     # the bench times the run's summary and writes by these names
     tracing = _tracing()
-    config = ExperimentConfig(protocol="quasi", n=6, p=0.5, trials=20, seed=3,
-                              out_path=str(tmp_path / "r.csv"), summary_path=str(tmp_path / "s.json"))
+    config = ExperimentConfig(
+        protocol="quasi", n=6, p=0.5, trials=20, seed=3,
+        out_path=str(tmp_path / "r.csv"), summary_path=str(tmp_path / "s.json"),
+    )
     tracer = tracing.Tracer()
     with tracer.installed():  # patched where it is looked up, as the bench calls it
         harness.run_experiment(config)

@@ -96,14 +96,16 @@ class TestStartPolicies:
     )
     @example(topology="complete", n=3, policy="sweep", first=0, count=20)  # more trials than n
     def test_start_array_is_the_per_trial_rule(self, topology, n, policy, first, count):
-        config = cfg(topology=topology, n=n, start=f"fixed:{n // 2}" if policy == "fixed" else policy)
+        start = f"fixed:{n // 2}" if policy == "fixed" else policy
+        config = cfg(topology=topology, n=n, start=start)
         trials = list(range(first, first + count))
         sweep = policy == "sweep" or (policy is None and topology == "star")
         rule = [t % n if sweep else n // 2 if policy == "fixed" else 0 for t in trials]
         assert [config.start_vertex_for(t) for t in trials] == rule
         assert config._starts(np.array(trials)).tolist() == rule
         records = run_experiment(replace(config, trials=count)).records  # trials 0 to count - 1
-        assert [r.start_vertex for r in records] == [config.start_vertex_for(t) for t in range(count)]
+        starts = [config.start_vertex_for(t) for t in range(count)]
+        assert [r.start_vertex for r in records] == starts
 
 
 class TestSummaries:
