@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 _LN2 = math.log(2.0)
 # ln(x) above this would need an integer too large to materialize
 _MAX_LOG_ROUNDS = 1 << 19
@@ -25,6 +27,12 @@ def _check_n(n: int) -> None:
 def _check_p(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability must lie in (0, 1], got p={p}")
+
+
+def _check_integer(name: str, value) -> None:
+    """A Python or numpy integer, not a bool, passes; a float would be truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
 def _finite(value: float, what: str, p: float) -> float:

@@ -55,7 +55,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import _check_p
+from .bounds import _check_integer, _check_p
 from .rng import RowRandomness, TrialRandomness
 from .topology import ListAssignment
 
@@ -74,12 +74,6 @@ class FailureModel:
 
     def __post_init__(self):
         _check_p(self.p)
-
-
-def _check_integer(name: str, value) -> None:
-    """A Python or numpy integer, not a bool, passes; a float would be truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
 def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:

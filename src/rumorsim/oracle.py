@@ -12,10 +12,17 @@ vertex with probability p (u - w) / (n - 1).  Sender identity never matters,
 which is what makes the count a Markov chain.
 
 The quasirandom oracle cannot use that symmetry (lists break it) and instead
-enumerates the full probability tree over initial positions and coins, with
-one crucial collapse: when an attempt targets an already-informed vertex the
-delivery coin changes nothing (cursors advance regardless), so those two
-branches merge.  That keeps tiny instances tractable and stays exact.
+enumerates the full probability tree over initial positions and coins.  A
+round folds the senders into each state one at a time, in vertex order: a
+sender with no list position yet branches over every first slot, and then
+its delivery coin branches, with one crucial collapse: when an attempt
+targets an already-informed vertex the coin changes nothing (cursors advance
+regardless), so those two branches merge.  Only v moves v's cursor, so every
+branch of a state's fold has the state's cursor for v.  When the state
+itself already informs the target of v's move, the move cannot branch in any
+branch and no two branches can merge, so it is one xor of v's cursor field,
+applied as the fold's branches merge into the next round.  That keeps tiny
+instances tractable and stays exact.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _check_p
+from .bounds import _check_integer, _check_p
 from .topology import ListAssignment
 
 _CONSERVATION_TOL = 1e-12
@@ -69,6 +76,8 @@ def _fully_random_round_dist(n: int, p: float, m: int) -> np.ndarray:
 
 def exact_fully_random(n: int, p: float, horizon: int) -> ExactDistribution:
     """Exact broadcast-time law of the fully random push on the complete graph."""
+    _check_integer("n", n)
+    _check_integer("horizon", horizon)
     if not 1 <= n <= 64:
         raise ValueError(f"supported range is 1 <= n <= 64, got n={n}")
     if not 0 <= horizon <= 10_000:
@@ -105,8 +114,17 @@ def exact_quasirandom(
 
     A state is one int: the informed bitmask in the low n bits, then one
     fixed-width field per vertex holding its cursor + 1 (0 before the initial
-    position is drawn).  Exponential in n, hence the tight caps.
+    position is drawn).  Each sender's moves are a table by cursor field: the
+    target's bit and the field xor of every first slot for 0, and of the one
+    next slot otherwise.  A state's fold reads each sender's field once; a
+    move whose target the state informs adds its xor to a pending mask that
+    the merge applies, and any other move branches every partial state by
+    the module's rule.  Every float operation is the one, in the same order,
+    that branching every move would make.  Exponential in n, hence the tight
+    caps.
     """
+    for name, value in (("n", n), ("horizon", horizon), ("start_vertex", start_vertex)):
+        _check_integer(name, value)
     if not 2 <= n <= 5:
         raise ValueError(f"supported range is 2 <= n <= 5, got n={n}")
     if not 0 <= horizon <= 8:
@@ -121,12 +139,17 @@ def exact_quasirandom(
     full = (1 << n) - 1
     width = max(degs).bit_length()  # a field holds cursor + 1, 0..deg
     field = (1 << width) - 1
-    # a transmission from slot pos: its target's bit, and the next slot's field
-    moves = [
-        [(1 << target, ((pos + 1) % degs[v] + 1) << (n + v * width))
-         for pos, target in enumerate(row)]
-        for v, row in enumerate(rows)
-    ]
+    shifts = [n + v * width for v in range(n)]
+    # moves[v][cur]: the transmissions v can make with cursor field cur, each
+    # as its target's bit and the xor taking field cur to the next slot's
+    moves = []
+    for v, row in enumerate(rows):
+        after = [((pos + 1) % degs[v] + 1) << shifts[v] for pos in range(degs[v])]
+        first = [(1 << target, after[pos]) for pos, target in enumerate(row)]
+        steps = [[(bit, (pos + 1) << shifts[v] ^ slot)] for pos, (bit, slot) in enumerate(first)]
+        moves.append([first, *steps])
+    # a round's senders are the vertices informed at its start that have a neighbor
+    senders = [[v for v in range(n) if mask >> v & 1 and degs[v]] for mask in range(full + 1)]
     miss = 1.0 - p
 
     states: dict[int, float] = {1 << start_vertex: 1.0}  # every cursor -1
@@ -134,23 +157,23 @@ def exact_quasirandom(
     for t in range(1, horizon + 1):
         nxt: dict[int, float] = {}
         for state, prob in states.items():
-            # senders are the vertices informed at the start of the round
             partial = {state: prob}
-            for v in range(n):
-                if not (state >> v) & 1 or degs[v] == 0:
+            pending = 0  # the field xors of moves that cannot branch
+            for v in senders[state & full]:
+                # only v moves v's cursor, so every branch has state's
+                cur = (state >> shifts[v]) & field
+                options = moves[v][cur]
+                if cur and state & options[0][0]:
+                    # target informed in every branch: no coin, no collision
+                    pending ^= options[0][1]
                     continue
-                shift = n + v * width
                 folded: dict[int, float] = {}
                 get = folded.get
                 for pstate, q in partial.items():
-                    cur = (pstate >> shift) & field
-                    if cur == 0:
-                        options, q = moves[v], q / degs[v]
-                    else:
-                        options = moves[v][cur - 1 : cur]
-                    cleared = pstate ^ (cur << shift)
-                    for bit, slot in options:
-                        key = cleared | slot
+                    if not cur:
+                        q = q / degs[v]
+                    for bit, flip in options:
+                        key = pstate ^ flip
                         if pstate & bit:
                             # delivery coin is irrelevant: target already knows
                             folded[key] = get(key, 0.0) + q
@@ -160,6 +183,7 @@ def exact_quasirandom(
                                 folded[key] = get(key, 0.0) + q * miss
                 partial = folded
             for s, q in partial.items():
+                s ^= pending
                 nxt[s] = nxt.get(s, 0.0) + q
         states = {}
         done = 0.0
@@ -181,6 +205,7 @@ def star_fully_random_expectation(n: int) -> float:
     The center is the only effective sender after round 1: informed leaves
     keep transmitting to the center, which changes nothing.
     """
+    _check_integer("n", n)
     if n < 3:
         raise ValueError(f"needs n >= 3, got n={n}")
     harmonic = sum(1.0 / j for j in range(1, n - 1))

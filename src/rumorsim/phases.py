@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .engine import FailureModel, Protocol, TrialResult, _check_integer, init_state, run_batch, step
+from .bounds import _check_integer
+from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
 from .rng import TrialRandomness
 from .topology import ListAssignment, _content_lines, _open_output, _read_lines
 

@@ -1,9 +1,12 @@
 """Exact-oracle tests.
 
-The set-based enumerator below recomputes small-instance laws from raw
-protocol semantics (joint enumeration over every sender's target and coin),
-sharing no logic with the oracle module's count-chain DP.  Agreement between
-the two validates the DP's symmetry argument.
+The set-based enumerators below recompute small-instance laws from raw
+protocol semantics, sharing no logic with the oracle module.  For the fully
+random push they enumerate every sender's target and coin jointly, and
+agreement validates the count-chain DP's symmetry argument.  For the
+quasirandom protocol they enumerate every fresh sender's first list position
+and every sender's coin jointly, with no merge of coins that cannot matter,
+and agreement validates the oracle's collapse and its deferred cursor moves.
 """
 
 from __future__ import annotations
@@ -63,6 +66,50 @@ def enumerate_fully_random(topology, p, horizon, start=0):
                 mass[t] += q
             else:
                 states[s] = q
+    return mass, sum(states.values())
+
+
+def enumerate_quasirandom(lists, p, horizon, start=0):
+    """Exact T-law by brute force over all joint (first positions, coins) outcomes.
+
+    A state is (informed set, list positions), a position being None until
+    the vertex first sends.  Every sender draws a coin, even towards a vertex
+    that already knows the rumor, and advances one slot either way.
+    """
+    n = lists.topology.n
+    rows = [lists.row(v).tolist() for v in range(n)]
+    full = frozenset(range(n))
+    states = {(frozenset([start]), (None,) * n): 1.0}
+    mass = [0.0] * (horizon + 1)
+    for t in range(1, horizon + 1):
+        nxt = {}
+        for (informed, positions), prob in states.items():
+            senders = [v for v in sorted(informed) if rows[v]]
+            fresh = [v for v in senders if positions[v] is None]
+            for firsts in itertools.product(*(range(len(rows[v])) for v in fresh)):
+                drawn = list(positions)
+                for v, first in zip(fresh, firsts):
+                    drawn[v] = first
+                base = prob / math.prod(len(rows[v]) for v in fresh)
+                for coins in itertools.product([True, False], repeat=len(senders)):
+                    q = base
+                    hits = set()
+                    moved = list(drawn)
+                    for delivered, v in zip(coins, senders):
+                        q *= p if delivered else (1.0 - p)
+                        if delivered:
+                            hits.add(rows[v][drawn[v]])
+                        moved[v] = (drawn[v] + 1) % len(rows[v])
+                    if q == 0.0:
+                        continue
+                    key = (frozenset(informed | hits), tuple(moved))
+                    nxt[key] = nxt.get(key, 0.0) + q
+        states = {}
+        for (informed, positions), q in nxt.items():
+            if informed == full:
+                mass[t] += q
+            else:
+                states[informed, positions] = q
     return mass, sum(states.values())
 
 
@@ -177,6 +224,21 @@ class TestQuasirandomOracle:
         for lo, hi in zip(cdfs, cdfs[1:]):
             assert (hi >= lo - 1e-12).all()
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["canonical", "reversed", "random0", "star", "explicit1", "explicit2"]
+    )
+    @pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
+    def test_matches_joint_enumeration(self, n, kind, p):
+        lists = _grid_lists(n, kind)
+        horizon = 5
+        for start in (0, n - 1):
+            mass, tail = enumerate_quasirandom(lists, p, horizon, start)
+            dist = exact_quasirandom(n, lists, p, horizon, start)
+            for t in range(horizon + 1):
+                assert dist.prob(t) == pytest.approx(mass[t], abs=1e-12)
+            assert dist.tail == pytest.approx(tail, abs=1e-12)
+
     def test_range_validation(self):
         lists = realize_lists(complete_graph(6), ListStrategy.CANONICAL)
         with pytest.raises(ValueError):
@@ -186,6 +248,53 @@ class TestQuasirandomOracle:
             exact_quasirandom(4, lists4, 1.0, 9)
         with pytest.raises(ValueError):
             exact_quasirandom(5, lists4, 1.0, 8)  # lists built for another n
+
+
+class TestIntegerArguments:
+    """n, horizon and start_vertex must be integers; a bool or a float names the argument."""
+
+    lists4 = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
+
+    def test_quasi_bool_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            exact_quasirandom(4, self.lists4, 0.6, True)
+
+    def test_fully_random_bool_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            exact_fully_random(5, 0.7, True)
+
+    def test_fully_random_bool_n(self):
+        with pytest.raises(ValueError, match="n: must be an integer"):
+            exact_fully_random(True, 0.7, 3)
+
+    def test_fractional_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            exact_quasirandom(4, self.lists4, 0.6, 2.5)
+        with pytest.raises(ValueError, match="horizon"):
+            exact_fully_random(4, 0.6, 2.5)
+
+    def test_fractional_start_vertex(self):
+        with pytest.raises(ValueError, match="start_vertex"):
+            exact_quasirandom(4, self.lists4, 0.6, 3, start_vertex=1.5)
+
+    def test_float_n(self):
+        with pytest.raises(ValueError, match="n: must be an integer"):
+            exact_quasirandom(4.0, self.lists4, 0.6, 3)
+        with pytest.raises(ValueError, match="n: must be an integer"):
+            exact_fully_random(4.0, 0.6, 3)
+
+    def test_star_expectation_fractional_n(self):
+        with pytest.raises(ValueError, match="n: must be an integer"):
+            star_fully_random_expectation(4.5)
+
+    def test_numpy_integers_stay_valid(self):
+        quasi = exact_quasirandom(np.int64(4), self.lists4, 0.6, np.int32(8), np.int64(1))
+        expected = exact_quasirandom(4, self.lists4, 0.6, 8, 1)
+        assert quasi.mass.tobytes() == expected.mass.tobytes() and quasi.tail == expected.tail
+        fully = exact_fully_random(np.int64(5), 0.7, np.int64(60))
+        expected = exact_fully_random(5, 0.7, 60)
+        assert fully.mass.tobytes() == expected.mass.tobytes() and fully.tail == expected.tail
+        assert star_fully_random_expectation(np.int64(4)) == star_fully_random_expectation(4)
 
 
 # exact_quasirandom digests, frozen before the oracle's state encoding changed.
@@ -266,18 +375,31 @@ ORACLE_GRID = {
 }
 
 
+# hand-picked list assignments, neither canonical nor reversed
+_EXPLICIT_ROWS = {
+    (3, "explicit1"): {0: [2, 1], 1: [0, 2], 2: [1, 0]},
+    (3, "explicit2"): {0: [1, 2], 1: [2, 0], 2: [1, 0]},
+    (4, "explicit1"): {0: [3, 1, 2], 1: [2, 0, 3], 2: [1, 3, 0], 3: [0, 2, 1]},
+    (4, "explicit2"): {0: [2, 3, 1], 1: [3, 2, 0], 2: [0, 1, 3], 3: [2, 1, 0]},
+}
+
+
 def _grid_lists(n, kind):
     if kind == "star":
         return realize_lists(star_graph(n), ListStrategy.CANONICAL)
     if kind.startswith("random"):
         return realize_lists(complete_graph(n), ListStrategy.RANDOM, int(kind[-1]))
+    if kind.startswith("explicit"):
+        rows = _EXPLICIT_ROWS[n, kind]
+        return realize_lists(complete_graph(n), ListStrategy.EXPLICIT, explicit_rows=rows)
     return realize_lists(complete_graph(n), ListStrategy(kind))
 
 
 def _grid_horizons(n, kind, start):
     if n < 5:
         return (2, 5, 8)
-    # n = 5 at horizon 8 costs about 0.1 s a case, so only two lists run it
+    # n = 5 at horizon 8 costs up to about 30 ms a case (2 vCPU host), so only
+    # two lists run it
     return (2, 4, 8) if start == 0 and kind in ("canonical", "star") else (2, 4)
 
 
