@@ -10,6 +10,7 @@ underflow doubles already for moderate phase lengths k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,14 +26,20 @@ def _check_n(n: int) -> None:
 
 
 def _check_p(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"success probability must lie in (0, 1], got p={p}")
+    """A real number in (0, 1] passes; anything else is named by its repr."""
+    if type(p) is not float and not isinstance(p, numbers.Real) or not 0.0 < p <= 1.0:
+        raise ValueError(f"success probability must lie in (0, 1], got p={p!r}")
 
 
-def _check_integer(name: str, value) -> None:
-    """A Python or numpy integer, not a bool, passes; a float would be truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def _check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """The one integer-and-range rule: a Python or numpy integer, not a bool,
+    passes if it is at least low and at most high, where given; a float would
+    be truncated.  high is given only with low."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, (int, np.integer))):
         raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if low is not None and value < low or high is not None and value > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name}: must be {span}, got {value}")
 
 
 def _finite(value: float, what: str, p: float) -> float:

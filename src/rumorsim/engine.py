@@ -180,9 +180,7 @@ def run_batch(
     send later.  A policy run takes one round a step: a boundary reactivates
     senders.
     """
-    _check_integer("max_rounds", max_rounds)
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds: must be >= 0, got {max_rounds}")
+    _check_integer("max_rounds", max_rounds, 0)
     s = init_state(lists, protocol, failure, starts, rngs, policy)
     n, trials = lists.topology.n, len(s.running)
     informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop

@@ -24,6 +24,7 @@ from itertools import chain
 import numpy as np
 
 from . import bounds, phases
+from .bounds import _check_integer, _check_p
 from .engine import FailureModel, Protocol, run_batch
 from .phases import load_schedule
 from .rng import RowRandomness, _words, derive_key
@@ -38,6 +39,9 @@ from .topology import (
 )
 
 _BOOTSTRAP_RESAMPLES = 10_000
+# Bootstrap resamples are drawn and reduced this many (resample, trial) cells
+# at a time, one resample at least, which bounds compare's memory.
+_RESAMPLE_CELLS = 1 << 20
 # Trials run in chunks of at most this many (trial, vertex) cells, which
 # bounds a chunk's memory; records do not depend on where chunks split.
 _CHUNK_CELLS = 1 << 16
@@ -86,24 +90,25 @@ class ExperimentConfig:
     )
 
     def validate(self) -> None:
+        """Raise a ConfigError naming the first invalid field found."""
         for name, choices in _CHOICES:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
-        if self.n < 1:
-            raise ConfigError(f"n: must be >= 1, got {self.n}")
-        if self.topology == "star" and self.n < 3:
-            raise ConfigError(f"n: star topology needs n >= 3, got {self.n}")
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"p: must lie in (0, 1], got {self.p}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        try:  # the integer, range and p rules the engine applies, checked up front
+            _check_integer("n", self.n, 3 if self.topology == "star" else 1)
+            _check_p(self.p)
+            _check_integer("trials", self.trials, 1)
+            _check_integer("seed", self.seed)
+            _check_integer("list_seed", self.list_seed)
+            if self.max_rounds is not None:
+                _check_integer("max_rounds", self.max_rounds, 0)
+            self._fixed_start()  # validates the start policy string
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.lists == "file" and not self.lists_path:
             raise ConfigError("lists_path: required when lists=file")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ConfigError(f"max_rounds: must be >= 0, got {self.max_rounds}")
         if (self.schedule_path is not None) != (self.protocol == "delayed"):
             raise ConfigError("schedule_path: present exactly when protocol=delayed")
-        self._fixed_start()  # validates the start policy string
 
     def build_topology(self) -> Topology:
         return Topology(_GRAPHS[self.topology], self.n)
@@ -136,8 +141,7 @@ class ExperimentConfig:
                 v = int(policy.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"start: bad fixed vertex in {policy!r}") from None
-            if not 0 <= v < self.n:
-                raise ConfigError(f"start: vertex {v} out of range for n={self.n}")
+            _check_integer("start", v, 0, self.n - 1)
             return v
         raise ConfigError(f"start: expected fixed:<v>, sweep or symmetric, got {policy!r}")
 
@@ -409,6 +413,22 @@ class CompareResult:
         }
 
 
+def _bootstrap(gen: np.random.Generator, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The median and the mean of each of _BOOTSTRAP_RESAMPLES resamples of t.
+
+    The resamples are drawn in row blocks of at most _RESAMPLE_CELLS cells;
+    gen's integers drawn block by block are those one call would draw.
+    """
+    med, mean = np.empty(_BOOTSTRAP_RESAMPLES), np.empty(_BOOTSTRAP_RESAMPLES)
+    rows = max(1, _RESAMPLE_CELLS // len(t))
+    for first in range(0, _BOOTSTRAP_RESAMPLES, rows):
+        block = slice(first, min(first + rows, _BOOTSTRAP_RESAMPLES))
+        sample = t[gen.integers(0, len(t), size=(block.stop - first, len(t)))]
+        med[block] = np.median(sample, axis=1)
+        mean[block] = sample.mean(axis=1)
+    return med, mean
+
+
 def compare(config_a: ExperimentConfig, config_b: ExperimentConfig) -> CompareResult:
     """Run both configs and report b/a broadcast-time ratios with 95% CIs.
 
@@ -426,10 +446,9 @@ def compare(config_a: ExperimentConfig, config_b: ExperimentConfig) -> CompareRe
     mean_ratio = float(t_b.mean() / t_a.mean())
 
     gen = np.random.default_rng(derive_key(config_a.seed, config_b.seed, 0xB0075))
-    idx_a = gen.integers(0, len(t_a), size=(_BOOTSTRAP_RESAMPLES, len(t_a)))
-    idx_b = gen.integers(0, len(t_b), size=(_BOOTSTRAP_RESAMPLES, len(t_b)))
-    med = np.median(t_b[idx_b], axis=1) / np.median(t_a[idx_a], axis=1)
-    mean = t_b[idx_b].mean(axis=1) / t_a[idx_a].mean(axis=1)
+    med_a, mean_a = _bootstrap(gen, t_a)  # every resample of a is drawn before b's
+    med_b, mean_b = _bootstrap(gen, t_b)
+    med, mean = med_b / med_a, mean_b / mean_a
     median_ci = (float(np.percentile(med, 2.5)), float(np.percentile(med, 97.5)))
     mean_ci = (float(np.percentile(mean, 2.5)), float(np.percentile(mean, 97.5)))
 

@@ -76,12 +76,8 @@ def _fully_random_round_dist(n: int, p: float, m: int) -> np.ndarray:
 
 def exact_fully_random(n: int, p: float, horizon: int) -> ExactDistribution:
     """Exact broadcast-time law of the fully random push on the complete graph."""
-    _check_integer("n", n)
-    _check_integer("horizon", horizon)
-    if not 1 <= n <= 64:
-        raise ValueError(f"supported range is 1 <= n <= 64, got n={n}")
-    if not 0 <= horizon <= 10_000:
-        raise ValueError(f"supported horizon range is 0..10000, got {horizon}")
+    _check_integer("n", n, 1, 64)
+    _check_integer("horizon", horizon, 0, 10_000)
     _check_p(p)
     mass = np.zeros(horizon + 1)
     if n == 1:
@@ -123,16 +119,12 @@ def exact_quasirandom(
     that branching every move would make.  Exponential in n, hence the tight
     caps.
     """
-    for name, value in (("n", n), ("horizon", horizon), ("start_vertex", start_vertex)):
-        _check_integer(name, value)
-    if not 2 <= n <= 5:
-        raise ValueError(f"supported range is 2 <= n <= 5, got n={n}")
-    if not 0 <= horizon <= 8:
-        raise ValueError(f"supported horizon range is 0..8, got {horizon}")
+    _check_integer("n", n, 2, 5)
+    _check_integer("horizon", horizon, 0, 8)
+    _check_integer("start_vertex", start_vertex, 0, n - 1)
     _check_p(p)
     if lists.topology.n != n:
         raise ValueError(f"lists are for n={lists.topology.n}, oracle asked n={n}")
-    lists.topology.check_vertex(start_vertex)
 
     rows = [lists.row(v).tolist() for v in range(n)]
     degs = [len(r) for r in rows]
@@ -205,9 +197,7 @@ def star_fully_random_expectation(n: int) -> float:
     The center is the only effective sender after round 1: informed leaves
     keep transmitting to the center, which changes nothing.
     """
-    _check_integer("n", n)
-    if n < 3:
-        raise ValueError(f"needs n >= 3, got n={n}")
+    _check_integer("n", n, 3)
     harmonic = sum(1.0 / j for j in range(1, n - 1))
     return 1.0 + (n - 1) * harmonic
 

@@ -55,9 +55,7 @@ class Phase:
     def __post_init__(self):
         if not isinstance(self.kind, PhaseKind):  # a value runs as its member
             object.__setattr__(self, "kind", PhaseKind(self.kind))
-        _check_integer("length", self.length)
-        if self.length < 0:
-            raise ValueError(f"phase length must be >= 0, got {self.length}")
+        _check_integer("length", self.length, 0)
 
 
 @dataclass(frozen=True)
@@ -263,10 +261,8 @@ def busy_growth_sample(
     informing rounds, so a step that runs a block of rounds counts each round
     of it, and a window that reaches the completion round ends there.
     """
-    for name, value in (("k", k), ("max_warmup", max_warmup)):
-        _check_integer(name, value)
-        if value < 0:
-            raise ValueError(f"{name}: must be >= 0, got {value}")
+    _check_integer("k", k, 0)
+    _check_integer("max_warmup", max_warmup, 0)
     state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng])
     while True:  # N_t is the number of rows informed in round t
         newly = np.bincount(state.at[state.at >= 0], minlength=state.t + 1)[1:max_warmup + 1]

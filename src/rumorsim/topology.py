@@ -31,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import _check_integer
 from .rng import _MASK, _derive_keys, _pcg64_states
 
 # materialized assignments above this many cells would not fit in memory; the
@@ -59,14 +60,10 @@ class Topology:
     def __post_init__(self):
         if not isinstance(self.kind, GraphKind):  # a value runs as its member
             object.__setattr__(self, "kind", GraphKind(self.kind))
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        if self.kind is GraphKind.STAR and self.n < 3:
-            raise ValueError(f"star needs n >= 3, got n={self.n}")
+        _check_integer("n", self.n, 3 if self.kind is GraphKind.STAR else 1)
 
     def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        _check_integer("vertex", v, 0, self.n - 1)
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)

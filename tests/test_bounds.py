@@ -228,6 +228,9 @@ class TestIntCeilExp:
         got = int_ceil_exp(log_x)
         assert abs(got.bit_length() - log_x / math.log(2)) < 3
 
+    def test_zero_for_log_zero(self):
+        assert int_ceil_exp(-math.inf) == 0
+
     def test_refuses_unmaterializable(self):
         with pytest.raises(ValueError):
             int_ceil_exp(1e9)

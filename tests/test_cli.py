@@ -418,6 +418,15 @@ class TestPhases:
         assert "k=6" in out
         assert "feasible=" in out
 
+    def test_print_theoretical_elides_phases_past_the_eighth(self, capsys):
+        code = run_cli(
+            "phases", "--print-theoretical", "--n", "1000000", "--p", "1", "--eps", "0.5"
+        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[1] == "feasible=false phases=9"
+        assert len(out) == 2 + 8 + 1 and out[-1] == "  ... 1 more"  # eight phases shown
+
     def test_print_theoretical_needs_parameters(self, capsys):
         assert run_cli("phases", "--print-theoretical") == 1
 

@@ -179,7 +179,9 @@ def test_batch_rejects_bad_inputs():
         run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0, 1, 2], rngs, 10)
 
 
-@pytest.mark.parametrize("starts", [[0, True], [0, 1.0], (np.int64(0), np.float32(1))])
+@pytest.mark.parametrize(
+    "starts", [[0, True], [0, 1.0], (np.int64(0), np.float32(1)), np.array([0.0, 1.0])]
+)
 def test_each_start_element_that_is_not_an_integer_raises(starts):
     # a list of ints and a bool, or a float, casts to int64 and would run the
     # odd one out from vertex 1

@@ -59,6 +59,14 @@ class TestConfigValidation:
             (dict(start="center"), "start"),
             (dict(schedule_path="s.txt"), "schedule_path"),
             (dict(protocol="delayed"), "schedule_path"),
+            # a Python-API config is checked as the CLI's types would check it
+            (dict(n=4.0), "n: must be an integer, got 4.0"),
+            (dict(n=True), "n: must be an integer, got True"),
+            (dict(trials=2.5), "trials: must be an integer, got 2.5"),
+            (dict(seed=1.5), "seed: must be an integer, got 1.5"),
+            (dict(list_seed=2.5), "list_seed: must be an integer, got 2.5"),
+            (dict(max_rounds=2.0), "max_rounds: must be an integer, got 2.0"),
+            (dict(p="0.5"), "got p='0.5'"),  # a non-number is named by its repr
         ],
     )
     def test_errors_name_the_field(self, overrides, field):
@@ -280,6 +288,26 @@ class TestCompare:
         out = compare(a, b)
         assert out.mean_ratio > 1.3
         assert out.mean_ci[0] > 1.0
+
+    def test_an_arm_that_completes_no_trial_raises(self):
+        with pytest.raises(ConfigError, match="trials: comparison needs completed trials"):
+            compare(cfg(), cfg(max_rounds=0))
+
+    def test_a_thousand_trials_an_arm_keep_their_ratios_in_bounded_memory(self):
+        # frozen from one (10,000 x 1,000) draw per arm, which peaked at 307 MiB
+        # traced; resamples drawn in blocks take the same integers from gen
+        a = cfg(protocol="random", n=16, p=0.3, trials=1000, seed=3)
+        b = cfg(protocol="quasi", n=16, p=0.25, trials=1000, seed=4)
+        tracemalloc.start()
+        try:
+            out = compare(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.median_ratio, out.mean_ratio) == (1.0952380952380953, 1.1118052072408917)
+        assert out.median_ci == (1.0454545454545454, 1.1428571428571428)
+        assert out.mean_ci == (1.0861442931487584, 1.1376847460606652)
+        assert peak < 64 * 2**20
 
     def test_dict_shape_and_persistence(self, tmp_path):
         summ = tmp_path / "cmp.json"

@@ -158,11 +158,11 @@ class TestFullyRandomOracle:
                 assert (hi >= lo - 1e-12).all()
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be in 1..64, got 0"):
             exact_fully_random(0, 1.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be in 1..64, got 65"):
             exact_fully_random(65, 1.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon: must be in 0..10000, got 10001"):
             exact_fully_random(4, 1.0, 10_001)
         with pytest.raises(ValueError):
             exact_fully_random(4, 0.0, 5)
@@ -241,11 +241,13 @@ class TestQuasirandomOracle:
 
     def test_range_validation(self):
         lists = realize_lists(complete_graph(6), ListStrategy.CANONICAL)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be in 2..5, got 6"):
             exact_quasirandom(6, lists, 1.0, 8)
         lists4 = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon: must be in 0..8, got 9"):
             exact_quasirandom(4, lists4, 1.0, 9)
+        with pytest.raises(ValueError, match="start_vertex: must be in 0..3, got 4"):
+            exact_quasirandom(4, lists4, 1.0, 8, start_vertex=4)
         with pytest.raises(ValueError):
             exact_quasirandom(5, lists4, 1.0, 8)  # lists built for another n
 
@@ -432,8 +434,13 @@ class TestStarExpectation:
         assert truncated_mean == pytest.approx(star_fully_random_expectation(4), abs=1e-6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be >= 3, got 2"):
             star_fully_random_expectation(2)
+
+
+def test_a_law_whose_mass_and_tail_miss_one_raises():
+    with pytest.raises(ValueError, match="probability mass sums to 0.9"):
+        ExactDistribution(horizon=1, mass=np.array([0.5, 0.3]), tail=0.1)
 
 
 class TestTvDistance:

@@ -62,7 +62,7 @@ class TestScheduleFormat:
             parse_schedule("lazy\n")
         with pytest.raises(ValueError):
             parse_schedule("busy,two\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: bad length '-1': length: must be >= 0"):
             parse_schedule("busy,-1\n")
 
     def test_a_kind_given_as_its_value_runs_as_the_member(self):

@@ -133,12 +133,19 @@ class TestTopology:
                 assert np.array_equal(got, row)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be >= 1, got 0"):
             complete_graph(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n: must be >= 3, got 2"):
             star_graph(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex: must be in 0..3, got 4"):
             complete_graph(4).degree(4)
+        # a float or a bool n would reach numpy's shape arguments
+        with pytest.raises(ValueError, match="n: must be an integer, got 4.0"):
+            Topology(GraphKind.COMPLETE, 4.0)
+        with pytest.raises(ValueError, match="n: must be an integer, got True"):
+            Topology(GraphKind.COMPLETE, True)
+        with pytest.raises(ValueError, match="vertex: must be an integer, got 1.5"):
+            complete_graph(4).neighbors(1.5)
 
     @given(st.integers(min_value=1, max_value=40), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -301,6 +308,9 @@ class TestListAssignment:
             realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows={0: [2, 1]})
         with pytest.raises(ValueError):
             realize_lists(topo, ListStrategy.EXPLICIT)
+        for strategy in (ListStrategy.CANONICAL, ListStrategy.RANDOM):
+            with pytest.raises(ValueError, match="explicit_rows only makes sense"):
+                realize_lists(topo, strategy, explicit_rows=good)
 
     def test_sorting_every_realized_list_recovers_canonical(self):
         topo = star_graph(17)
