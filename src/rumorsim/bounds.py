@@ -26,8 +26,9 @@ def _check_n(n: int) -> None:
 
 
 def _check_p(p: float) -> None:
-    """A real number in (0, 1] passes; anything else is named by its repr."""
-    if type(p) is not float and not isinstance(p, numbers.Real) or not 0.0 < p <= 1.0:
+    """A real number in (0, 1], not a bool, passes; anything else is named by its repr."""
+    real = type(p) is float or type(p) is not bool and isinstance(p, numbers.Real)
+    if not real or not 0.0 < p <= 1.0:
         raise ValueError(f"success probability must lie in (0, 1], got p={p!r}")
 
 

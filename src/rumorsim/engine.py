@@ -24,9 +24,15 @@ protocol once and keeps all four, so step(state, max_rounds), the one round
 implementation, reads them from the state.  run_batch loops over step, and a
 caller that stops partway through a run (phases' growth sampling) steps an
 init_state itself.  A quasirandom row keeps its first list position and reads
-each slot from it and its attempt count; only a feedback row keeps a running
-cursor.  The loop looks for finished trials only after a step that informed a
-row, and after every step once the clock reaches the first trial's cap, and
+each slot from it and its attempt ordinal.  Without a policy a row sends in
+every round after the one that informed it, so its ordinal is t - at and
+nothing counts it; a policy can pause a row, so a policy run counts attempts.
+While t plus the step's rounds is at most the degree, a slot is below twice
+the degree, and _wrap subtracts the degree where it is reached, branch-free,
+in place of an int64 remainder.  Only a feedback row keeps a running cursor,
+which a single round moves on and wraps the same way.  The
+loop looks for finished trials only after a step that informed a row, and
+after every step once the clock reaches the first trial's cap, and
 EngineState.keep drops their rows.  Once a trial is settled (no uninformed
 vertex has an uninformed neighbor), the senders that can still inform anyone
 are fixed and their draws follow from their addresses alone, so a step draws a
@@ -76,6 +82,14 @@ class FailureModel:
         _check_p(self.p)
 
 
+def _wrap(slots: np.ndarray, degs) -> np.ndarray:
+    """slots mod degs, in place, for int64 slots in [0, 2 * degs): branch-free,
+    as below its degree a slot minus the degree is negative, a uint64 above
+    any slot, so the unsigned minimum keeps the slot."""
+    np.minimum(slots.view(np.uint64), (slots - degs).view(np.uint64), out=slots.view(np.uint64))
+    return slots
+
+
 def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """rounds transmissions per sender row of state; returns the rows its
     deliveries newly inform, and the index of the transmission that informs each.
@@ -83,15 +97,19 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
     A sender's target u lies in its own trial's block, at row u + (row - vertex).
     Transmission j * len(rows) + i is the j-th of sender i, and a delivery
     counts if its target was uninformed when the call began, so the returned
-    rows may repeat.  Mutates attempt counters and feedback cursors, not
-    informed.  Senders must all have degree > 0 and, on lists, a cursor.
+    rows may repeat.  Mutates feedback cursors and, under a policy, attempt
+    counters, not informed.  Senders must all have degree > 0 and, on lists, a
+    cursor.
     """
     s, lists, p = state, state.lists, state.p
     topo = lists.topology
     per_round = len(rows)
     vertices = s.vertex[rows]
-    ordinals = s.attempts[rows]
-    s.attempts[rows] = ordinals + rounds
+    if s.attempts is None:  # no policy: a row sends in every round after its informing one
+        ordinals = s.t - s.at[rows]
+    else:  # a policy can pause a row, so its transmissions are counted
+        ordinals = s.attempts[rows]
+        s.attempts[rows] = ordinals + rounds
     if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
         ordinals = (ordinals + np.arange(rounds)[:, None]).ravel()
         rows, vertices = np.tile(rows, rounds), np.tile(vertices, rounds)
@@ -104,7 +122,10 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
     elif s.protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
         positions = s.cursor[rows]
         positions += ordinals
-        positions %= degs  # the lists are cyclic
+        if not isinstance(degs, np.ndarray) and s.t + rounds <= degs:  # ordinals below deg
+            _wrap(positions, degs)
+        else:  # the lists are cyclic
+            positions %= degs
         targets = lists.targets_at(vertices, positions)
     else:
         moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
@@ -112,12 +133,16 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
             delivered = s.keys.coin_uniforms(rows, ordinals) < p
             moved = delivered.nonzero()[0]  # only a delivery can be acknowledged
             moved = moved[s.keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
-        # a sender's cursor moves on its own coins only: a running sum
-        steps = np.zeros((rounds, per_round), dtype=np.int64)
-        steps.ravel()[moved] = 1
-        walked = steps.cumsum(axis=0) + s.cursor[rows[:per_round]]
-        targets = lists.targets_at(vertices, (walked - steps).ravel() % degs)
-        s.cursor[rows[:per_round]] = walked[-1] % topo.degrees(vertices[:per_round])
+        if rounds == 1:  # a cursor is below the degree, and wraps to 0 where it reaches it
+            positions = s.cursor[rows]
+            s.cursor[rows[moved]] = _wrap(positions[moved] + 1, topo.degrees(vertices[moved]))
+        else:  # a sender's cursor moves on its own coins only: a running sum
+            steps = np.zeros((rounds, per_round), dtype=np.int64)
+            steps.ravel()[moved] = 1
+            walked = steps.cumsum(axis=0) + s.cursor[rows[:per_round]]
+            positions = (walked - steps).ravel() % degs
+            s.cursor[rows[:per_round]] = walked[-1] % topo.degrees(vertices[:per_round])
+        targets = lists.targets_at(vertices, positions)
 
     target_rows = targets + (rows - vertices)
     useful = (~s.informed[target_rows]).nonzero()[0]
@@ -170,15 +195,16 @@ def run_batch(
     the transmissions the live senders need, in expectation, to hit every
     uninformed row, each later one twice the last one's; a block of more than
     one round draws at most _BLOCK_CELLS, and none runs past max_rounds.
-    Other senders' cursors and attempts go stale unread: no policy runs, and
-    settling is final.
+    Other senders' cursors go stale unread: no policy runs, and settling is
+    final, so a live sender's ordinal stays t - at.
 
     A policy (phases' schedules) gives each trial's last round,
     policy.caps(max_rounds), and at round 0 and at each boundary it names,
     policy.senders(t, at, running): the rows that may send until the next one.
     When no row may send, every running trial stops at its cap, as none can
-    send later.  A policy run takes one round a step: a boundary reactivates
-    senders.
+    send later.  A policy run takes one round a step, as a boundary
+    reactivates senders, and counts each row's transmissions, as it pauses
+    some.
     """
     _check_integer("max_rounds", max_rounds, 0)
     s = init_state(lists, protocol, failure, starts, rngs, policy)
@@ -222,7 +248,9 @@ class EngineState:
     # each row's first list position, which its k-th transmission reads k slots
     # on, under quasirandom; its next one under feedback; unused by random targets
     cursor: np.ndarray
-    attempts: np.ndarray  # transmissions each row has made, its rng ordinal
+    # transmissions each row has made, its rng ordinal, under a policy; None
+    # without one, where a row's ordinal is t - at, as it sends every round
+    attempts: np.ndarray | None
     may_send: np.ndarray  # the policy's rows that may send until its next boundary
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
@@ -239,7 +267,7 @@ class EngineState:
         """Keep only the trials running[live]: their rows and their draws."""
         n, kept = self.lists.topology.n, live.nonzero()[0]
         self.informed, self.at, self.cursor, self.attempts, self.may_send = (
-            rows.reshape(-1, n).take(kept, axis=0).ravel()  # by trial: whole blocks at once
+            None if rows is None else rows.reshape(-1, n).take(kept, axis=0).ravel()  # by trial
             for rows in (self.informed, self.at, self.cursor, self.attempts, self.may_send)
         )
         self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
@@ -286,7 +314,7 @@ def init_state(
     return EngineState(
         lists=lists, protocol=protocol, p=failure.p, policy=policy, informed=informed,
         at=np.where(informed, 0, -1), vertex=vertex, cursor=cursor,
-        attempts=np.zeros(len(informed), dtype=np.int64),
+        attempts=None if policy is None else np.zeros(len(informed), dtype=np.int64),
         may_send=np.ones(len(informed), dtype=bool),  # read only under a policy
         keys=keys, running=np.arange(len(starts)), boundary=None if policy is None else 0,
     )

@@ -94,6 +94,9 @@ class ExperimentConfig:
         for name, choices in _CHOICES:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
+        for name in _STRINGS:
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name}: must be a string, got {getattr(self, name)!r}")
         try:  # the integer, range and p rules the engine applies, checked up front
             _check_integer("n", self.n, 3 if self.topology == "star" else 1)
             _check_p(self.p)
@@ -166,6 +169,8 @@ def _config_keys() -> dict[str, tuple[str, type, tuple | None, str | None]]:
 # Derived once here, so no call path pays for fields() or get_type_hints().
 CONFIG_KEYS = _config_keys()
 _CHOICES = tuple((name, choices) for name, _, choices, _ in CONFIG_KEYS.values() if choices)
+# the optional string fields, which no choices check: the start policy and the paths
+_STRINGS = tuple(name for name, kind, opts, _ in CONFIG_KEYS.values() if kind is str and not opts)
 
 
 @dataclass(frozen=True)

@@ -166,9 +166,9 @@ class ListAssignment:
         if self.strategy is ListStrategy.REVERSED:
             return topo.neighbors_at(vertices, topo.degrees(vertices) - 1 - positions)
         flat = self._table.ravel()  # row v starts at v * (n - 1)
-        if topo.kind is GraphKind.COMPLETE:
-            return flat[vertices * (topo.n - 1) + positions]
-        return np.where(vertices == 0, flat[positions], 0)  # a leaf's one slot lists 0
+        if topo.kind is GraphKind.COMPLETE:  # take: a plain gather, faster than indexing
+            return flat.take(vertices * (topo.n - 1) + positions)
+        return np.where(vertices == 0, flat.take(positions), 0)  # a leaf's one slot lists 0
 
 
 def _validate_row(topology: Topology, v: int, row) -> np.ndarray:

@@ -63,7 +63,9 @@ def test_init_state():
     assert s.informed[3] and s.at.tolist() == [-1, -1, -1, 0, -1]
     # every first list position is drawn up front, whether or not its vertex sends
     assert s.cursor.tolist() == rng.initial_positions(np.arange(5), np.full(5, 4)).tolist()
-    assert (s.attempts == 0).all()
+    assert s.attempts is None  # no policy: a row's ordinal is t - at
+    counted = init_state(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [3], [rng], _Masks())
+    assert (counted.attempts == 0).all()
     with pytest.raises(ValueError):
         init_state(realize_lists(complete_graph(4), ListStrategy.CANONICAL),
                    Protocol.QUASIRANDOM, FailureModel(1.0), [4], [rng])
@@ -87,6 +89,8 @@ def test_failure_model_validation():
         FailureModel(0.0)
     with pytest.raises(ValueError):
         FailureModel(1.2)
+    with pytest.raises(ValueError, match=r"got p=True$"):  # a bool is no probability
+        FailureModel(True)
 
 
 def test_step_is_noop_when_everyone_knows():
@@ -286,12 +290,12 @@ def test_quasirandom_cursor_walks_cyclically():
     fm = FailureModel(0.4)  # failures must not stall the cursor
     rng = TrialRandomness(3, 0)
     s = init_state(lists, Protocol.QUASIRANDOM, fm, [2], [rng])
-    prev = int(s.cursor[2])  # drawn up front; the next slot is (first + attempts) % 23
+    prev = int(s.cursor[2])  # drawn up front; the next slot is (first + t - at) % 23
     for _ in range(12):
         step(s, 12)
         if s.informed_count == 24:
             break
-        cur = int(s.cursor[2] + s.attempts[2]) % 23
+        cur = int(s.cursor[2] + s.t - s.at[2]) % 23
         assert cur == (prev + 1) % 23
         prev = cur
     assert s.t == 12
@@ -632,6 +636,45 @@ def test_complete_two_vertices(protocol, p):
     lists = realize_lists(complete_graph(2), ListStrategy.CANONICAL)
     res = _assert_runs_equal_reference(lists, protocol, p, [0, 1, 1, 0], 5, 40)
     assert all(r.completed for r in res)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.QUASIRANDOM, Protocol.FEEDBACK_RETRY])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unsettled_rounds_past_the_degree_equal_every_coin_reference(n, protocol):
+    # at p <= 0.2 a trial is still unsettled when t + rounds passes the degree
+    # n - 1, so list slots are wrapped by one subtraction before and by % after
+    lists = realize_lists(complete_graph(n), ListStrategy.RANDOM, seed=n)
+    p = 0.1 if n % 2 else 0.2
+    unsettled, real = set(), engine._transmit  # whether t + rounds fits the degree
+
+    def transmit(state, rows, rounds):
+        if lists.topology.live_senders(state.informed) is None:
+            unsettled.add(state.t + rounds <= n - 1)
+        return real(state, rows, rounds)
+
+    with mock.patch.object(engine, "_transmit", transmit):
+        res = _assert_runs_equal_reference(lists, protocol, p, [0, n - 1, n // 2], n, 400)
+    assert all(r.completed for r in res)
+    assert unsettled == (set() if n == 2 else {True, False})  # n = 2 is settled at round 0
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("graph", [complete_graph(9), star_graph(9)], ids=["complete", "star"])
+def test_derived_ordinals_equal_counted_ones(graph, protocol):
+    # without a policy a row's ordinal is t - at; an always-true policy counts
+    # each row's transmissions instead, and must inform the same rows each round
+    lists = realize_lists(graph, ListStrategy.RANDOM, seed=5)
+    fm = FailureModel(0.3)
+    for seed in range(6):
+        rng = TrialRandomness(seed, 0)
+        derived = init_state(lists, protocol, fm, [seed], [rng])
+        counted = init_state(lists, protocol, fm, [seed], [rng], _Masks())
+        while not derived.informed.all():
+            step(derived, 500)  # a settled step may run a block of rounds
+            while counted.t < derived.t:
+                step(counted, 500)
+            assert np.array_equal(counted.at, derived.at)
+        assert counted.attempts.max() > 0
 
 
 @settings(max_examples=40, deadline=None)

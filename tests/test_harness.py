@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
@@ -33,6 +34,8 @@ from rumorsim import (
 )
 from rumorsim.harness import TrialRecord
 
+P_RANGE = "success probability must lie in (0, 1], got p="
+
 
 def cfg(**kw) -> ExperimentConfig:
     base = dict(protocol="quasi", topology="complete", n=8, p=1.0, trials=4, seed=1)
@@ -42,23 +45,40 @@ def cfg(**kw) -> ExperimentConfig:
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "overrides, field",
-        [
-            (dict(protocol="gossip"), "protocol"),
-            (dict(topology="ring"), "topology"),
-            (dict(n=0), "n"),
-            (dict(topology="star", n=2), "n"),
-            (dict(p=0.0), "p"),
-            (dict(p=1.5), "p"),
-            (dict(trials=0), "trials"),
-            (dict(lists="sorted"), "lists"),
-            (dict(lists="file"), "lists_path"),
-            (dict(max_rounds=-1), "max_rounds"),
-            (dict(start="fixed:99"), "start"),
-            (dict(start="fixed:x"), "start"),
-            (dict(start="center"), "start"),
-            (dict(schedule_path="s.txt"), "schedule_path"),
-            (dict(protocol="delayed"), "schedule_path"),
+        "overrides, message",
+        [  # each whole message, so a case passes only with its own field named;
+            # the ids of the first cases name only the field
+            pytest.param(dict(protocol="gossip"), "protocol: expected one of "
+                         "('random', 'quasi', 'feedback', 'delayed'), got 'gossip'",
+                         id="overrides0-protocol"),
+            pytest.param(dict(topology="ring"),
+                         "topology: expected one of ('complete', 'star'), got 'ring'",
+                         id="overrides1-topology"),
+            pytest.param(dict(n=0), "n: must be >= 1, got 0", id="overrides2-n"),
+            pytest.param(dict(topology="star", n=2), "n: must be >= 3, got 2", id="overrides3-n"),
+            pytest.param(dict(p=0.0), f"{P_RANGE}0.0", id="overrides4-p"),
+            pytest.param(dict(p=1.5), f"{P_RANGE}1.5", id="overrides5-p"),
+            pytest.param(dict(trials=0), "trials: must be >= 1, got 0", id="overrides6-trials"),
+            pytest.param(dict(lists="sorted"), "lists: expected one of "
+                         "('canonical', 'reversed', 'random', 'file'), got 'sorted'",
+                         id="overrides7-lists"),
+            pytest.param(dict(lists="file"), "lists_path: required when lists=file",
+                         id="overrides8-lists_path"),
+            pytest.param(dict(max_rounds=-1), "max_rounds: must be >= 0, got -1",
+                         id="overrides9-max_rounds"),
+            pytest.param(dict(start="fixed:99"), "start: must be in 0..7, got 99",
+                         id="overrides10-start"),
+            pytest.param(dict(start="fixed:x"), "start: bad fixed vertex in 'fixed:x'",
+                         id="overrides11-start"),
+            pytest.param(dict(start="center"),
+                         "start: expected fixed:<v>, sweep or symmetric, got 'center'",
+                         id="overrides12-start"),
+            pytest.param(dict(schedule_path="s.txt"),
+                         "schedule_path: present exactly when protocol=delayed",
+                         id="overrides13-schedule_path"),
+            pytest.param(dict(protocol="delayed"),
+                         "schedule_path: present exactly when protocol=delayed",
+                         id="overrides14-schedule_path"),
             # a Python-API config is checked as the CLI's types would check it
             (dict(n=4.0), "n: must be an integer, got 4.0"),
             (dict(n=True), "n: must be an integer, got True"),
@@ -66,11 +86,18 @@ class TestConfigValidation:
             (dict(seed=1.5), "seed: must be an integer, got 1.5"),
             (dict(list_seed=2.5), "list_seed: must be an integer, got 2.5"),
             (dict(max_rounds=2.0), "max_rounds: must be an integer, got 2.0"),
-            (dict(p="0.5"), "got p='0.5'"),  # a non-number is named by its repr
+            # a non-number is named by its repr
+            pytest.param(dict(p="0.5"), f"{P_RANGE}'0.5'", id="overrides21-got p='0.5'"),
+            (dict(p=True), f"{P_RANGE}True"),  # a bool is no probability
+            (dict(start=3), "start: must be a string, got 3"),
+            (dict(lists="file", lists_path=5), "lists_path: must be a string, got 5"),
+            (dict(protocol="delayed", schedule_path=7), "schedule_path: must be a string, got 7"),
+            (dict(out_path=1), "out_path: must be a string, got 1"),
+            (dict(summary_path=b"s.json"), "summary_path: must be a string, got b's.json'"),
         ],
     )
-    def test_errors_name_the_field(self, overrides, field):
-        with pytest.raises(ConfigError, match=field):
+    def test_errors_name_the_field(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             cfg(**overrides).validate()
 
     def test_valid_config_passes(self):
