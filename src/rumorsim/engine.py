@@ -30,10 +30,19 @@ nothing counts it; a policy can pause a row, so a policy run counts attempts.
 While t plus the step's rounds is at most the degree, a slot is below twice
 the degree, and _wrap subtracts the degree where it is reached, branch-free,
 in place of an int64 remainder.  Only a feedback row keeps a running cursor,
-which a single round moves on and wraps the same way.  The
-loop looks for finished trials only after a step that informed a row, and
-after every step once the clock reaches the first trial's cap, and
-EngineState.keep drops their rows.  Once a trial is settled (no uninformed
+which a single round moves on and wraps the same way.  A row's vertex and
+list position are int32, and so are its informing round and attempt count
+whenever max_rounds + n < 2**31, which bounds every round, ordinal and slot
+first + ordinal; the temporaries of a round keep those widths.  A round runs
+its senders in slices of at most _BLOCK_CELLS, each slice's informs applied
+before the next slice runs, so what a round allocates does not grow with n:
+every inform of the round gets its number, and a delivery to a row an earlier
+slice informed skips only its coin.  The loop looks for finished trials only
+after a step that informed a row, and after every step once the clock
+reaches the first trial's cap.  A finished trial stays in the batch, all
+informed, so it informs no one, until the finished trials are half of it or
+a trial reaches its cap; then EngineState.keep drops their rows together.
+Once a trial is settled (no uninformed
 vertex has an uninformed neighbor), the senders that can still inform anyone
 are fixed and their draws follow from their addresses alone, so a step draws a
 block of rounds at once.  run_batch returns three arrays: each trial's rounds,
@@ -83,10 +92,12 @@ class FailureModel:
 
 
 def _wrap(slots: np.ndarray, degs) -> np.ndarray:
-    """slots mod degs, in place, for int64 slots in [0, 2 * degs): branch-free,
-    as below its degree a slot minus the degree is negative, a uint64 above
-    any slot, so the unsigned minimum keeps the slot."""
-    np.minimum(slots.view(np.uint64), (slots - degs).view(np.uint64), out=slots.view(np.uint64))
+    """slots mod degs, in place, for slots in [0, 2 * degs): branch-free, as
+    below its degree a slot minus the degree is negative, in the unsigned view
+    of the slots' own width a number above any slot, so the unsigned minimum
+    keeps the slot."""
+    unsigned = slots.view(np.uint32 if slots.itemsize == 4 else np.uint64)
+    np.minimum(unsigned, (slots - degs).view(unsigned.dtype), out=unsigned)
     return slots
 
 
@@ -94,27 +105,40 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
     """rounds transmissions per sender row of state; returns the rows its
     deliveries newly inform, and the index of the transmission that informs each.
 
-    A sender's target u lies in its own trial's block, at row u + (row - vertex).
     Transmission j * len(rows) + i is the j-th of sender i, and a delivery
     counts if its target was uninformed when the call began, so the returned
     rows may repeat.  Mutates feedback cursors and, under a policy, attempt
     counters, not informed.  Senders must all have degree > 0 and, on lists, a
     cursor.
     """
-    s, lists, p = state, state.lists, state.p
-    topo = lists.topology
-    per_round = len(rows)
-    vertices = s.vertex[rows]
+    s, p = state, state.p
     if s.attempts is None:  # no policy: a row sends in every round after its informing one
         ordinals = s.t - s.at[rows]
     else:  # a policy can pause a row, so its transmissions are counted
         ordinals = s.attempts[rows]
         s.attempts[rows] = ordinals + rounds
     if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
-        ordinals = (ordinals + np.arange(rounds)[:, None]).ravel()
-        rows, vertices = np.tile(rows, rounds), np.tile(vertices, rounds)
+        ordinals = (ordinals + np.arange(rounds, dtype=ordinals.dtype)[:, None]).ravel()
+        rows = np.tile(rows, rounds)
+    target_rows, delivered = _targets(s, rows, ordinals, rounds)
+    useful = (~s.informed[target_rows]).nonzero()[0]
+    if delivered is not None:
+        useful = useful[delivered[useful]]
+    elif p < 1.0 and len(useful):
+        useful = useful[s.keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
+    return target_rows[useful], useful
+
+
+def _targets(s: EngineState, rows: np.ndarray, ordinals: np.ndarray, rounds: int):
+    """The row each transmission of _transmit reaches, and, where the cursor
+    needs them (feedback at p < 1), the delivery coins of all of them, else
+    None.  A sender's target u lies in its own trial's block, at row
+    u + (row - vertex).  The lookups' temporaries end with this call."""
+    lists, p = s.lists, s.p
+    topo = lists.topology
+    vertices = s.vertex[rows]
     degs = topo.degrees(vertices)
-    delivered = None  # drawn for every sender only where the cursor needs it
+    delivered = None
 
     if s.protocol is Protocol.FULLY_RANDOM:
         idx = s.keys.target_indices(rows, ordinals, degs)
@@ -137,20 +161,16 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
             positions = s.cursor[rows]
             s.cursor[rows[moved]] = _wrap(positions[moved] + 1, topo.degrees(vertices[moved]))
         else:  # a sender's cursor moves on its own coins only: a running sum
-            steps = np.zeros((rounds, per_round), dtype=np.int64)
+            per_round = len(rows) // rounds
+            steps = np.zeros((rounds, per_round), dtype=s.cursor.dtype)
             steps.ravel()[moved] = 1
-            walked = steps.cumsum(axis=0) + s.cursor[rows[:per_round]]
+            walked = steps.cumsum(axis=0, dtype=steps.dtype) + s.cursor[rows[:per_round]]
             positions = (walked - steps).ravel() % degs
             s.cursor[rows[:per_round]] = walked[-1] % topo.degrees(vertices[:per_round])
         targets = lists.targets_at(vertices, positions)
-
-    target_rows = targets + (rows - vertices)
-    useful = (~s.informed[target_rows]).nonzero()[0]
-    if delivered is not None:
-        useful = useful[delivered[useful]]
-    elif p < 1.0 and len(useful):
-        useful = useful[s.keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
-    return target_rows[useful], useful
+    target_rows = rows - vertices  # the row of the trial's vertex 0
+    target_rows += targets
+    return target_rows, delivered
 
 
 @dataclass
@@ -161,7 +181,8 @@ class TrialResult:
 
 
 # a block of settled rounds, the first included, draws at most this many
-# transmissions unless it is a single round
+# transmissions unless it is a single round, whose senders run in slices of
+# at most this many
 _BLOCK_CELLS = 1 << 16
 
 
@@ -183,8 +204,11 @@ def run_batch(
     vertex is informed or max_rounds have elapsed, and its draws come only
     from its own rng, so the results do not depend on which other trials
     share the batch.  The loop is init_state, then step until every trial has
-    stopped; EngineState.keep drops a finished trial's rows between steps.
-    Rounds may lie past int64 (an object array) when max_rounds does.
+    stopped; EngineState.keep drops finished trials' rows between steps, once
+    they are half of the batch or a trial has reached its cap, and until then
+    Topology.live_senders and the settled block width count only the
+    unfinished trials.  Rounds may lie past int64 (an object array) when
+    max_rounds does.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -207,9 +231,9 @@ def run_batch(
     some.
     """
     _check_integer("max_rounds", max_rounds, 0)
-    s = init_state(lists, protocol, failure, starts, rngs, policy)
+    s = init_state(lists, protocol, failure, starts, rngs, policy, max_rounds)
     n, trials = lists.topology.n, len(s.running)
-    informing = np.empty((trials, n), dtype=np.int64)  # by trial, filled as trials stop
+    informing = None  # by trial, made when the first trial stops and filled as trials stop
     # a trial that does not complete stops at its cap, which may lie past int64
     caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
     rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
@@ -220,14 +244,20 @@ def run_batch(
         if s.newly or capped:  # a trial completes only in a step that informs a row
             done = s.informed.reshape(-1, n).all(axis=1)
             stop = done | (rounds[s.running] <= s.t) if capped else done
-            if stop.any():
+            if stop.any():  # a finished trial left in the batch is recorded again, the same
+                if informing is None:
+                    informing = np.empty((trials, n), dtype=np.int64)
                 at = s.at.reshape(-1, n)
                 informing[s.running[stop]] = at[stop]
                 rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
                 completed[s.running[done]] = True
-                s.keep(~stop)
+                s.finished = int(np.count_nonzero(stop))
+                if capped or 2 * s.finished >= len(s.running):  # a capped trial still sends
+                    s.keep(~stop)
         if not len(s.running) or not step(s, max_rounds):
             break
+    if informing is None:  # a stall before any trial stopped
+        informing = np.empty((trials, n), dtype=np.int64)
     informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
     return rounds, completed, informing
 
@@ -236,7 +266,11 @@ def run_batch(
 class EngineState:
     """A batch of trials of one run between rounds: the lists, protocol,
     success probability and sender policy it was built with, and its rows.
-    Trial running[b]'s vertex v is row b*n + v."""
+    Trial running[b]'s vertex v is row b*n + v.  vertex and cursor are int32;
+    at and attempts are int32 when the run's max_rounds + n < 2**31 and int64
+    otherwise (init_state), so a row takes 14 bytes, 4 more under a policy,
+    and 8 for each cached first stage of its draws.  A step's temporaries
+    are as wide, and but for the list of senders at most _BLOCK_CELLS long."""
 
     lists: ListAssignment
     protocol: Protocol
@@ -255,6 +289,7 @@ class EngineState:
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
     t: int = 0  # rounds run
+    finished: int = 0  # trials of running that have stopped, all informed; dropped in bulk
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
     newly: bool = True  # whether the last step informed a row; round 0 informs the starts
@@ -272,6 +307,7 @@ class EngineState:
         )
         self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
         self.running = self.running[live]
+        self.finished = 0
         self.keys.keep(live)
 
 
@@ -282,11 +318,14 @@ def init_state(
     starts: Sequence[int],
     rngs: Iterable[TrialRandomness] | RowRandomness,
     policy=None,
+    max_rounds: int | None = None,
 ) -> EngineState:
     """Round 0 of one trial per (start vertex, rng) pair, with every row's
     first list position drawn, whether or not its vertex ever sends.  protocol
     may be a Protocol or its value; an unknown one raises ValueError.  rngs
-    may be the trials' RowRandomness on n vertices, which the state keeps."""
+    may be the trials' RowRandomness on n vertices, which the state keeps.
+    The state may be stepped to max_rounds (None: any round), which sets the
+    width of its rounds (see EngineState)."""
     protocol = Protocol(protocol)
     n = lists.topology.n
     if not isinstance(starts, np.ndarray):  # an array's dtype is checked below
@@ -304,18 +343,22 @@ def init_state(
         raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
     if keys.n != n:
         raise ValueError(f"rngs: rows of n={keys.n} for lists of n={n}")
+    # every round, ordinal and list slot first + ordinal is below max_rounds + n
+    round_type = np.int64 if max_rounds is None or int(max_rounds) + n >= 2**31 else np.int32
     informed = np.zeros(len(starts) * n, dtype=bool)
-    informed[np.arange(len(starts)) * n + starts] = True
-    vertex = np.tile(np.arange(n), len(starts))
-    cursor = np.full(len(informed), -1, dtype=np.int64)  # random targets need no cursor
+    at = np.full(len(informed), -1, dtype=round_type)
+    start_rows = np.arange(len(starts)) * n + starts
+    informed[start_rows], at[start_rows] = True, 0
+    vertex = np.tile(np.arange(n, dtype=np.int32), len(starts))
+    cursor = np.full(len(at), -1, dtype=np.int32)  # random targets need no cursor
     if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
         degrees = np.maximum(lists.topology.degrees(vertex), 1)
-        cursor = keys.initial_positions(np.arange(len(informed)), degrees)
+        cursor = keys.initial_positions(range(len(at)), degrees).astype(np.int32)
     return EngineState(
         lists=lists, protocol=protocol, p=failure.p, policy=policy, informed=informed,
-        at=np.where(informed, 0, -1), vertex=vertex, cursor=cursor,
-        attempts=None if policy is None else np.zeros(len(informed), dtype=np.int64),
-        may_send=np.ones(len(informed), dtype=bool),  # read only under a policy
+        at=at, vertex=vertex, cursor=cursor,
+        attempts=None if policy is None else np.zeros(len(at), dtype=round_type),
+        may_send=np.ones(len(at), dtype=bool),  # read only under a policy
         keys=keys, running=np.arange(len(starts)), boundary=None if policy is None else 0,
     )
 
@@ -323,13 +366,15 @@ def init_state(
 def step(state: EngineState, max_rounds: int) -> bool:
     """Run one round, or one settled block of rounds, of every trial in state.
 
-    Every trial must have an uninformed vertex.  Returns False, and runs
+    Every trial must have an uninformed vertex, except state.finished of
+    them, which are all informed.  Returns False, and runs
     nothing, if no row may send.  A block ends by max_rounds unless it is a
     single round; run_batch describes blocks and policies.
     """
     s = state
     topo = s.lists.topology
-    senders = None if s.policy is not None else topo.live_senders(s.informed)
+    unfinished = len(s.running) - s.finished
+    senders = None if s.policy is not None else topo.live_senders(s.informed, unfinished)
     if s.t == s.boundary:
         s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
     if senders is None:
@@ -341,19 +386,22 @@ def step(state: EngineState, max_rounds: int) -> bool:
         if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
             # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
-            left = (len(s.informed) - np.count_nonzero(s.informed)) / len(s.running)
+            left = (len(s.informed) - np.count_nonzero(s.informed)) / unfinished
             deg = int(np.max(topo.degrees(s.vertex[senders])))
             harmonic = 1.0 + math.log(left) if s.protocol is Protocol.FULLY_RANDOM else 1.0
-            tail = len(s.running) * deg * harmonic / s.p
+            tail = unfinished * deg * harmonic / s.p
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
         block = max(1, min(s.width // len(senders), max_rounds - s.t))
         s.width = min(2 * s.width, _BLOCK_CELLS)
-    new_rows, hit = _transmit(s, senders, block)
-    s.at[new_rows] = s.t + block  # the block's last round, which no first hit lies after
-    if block > 1:  # a vertex is informed in the round of its first hit
-        np.minimum.at(s.at, new_rows, s.t + 1 + hit // len(senders))
-    s.informed[new_rows] = True
-    s.newly = len(new_rows) > 0
+    s.newly = False
+    for lo in range(0, len(senders), _BLOCK_CELLS):  # a block of rounds takes one slice
+        rows = senders[lo:lo + _BLOCK_CELLS]
+        new_rows, hit = _transmit(s, rows, block)
+        s.at[new_rows] = s.t + block  # the block's last round, which no first hit lies after
+        if block > 1:  # a vertex is informed in the round of its first hit
+            np.minimum.at(s.at, new_rows, (s.t + 1 + hit // len(rows)).astype(s.at.dtype))
+        s.informed[new_rows] = True
+        s.newly = s.newly or len(new_rows) > 0
     s.t += block
     return True
 

@@ -263,7 +263,9 @@ def busy_growth_sample(
     """
     _check_integer("k", k, 0)
     _check_integer("max_warmup", max_warmup, 0)
-    state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng])
+    # the window ends by max_warmup + k
+    state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], None,
+                       int(max_warmup) + int(k))
     while True:  # N_t is the number of rows informed in round t
         newly = np.bincount(state.at[state.at >= 0], minlength=state.t + 1)[1:max_warmup + 1]
         hits = (newly >= min_newly).nonzero()[0]

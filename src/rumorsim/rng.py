@@ -188,9 +188,10 @@ class TrialRandomness:
         """Uniform [0,1) driving the feedback coin, independent of delivery."""
         return self._uniforms(PURPOSE_FEEDBACK, vertices, ordinals)
 
-    def initial_positions(self, vertices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        """Starting offset of each vertex in its cyclic neighbor list."""
-        h = self._hash(PURPOSE_INITIAL, vertices, np.zeros(len(vertices), dtype=np.uint64))
+    def initial_positions(self, vertices: np.ndarray | range, degrees: np.ndarray) -> np.ndarray:
+        """Starting offset of each vertex in its cyclic neighbor list: the hash of
+        ordinal 0, mix(first ^ 0*G) = mix(first)."""
+        h = _mix_array(self._first_stage(PURPOSE_INITIAL, vertices))
         h %= np.asarray(degrees, dtype=np.uint64)
         return h.view(np.int64)  # below the degree, so the same values
 
@@ -210,7 +211,8 @@ class RowRandomness(TrialRandomness):
     the same draw methods.  The first stage of the coin, target and feedback
     purposes is computed for every row on its first draw and kept; later draws
     gather it by row and run only the second stage.  That of the initial
-    position, drawn once per row, is computed and not kept.  ``keep`` drops
+    position, drawn once per row, is computed and not kept, and a range of
+    rows (init_state passes all of them) reads it without a gathered copy.  ``keep`` drops
     the rows of finished trials.  ``_of`` builds the same rows from arrays of
     seeds and trial numbers, with no TrialRandomness per trial.
     """
@@ -243,6 +245,8 @@ class RowRandomness(TrialRandomness):
             first = _mix_array(keys ^ (np.arange(self.n, dtype=np.uint64) * _G)).ravel()
             if purpose != PURPOSE_INITIAL:
                 self._first[purpose] = first
+            elif type(rows) is range:  # not kept, so read in place
+                return first[rows.start:rows.stop:rows.step]
         return first[rows]
 
     def keep(self, trials: np.ndarray) -> None:

@@ -73,19 +73,21 @@ class Topology:
         """Degree of each given vertex; the one degree rule (a scalar on the complete graph)."""
         if self.kind is GraphKind.COMPLETE:
             return self.n - 1
-        return np.where(vertices == 0, self.n - 1, 1)
+        # a leaf's is 1, the center's n - 1, in the width of the vertices
+        return np.where(vertices, 1, vertices + (self.n - 1))
 
-    def live_senders(self, informed: np.ndarray) -> np.ndarray | None:
+    def live_senders(self, informed: np.ndarray, unfinished: int) -> np.ndarray | None:
         """If every trial is settled, the rows that can still inform a vertex.
 
-        informed holds trials of n rows, each with an uninformed vertex.  A
-        trial is settled when no uninformed vertex has an uninformed neighbor:
-        on the complete graph when one is left, which every informed vertex
-        neighbors, and on the star when the center, each leaf's one neighbor,
-        is informed.  Returns None while some trial is not settled.
+        informed holds trials of n rows: unfinished of them have an uninformed
+        vertex, and the others none.  A trial is settled when no uninformed
+        vertex has an uninformed neighbor: on the complete graph when one is
+        left, which every informed vertex neighbors, and on the star when the
+        center, each leaf's one neighbor, is informed.  Returns None while
+        some trial is not settled.
         """
-        if self.kind is GraphKind.COMPLETE:  # one left in each trial: as many as trials
-            settled = len(informed) - np.count_nonzero(informed) == len(informed) // self.n
+        if self.kind is GraphKind.COMPLETE:  # one left in each unfinished trial
+            settled = len(informed) - np.count_nonzero(informed) == unfinished
             return informed.nonzero()[0] if settled else None
         centers = np.arange(0, len(informed), self.n)
         return centers if informed[centers].all() else None
@@ -103,11 +105,9 @@ class Topology:
 
     def neighbors_at(self, vertices: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Vectorized canonical lookup: the indices-th neighbor of each vertex."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
         if self.kind is GraphKind.COMPLETE:
             return indices + (indices >= vertices)
-        return np.where(vertices == 0, indices + 1, 0).astype(np.int64)
+        return np.where(vertices == 0, indices + 1, 0)
 
 
 def complete_graph(n: int) -> Topology:
@@ -155,11 +155,10 @@ class ListAssignment:
     def targets_at(self, vertices: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Vectorized: the list entry at the given position of each vertex.
 
-        int64 on canonical and reversed lists; on a table, the table's own
-        dtype, which the engine widens when it adds the row offset.
+        On canonical and reversed lists, in the width of the arguments; on a
+        table, in the table's own dtype, which the engine widens when it adds
+        the row offset.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
         topo = self.topology
         if self.strategy is ListStrategy.CANONICAL:
             return topo.neighbors_at(vertices, positions)
@@ -167,7 +166,9 @@ class ListAssignment:
             return topo.neighbors_at(vertices, topo.degrees(vertices) - 1 - positions)
         flat = self._table.ravel()  # row v starts at v * (n - 1)
         if topo.kind is GraphKind.COMPLETE:  # take: a plain gather, faster than indexing
-            return flat.take(vertices * (topo.n - 1) + positions)
+            cells = vertices * np.intp(topo.n - 1)  # intp, which take would convert int32 to
+            cells += positions
+            return flat.take(cells)
         return np.where(vertices == 0, flat.take(positions), 0)  # a leaf's one slot lists 0
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -43,10 +44,15 @@ def _tv_limit(dist, trials: int) -> float:
 
 class _Masks:
     """A sender policy for stepping by hand: the rows of masks[t] may send in
-    round t, every row without masks, and each step runs one round."""
+    round t, every row without masks, and each step runs one round.  Given
+    the batch's trial count, it also serves run_batch, capping no trial."""
 
-    def __init__(self, masks=None):
+    def __init__(self, masks=None, trials=1):
         self.masks = masks
+        self.trials = trials
+
+    def caps(self, max_rounds):
+        return [max_rounds] * self.trials
 
     def senders(self, t, at, running):
         if self.masks is None:
@@ -648,7 +654,8 @@ def test_unsettled_rounds_past_the_degree_equal_every_coin_reference(n, protocol
     unsettled, real = set(), engine._transmit  # whether t + rounds fits the degree
 
     def transmit(state, rows, rounds):
-        if lists.topology.live_senders(state.informed) is None:
+        unfinished = len(state.running) - state.finished
+        if lists.topology.live_senders(state.informed, unfinished) is None:
             unsettled.add(state.t + rounds <= n - 1)
         return real(state, rows, rounds)
 
@@ -737,3 +744,100 @@ def test_informing_rounds_equal_every_coin_reference(case, cells):
     assert informing().tolist() == want.tolist()
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):  # other block sizes
         assert informing().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("graph", [complete_graph(40), star_graph(40)], ids=["complete", "star"])
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masks"])
+def test_a_cap_of_seven_slices_rounds_and_moves_no_record(graph, protocol, masked):
+    # a round of more than _BLOCK_CELLS senders runs in slices, each slice's
+    # informs applied before the next runs, and every record stays the same;
+    # on the star, ten trials' centers make settled single rounds of 10 senders
+    lists = realize_lists(graph, ListStrategy.RANDOM, seed=4)
+    fm, starts = FailureModel(0.6), [0, 1, 17, 39, 5, 0, 2, 3, 30, 8]
+    masks = np.random.default_rng(3).random((300, graph.n)) < 0.7 if masked else None
+
+    def outputs():
+        rngs = [TrialRandomness(21, t) for t in range(len(starts))]
+        policy = _Masks(masks, len(starts)) if masked else None
+        with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+            out = run_batch(lists, protocol, fm, starts, rngs, 300, policy)
+        sizes = [len(call.args[1]) for call in spy.call_args_list if call.args[-1] == 1]
+        return [a.tolist() for a in out], max(sizes)
+
+    want, widest = outputs()
+    with mock.patch.object(engine, "_BLOCK_CELLS", 7):
+        got, sliced = outputs()
+    assert got == want
+    assert sliced == 7 < widest  # some round was sliced
+
+
+@pytest.mark.parametrize("max_rounds, width", [
+    (None, np.int64), (0, np.int32), (2**31 - 10, np.int32), (2**31 - 9, np.int64),
+    (2**31, np.int64), (2**64, np.int64),
+])
+def test_rows_are_32_bit_while_every_round_and_slot_fits(max_rounds, width):
+    # rounds, ordinals and list slots stay below max_rounds + n, here n = 9
+    lists = realize_lists(complete_graph(9), ListStrategy.RANDOM, seed=1)
+    rngs = [TrialRandomness(2, t) for t in range(3)]
+    for protocol in Protocol:
+        s = init_state(lists, protocol, FailureModel(0.5), [0, 4, 8], rngs, _Masks(), max_rounds)
+        assert (s.at.dtype, s.attempts.dtype) == (width, width)
+        assert s.vertex.dtype == s.cursor.dtype == np.int32
+    assert init_state(lists, protocol, FailureModel(0.5), [0], rngs[:1]).at.dtype == np.int64
+    if max_rounds is not None and max_rounds < 2**40:  # the informing record stays int64
+        informing = run_batch(lists, Protocol.QUASIRANDOM, FailureModel(0.5), [0, 4, 8], rngs,
+                              max_rounds)[2]
+        assert informing.dtype == np.int64
+
+
+def test_finished_trials_leave_the_batch_in_bulk():
+    # a finished trial stays in the batch, informing no one, until the
+    # finished trials are half of it; each trial's record is its own run's
+    lists = realize_lists(complete_graph(30), ListStrategy.RANDOM, seed=2)
+    fm, starts = FailureModel(0.5), list(range(8))
+    rngs = [TrialRandomness(13, t) for t in range(8)]
+    keep = engine.EngineState.keep
+    with mock.patch.object(engine.EngineState, "keep", autospec=True, side_effect=keep) as spy:
+        rounds, completed, informing = run_batch(lists, Protocol.QUASIRANDOM, fm, starts, rngs,
+                                                 500)
+    dropped = [int((~call.args[1]).sum()) for call in spy.call_args_list]
+    kept = [len(call.args[1]) for call in spy.call_args_list]
+    assert all(2 * d >= k for d, k in zip(dropped, kept)) and max(dropped) > 1
+    assert completed.all() and len(spy.call_args_list) < len(set(rounds.tolist()))
+    for b, (start, rng) in enumerate(zip(starts, rngs)):
+        res = run(lists, Protocol.QUASIRANDOM, fm, start, rng, 500)
+        assert (res.rounds, res.completed) == (rounds[b], completed[b])
+        assert res.informing.tolist() == informing[b].tolist()
+
+
+def test_a_trial_finished_before_a_stall_is_recorded():
+    # vertex 2 never sends: trial 0 completes in round 2 and stays in the batch
+    # as one of four, then the stall at round 3 stops the rest at their caps
+    lists = realize_lists(complete_graph(3), ListStrategy.CANONICAL)
+    masks = np.zeros((10, 3), dtype=bool)
+    masks[:3, :2] = True
+    starts, rngs = [0, 2, 2, 2], [TrialRandomness(5, t) for t in range(4)]
+    rounds, completed, informing = run_batch(
+        lists, Protocol.QUASIRANDOM, FailureModel(1.0), starts, rngs, 10, _Masks(masks, 4)
+    )
+    assert rounds.tolist() == [2, 10, 10, 10] and completed.tolist() == [True] + [False] * 3
+    alone = run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], rngs[:1], 10,
+                      _Masks(masks))
+    assert informing[0].tolist() == alone[2][0].tolist() and sorted(alone[2][0]) == [0, 1, 2]
+    assert informing[1:].tolist() == [[-1, -1, 0]] * 3
+
+
+def test_one_quasirandom_trial_peaks_at_45_bytes_a_row():
+    # rounds run in capped slices over 32-bit rows: the traced peak of one
+    # trial at n = 2**17, state and output included, stays at 45 B a row
+    n = 2**17
+    lists = realize_lists(complete_graph(n), ListStrategy.CANONICAL)
+    tracemalloc.start()
+    try:
+        res = run(lists, Protocol.QUASIRANDOM, FailureModel(0.5), 0, TrialRandomness(1, 0), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.completed
+    assert peak <= 45 * n
