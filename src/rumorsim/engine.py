@@ -33,21 +33,19 @@ in place of an int64 remainder.  Only a feedback row keeps a running cursor,
 which a single round moves on and wraps the same way.  A row's vertex and
 list position are int32, and so are its informing round and attempt count
 whenever max_rounds + n < 2**31, which bounds every round, ordinal and slot
-first + ordinal; the temporaries of a round keep those widths.  A round runs
-its senders in slices of at most _BLOCK_CELLS, each slice's informs applied
-before the next slice runs, so what a round allocates does not grow with n:
-every inform of the round gets its number, and a delivery to a row an earlier
-slice informed skips only its coin.  The loop looks for finished trials only
-after a step that informed a row, and after every step once the clock
-reaches the first trial's cap.  A finished trial stays in the batch, all
-informed, so it informs no one, until the finished trials are half of it or
-a trial reaches its cap; then EngineState.keep drops their rows together.
-Once a trial is settled (no uninformed
-vertex has an uninformed neighbor), the senders that can still inform anyone
-are fixed and their draws follow from their addresses alone, so a step draws a
-block of rounds at once.  run_batch returns three arrays: each trial's rounds,
-whether it completed, and its informing record, the round in which each vertex
-was first informed (-1 for never).  Every result is built from them, and the
+first + ordinal; a slot is computed in its ordinal's width, and the
+temporaries of a round keep those widths.  A round runs its senders in
+slices of at most _BLOCK_CELLS, each slice's informs applied before the next
+slice runs, so what a round allocates does not grow with n: every inform of
+the round gets its number, and a delivery to a row an earlier slice informed
+skips only its coin.  The loop looks for finished trials only after a step
+that informed a row, and after every step once the clock reaches the first
+trial's cap, and EngineState.keep drops their rows.  Once a trial is settled
+(no uninformed vertex has an uninformed neighbor), the senders that can
+still inform anyone are fixed and their draws follow from their addresses
+alone, so a step draws a block of rounds at once.  run_batch returns three
+arrays: each trial's rounds, whether it completed, and its informing record,
+the round in which each vertex was first informed (-1 for never).  Every result is built from them, and the
 informed count at any round, the coupling check and the delayed senders and
 phase records are all read from the informing record.
 
@@ -144,8 +142,7 @@ def _targets(s: EngineState, rows: np.ndarray, ordinals: np.ndarray, rounds: int
         idx = s.keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
     elif s.protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
-        positions = s.cursor[rows]
-        positions += ordinals
+        positions = ordinals + s.cursor[rows]  # in the ordinals' width
         if not isinstance(degs, np.ndarray) and s.t + rounds <= degs:  # ordinals below deg
             _wrap(positions, degs)
         else:  # the lists are cyclic
@@ -204,11 +201,8 @@ def run_batch(
     vertex is informed or max_rounds have elapsed, and its draws come only
     from its own rng, so the results do not depend on which other trials
     share the batch.  The loop is init_state, then step until every trial has
-    stopped; EngineState.keep drops finished trials' rows between steps, once
-    they are half of the batch or a trial has reached its cap, and until then
-    Topology.live_senders and the settled block width count only the
-    unfinished trials.  Rounds may lie past int64 (an object array) when
-    max_rounds does.
+    stopped; EngineState.keep drops a finished trial's rows between steps.
+    Rounds may lie past int64 (an object array) when max_rounds does.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
     block of rounds: its live senders are fixed, as a vertex informed later has
@@ -244,16 +238,14 @@ def run_batch(
         if s.newly or capped:  # a trial completes only in a step that informs a row
             done = s.informed.reshape(-1, n).all(axis=1)
             stop = done | (rounds[s.running] <= s.t) if capped else done
-            if stop.any():  # a finished trial left in the batch is recorded again, the same
+            if stop.any():
                 if informing is None:
                     informing = np.empty((trials, n), dtype=np.int64)
                 at = s.at.reshape(-1, n)
                 informing[s.running[stop]] = at[stop]
                 rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
                 completed[s.running[done]] = True
-                s.finished = int(np.count_nonzero(stop))
-                if capped or 2 * s.finished >= len(s.running):  # a capped trial still sends
-                    s.keep(~stop)
+                s.keep(~stop)
         if not len(s.running) or not step(s, max_rounds):
             break
     if informing is None:  # a stall before any trial stopped
@@ -289,7 +281,6 @@ class EngineState:
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
     t: int = 0  # rounds run
-    finished: int = 0  # trials of running that have stopped, all informed; dropped in bulk
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
     newly: bool = True  # whether the last step informed a row; round 0 informs the starts
@@ -307,7 +298,6 @@ class EngineState:
         )
         self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
         self.running = self.running[live]
-        self.finished = 0
         self.keys.keep(live)
 
 
@@ -366,15 +356,13 @@ def init_state(
 def step(state: EngineState, max_rounds: int) -> bool:
     """Run one round, or one settled block of rounds, of every trial in state.
 
-    Every trial must have an uninformed vertex, except state.finished of
-    them, which are all informed.  Returns False, and runs
+    Every trial must have an uninformed vertex.  Returns False, and runs
     nothing, if no row may send.  A block ends by max_rounds unless it is a
     single round; run_batch describes blocks and policies.
     """
     s = state
     topo = s.lists.topology
-    unfinished = len(s.running) - s.finished
-    senders = None if s.policy is not None else topo.live_senders(s.informed, unfinished)
+    senders = None if s.policy is not None else topo.live_senders(s.informed)
     if s.t == s.boundary:
         s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
     if senders is None:
@@ -386,10 +374,10 @@ def step(state: EngineState, max_rounds: int) -> bool:
         if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
             # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
-            left = (len(s.informed) - np.count_nonzero(s.informed)) / unfinished
+            left = (len(s.informed) - np.count_nonzero(s.informed)) / len(s.running)
             deg = int(np.max(topo.degrees(s.vertex[senders])))
             harmonic = 1.0 + math.log(left) if s.protocol is Protocol.FULLY_RANDOM else 1.0
-            tail = unfinished * deg * harmonic / s.p
+            tail = len(s.running) * deg * harmonic / s.p
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
         block = max(1, min(s.width // len(senders), max_rounds - s.t))
         s.width = min(2 * s.width, _BLOCK_CELLS)

@@ -73,21 +73,20 @@ class Topology:
         """Degree of each given vertex; the one degree rule (a scalar on the complete graph)."""
         if self.kind is GraphKind.COMPLETE:
             return self.n - 1
-        # a leaf's is 1, the center's n - 1, in the width of the vertices
-        return np.where(vertices, 1, vertices + (self.n - 1))
+        width = np.int32 if self.n <= 2**31 else np.int64  # the engine's, where n - 1 fits
+        return np.where(vertices, width(1), width(self.n - 1))  # a leaf's is 1
 
-    def live_senders(self, informed: np.ndarray, unfinished: int) -> np.ndarray | None:
+    def live_senders(self, informed: np.ndarray) -> np.ndarray | None:
         """If every trial is settled, the rows that can still inform a vertex.
 
-        informed holds trials of n rows: unfinished of them have an uninformed
-        vertex, and the others none.  A trial is settled when no uninformed
-        vertex has an uninformed neighbor: on the complete graph when one is
-        left, which every informed vertex neighbors, and on the star when the
-        center, each leaf's one neighbor, is informed.  Returns None while
-        some trial is not settled.
+        informed holds trials of n rows, each with an uninformed vertex.  A
+        trial is settled when no uninformed vertex has an uninformed neighbor:
+        on the complete graph when one is left, which every informed vertex
+        neighbors, and on the star when the center, each leaf's one neighbor,
+        is informed.  Returns None while some trial is not settled.
         """
-        if self.kind is GraphKind.COMPLETE:  # one left in each unfinished trial
-            settled = len(informed) - np.count_nonzero(informed) == unfinished
+        if self.kind is GraphKind.COMPLETE:  # one left in each trial: as many as trials
+            settled = len(informed) - np.count_nonzero(informed) == len(informed) // self.n
             return informed.nonzero()[0] if settled else None
         centers = np.arange(0, len(informed), self.n)
         return centers if informed[centers].all() else None

@@ -654,8 +654,7 @@ def test_unsettled_rounds_past_the_degree_equal_every_coin_reference(n, protocol
     unsettled, real = set(), engine._transmit  # whether t + rounds fits the degree
 
     def transmit(state, rows, rounds):
-        unfinished = len(state.running) - state.finished
-        if lists.topology.live_senders(state.informed, unfinished) is None:
+        if lists.topology.live_senders(state.informed) is None:
             unsettled.add(state.t + rounds <= n - 1)
         return real(state, rows, rounds)
 
@@ -791,29 +790,9 @@ def test_rows_are_32_bit_while_every_round_and_slot_fits(max_rounds, width):
         assert informing.dtype == np.int64
 
 
-def test_finished_trials_leave_the_batch_in_bulk():
-    # a finished trial stays in the batch, informing no one, until the
-    # finished trials are half of it; each trial's record is its own run's
-    lists = realize_lists(complete_graph(30), ListStrategy.RANDOM, seed=2)
-    fm, starts = FailureModel(0.5), list(range(8))
-    rngs = [TrialRandomness(13, t) for t in range(8)]
-    keep = engine.EngineState.keep
-    with mock.patch.object(engine.EngineState, "keep", autospec=True, side_effect=keep) as spy:
-        rounds, completed, informing = run_batch(lists, Protocol.QUASIRANDOM, fm, starts, rngs,
-                                                 500)
-    dropped = [int((~call.args[1]).sum()) for call in spy.call_args_list]
-    kept = [len(call.args[1]) for call in spy.call_args_list]
-    assert all(2 * d >= k for d, k in zip(dropped, kept)) and max(dropped) > 1
-    assert completed.all() and len(spy.call_args_list) < len(set(rounds.tolist()))
-    for b, (start, rng) in enumerate(zip(starts, rngs)):
-        res = run(lists, Protocol.QUASIRANDOM, fm, start, rng, 500)
-        assert (res.rounds, res.completed) == (rounds[b], completed[b])
-        assert res.informing.tolist() == informing[b].tolist()
-
-
 def test_a_trial_finished_before_a_stall_is_recorded():
-    # vertex 2 never sends: trial 0 completes in round 2 and stays in the batch
-    # as one of four, then the stall at round 3 stops the rest at their caps
+    # vertex 2 never sends: trial 0 completes in round 2 and leaves the batch,
+    # then the stall at round 3 stops the other three at their caps
     lists = realize_lists(complete_graph(3), ListStrategy.CANONICAL)
     masks = np.zeros((10, 3), dtype=bool)
     masks[:3, :2] = True
@@ -826,6 +805,22 @@ def test_a_trial_finished_before_a_stall_is_recorded():
                       _Masks(masks))
     assert informing[0].tolist() == alone[2][0].tolist() and sorted(alone[2][0]) == [0, 1, 2]
     assert informing[1:].tolist() == [[-1, -1, 0]] * 3
+
+
+def test_quasi_slots_past_int32_are_read_in_the_ordinals_width():
+    # an int64 run's ordinals pass 2**31 while list positions stay int32;
+    # each slot is first + ordinal taken mod the degree in Python ints
+    n = 10
+    lists = realize_lists(complete_graph(n), ListStrategy.RANDOM, seed=3)
+    s = init_state(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], [TrialRandomness(4, 0)],
+                   None, 2**40)
+    assert (s.at.dtype, s.cursor.dtype) == (np.int64, np.int32)
+    s.t = 2**31 + 5
+    s.at[:] = [0, 1, 4, 5, 6, 2**31 - 9, 2**31 - 2, 2**31, 9, 3]
+    rows = np.arange(n)
+    got, _ = engine._targets(s, rows, s.t - s.at[rows], 1)
+    want = [lists.row(v)[(int(s.cursor[v]) + s.t - int(s.at[v])) % (n - 1)] for v in range(n)]
+    assert got.tolist() == want
 
 
 def test_one_quasirandom_trial_peaks_at_45_bytes_a_row():

@@ -460,6 +460,18 @@ class TestColumns:
         assert result.summary.completion_rate == 0.0
         assert check_bounds(config, eps=0.5).frac_above_upper == 1.0
 
+    def test_a_stall_after_a_minority_completes_returns_at_the_caps(self, tmp_path):
+        # three of ten trials complete in the endless busy phase; the rest lost
+        # their one lazy send and stall, which stops them at once at their caps
+        sched = tmp_path / "s.txt"
+        sched.write_text(f"lazy,1\nbusy,{2**64}\n")
+        config = cfg(protocol="delayed", n=8, p=0.2, trials=10, seed=3, max_rounds=2**64 + 3,
+                     schedule_path=str(sched), out_path=str(tmp_path / "r.csv"))
+        records = run_experiment(config).records
+        assert sum(r.completed for r in records) == 3
+        assert all(r.rounds < 100 for r in records if r.completed)
+        assert {r.rounds for r in records if not r.completed} == {2**64 + 1}
+
 
 class TestWriters:
     RECORDS = [TrialRecord(0, 2, 11, True), TrialRecord(1, 0, 40, False)]
