@@ -20,11 +20,6 @@ _LN2 = math.log(2.0)
 _MAX_LOG_ROUNDS = 1 << 19
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"bounds need n >= 2, got n={n}")
-
-
 def _check_p(p: float) -> None:
     """A real number in (0, 1], not a bool, passes; anything else is named by its repr."""
     real = type(p) is float or type(p) is not bool and isinstance(p, numbers.Real)
@@ -58,7 +53,7 @@ def _check_eps(eps: float, open_right: bool = False) -> None:
 
 def lossy_bound(n: int, p: float) -> float:
     """log_{1+p}(n) + (1/p) ln(n): the broadcast-time law under loss."""
-    _check_n(n)
+    _check_integer("n", n, 2)
     _check_p(p)
     return _finite(math.log(n) / math.log1p(p) + math.log(n) / p, "the broadcast-time law", p)
 
@@ -84,7 +79,7 @@ def success_prob(n: int, p: float, eps: float) -> float:
     This is an asymptotic statement; at desk-scale n the value is often
     near zero or negative, and it is returned literally.
     """
-    _check_n(n)
+    _check_integer("n", n, 2)
     _check_p(p)
     _check_eps(eps)
     return 1.0 - n ** (-p * eps / 40.0)
@@ -159,6 +154,7 @@ def bound_report(n: int, p: float, eps: float) -> BoundReport:
 
 def default_max_rounds(n: int, p: float) -> int:
     """Generous truncation horizon: 4x the expected law plus slack."""
+    _check_integer("n", n, 1)
     if n < 2:
         return 32
     return math.ceil(4.0 * lossy_bound(n, p)) + 32
@@ -188,7 +184,7 @@ class ScheduleConstants:
 
 
 def schedule_constants(n: int, p: float, eps: float) -> ScheduleConstants:
-    _check_n(n)
+    _check_integer("n", n, 2)
     _check_p(p)
     _check_eps(eps, open_right=True)
 

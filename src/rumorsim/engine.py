@@ -26,15 +26,17 @@ caller that stops partway through a run (phases' growth sampling) steps an
 init_state itself.  A quasirandom row keeps its first list position and reads
 each slot from it and its attempt ordinal.  Without a policy a row sends in
 every round after the one that informed it, so its ordinal is t - at and
-nothing counts it; a policy can pause a row, so a policy run counts attempts.
-While t plus the step's rounds is at most the degree, a slot is below twice
-the degree, and _wrap subtracts the degree where it is reached, branch-free,
-in place of an int64 remainder.  Only a feedback row keeps a running cursor,
-which a single round moves on and wraps the same way.  A row's vertex and
-list position are int32, and so are its informing round and attempt count
-whenever max_rounds + n < 2**31, which bounds every round, ordinal and slot
-first + ordinal; a slot is computed in its ordinal's width, and the
-temporaries of a round keep those widths.  A round runs its senders in
+nothing counts it; a policy can pause a row, so only a policy run keeps each
+row's attempts, and whether it may send.  A row with random targets keeps no
+list position at all.  While t plus the step's rounds is at most the degree,
+a slot is below twice the degree, and _wrap subtracts the degree where it is
+reached, branch-free, in place of an int64 remainder.  Only a feedback row
+keeps a running cursor, which a single round moves on and wraps the same
+way.  A row's vertex and list position are int32, and so are its informing
+round and attempt count whenever max_rounds + n < 2**31, which bounds every
+round, ordinal and slot first + ordinal; so a row holds 13 bytes on lists and
+9 with random targets, 5 more under a policy.  A slot is computed in its
+ordinal's width, and the temporaries of a round keep those widths.  A round runs its senders in
 slices of at most _BLOCK_CELLS, each slice's informs applied before the next
 slice runs, so what a round allocates does not grow with n: every inform of
 the round gets its number, and a delivery to a row an earlier slice informed
@@ -45,9 +47,10 @@ trial's cap, and EngineState.keep drops their rows.  Once a trial is settled
 still inform anyone are fixed and their draws follow from their addresses
 alone, so a step draws a block of rounds at once.  run_batch returns three
 arrays: each trial's rounds, whether it completed, and its informing record,
-the round in which each vertex was first informed (-1 for never).  Every result is built from them, and the
-informed count at any round, the coupling check and the delayed senders and
-phase records are all read from the informing record.
+the round in which each vertex was first informed (-1 for never).  Every
+result is built from them, and the informed count at any round, the coupling
+check and the delayed senders and phase records are all read from the
+informing record.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -69,7 +72,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import _check_integer, _check_p
-from .rng import RowRandomness, TrialRandomness
+from .rng import RowRandomness, TrialRandomness, _purpose_keys, _take_trials
 from .topology import ListAssignment
 
 
@@ -258,11 +261,13 @@ def run_batch(
 class EngineState:
     """A batch of trials of one run between rounds: the lists, protocol,
     success probability and sender policy it was built with, and its rows.
-    Trial running[b]'s vertex v is row b*n + v.  vertex and cursor are int32;
-    at and attempts are int32 when the run's max_rounds + n < 2**31 and int64
-    otherwise (init_state), so a row takes 14 bytes, 4 more under a policy,
-    and 8 for each cached first stage of its draws.  A step's temporaries
-    are as wide, and but for the list of senders at most _BLOCK_CELLS long."""
+    Trial running[b]'s vertex v is row b*n + v.  It holds only the rows a
+    run reads: cursor on lists, attempts and may_send under a policy.
+    vertex and cursor are int32; at and attempts are int32 when the run's
+    max_rounds + n < 2**31 and int64 otherwise (init_state), so a row takes
+    13 bytes on lists and 9 with random targets, 5 more under a policy, and
+    8 for each cached first stage of its draws.  A step's temporaries are as
+    wide, and but for the list of senders at most _BLOCK_CELLS long."""
 
     lists: ListAssignment
     protocol: Protocol
@@ -272,14 +277,16 @@ class EngineState:
     at: np.ndarray  # each row's informing round, -1 for never
     vertex: np.ndarray  # vertex of each row
     # each row's first list position, which its k-th transmission reads k slots
-    # on, under quasirandom; its next one under feedback; unused by random targets
-    cursor: np.ndarray
+    # on, under quasirandom; its next one under feedback; None with random targets
+    cursor: np.ndarray | None
     # transmissions each row has made, its rng ordinal, under a policy; None
     # without one, where a row's ordinal is t - at, as it sends every round
     attempts: np.ndarray | None
-    may_send: np.ndarray  # the policy's rows that may send until its next boundary
     keys: RowRandomness
     running: np.ndarray  # trial of each block of n rows
+    # the policy's rows that may send until its next boundary; None until the
+    # first one (round 0), and without a policy
+    may_send: np.ndarray | None = None
     t: int = 0  # rounds run
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
@@ -293,12 +300,12 @@ class EngineState:
         """Keep only the trials running[live]: their rows and their draws."""
         n, kept = self.lists.topology.n, live.nonzero()[0]
         self.informed, self.at, self.cursor, self.attempts, self.may_send = (
-            None if rows is None else rows.reshape(-1, n).take(kept, axis=0).ravel()  # by trial
+            None if rows is None else _take_trials(rows, kept, n)
             for rows in (self.informed, self.at, self.cursor, self.attempts, self.may_send)
         )
         self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
         self.running = self.running[live]
-        self.keys.keep(live)
+        self.keys.keep(kept)
 
 
 def init_state(
@@ -328,7 +335,7 @@ def init_state(
     bad = (starts < 0) | (starts >= n)
     if bad.any():
         raise ValueError(f"start vertex {starts[bad][0]} out of range for n={n}")
-    keys = rngs if isinstance(rngs, RowRandomness) else RowRandomness(rngs, n)
+    keys = rngs if isinstance(rngs, RowRandomness) else RowRandomness(_purpose_keys(list(rngs)), n)
     if keys.trials != len(starts):
         raise ValueError(f"{keys.trials} rngs for {len(starts)} start vertices")
     if keys.n != n:
@@ -340,7 +347,7 @@ def init_state(
     start_rows = np.arange(len(starts)) * n + starts
     informed[start_rows], at[start_rows] = True, 0
     vertex = np.tile(np.arange(n, dtype=np.int32), len(starts))
-    cursor = np.full(len(at), -1, dtype=np.int32)  # random targets need no cursor
+    cursor = None  # random targets need no cursor
     if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
         degrees = np.maximum(lists.topology.degrees(vertex), 1)
         cursor = keys.initial_positions(range(len(at)), degrees).astype(np.int32)
@@ -348,7 +355,6 @@ def init_state(
         lists=lists, protocol=protocol, p=failure.p, policy=policy, informed=informed,
         at=at, vertex=vertex, cursor=cursor,
         attempts=None if policy is None else np.zeros(len(at), dtype=round_type),
-        may_send=np.ones(len(at), dtype=bool),  # read only under a policy
         keys=keys, running=np.arange(len(starts)), boundary=None if policy is None else 0,
     )
 

@@ -27,7 +27,7 @@ from . import bounds, phases
 from .bounds import _check_integer, _check_p
 from .engine import FailureModel, Protocol, run_batch
 from .phases import load_schedule
-from .rng import RowRandomness, _words, derive_key
+from .rng import RowRandomness, _keys_of, _words, derive_key
 from .topology import (
     GraphKind,
     ListAssignment,
@@ -343,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         chunk = slice(first, min(first + per_chunk, trials))
         numbers = np.arange(chunk.start, chunk.stop)
         starts = config._starts(numbers)
-        keys = RowRandomness._of(seed, numbers.view(np.uint64), config.n)
+        keys = RowRandomness(_keys_of(seed, numbers.view(np.uint64)), config.n)
         policy = phases._Schedule(schedule, [True] * len(numbers)) if delayed else None
         rounds, completed, informing = run_batch(
             lists, protocol, failure, starts, keys, max_rounds, policy

@@ -262,6 +262,8 @@ def busy_growth_sample(
     of it, and a window that reaches the completion round ends there.
     """
     _check_integer("k", k, 0)
+    _check_integer("min_newly", min_newly, 0)
+    _check_integer("max_informed", max_informed, 0)
     _check_integer("max_warmup", max_warmup, 0)
     # the window ends by max_warmup + k
     state = init_state(lists, Protocol.QUASIRANDOM, failure, [start_vertex], [rng], None,

@@ -16,16 +16,21 @@ vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
 on the ordinal, so a simulation computes it once per trial, purpose and
 vertex (``RowRandomness``) and each round only gathers it and runs the second
 stage, in place on the gathered array.  The values are the same uint64s,
-element for element.  Every array hash runs the one finalizer, ``_mix_array``,
-which finalizes a new array in place: each caller passes it one it has just
-made, and a draw also passes the ordinals' product as its scratch array.
+element for element.  A RowRandomness is built one way, from its trials'
+purpose keys, and drops a finished trial's rows by trial number with
+``_take_trials``, the block take the engine applies to its own rows.  Every
+array hash runs the one finalizer, ``_mix_array``, which finalizes a new
+array in place: each caller passes it one it has just made, and a draw also
+passes the ordinals' product as its scratch array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
+
+from .bounds import _check_integer
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,8 +135,8 @@ _TAGS = np.array(_PURPOSES, dtype=np.uint64) * _G
 
 
 def _words(ints: list[int]) -> np.ndarray:
-    """Python ints masked to 64 bits, as a uint64 array."""
-    return np.array([i & _MASK for i in ints], dtype=np.uint64)
+    """Python or numpy ints masked to 64 bits, as a uint64 array."""
+    return np.array([int(i) & _MASK for i in ints], dtype=np.uint64)
 
 
 def _keys_of(seeds: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -154,6 +159,8 @@ class TrialRandomness:
     """
 
     def __init__(self, master_seed: int, trial: int):
+        _check_integer("master_seed", master_seed)
+        _check_integer("trial", trial)
         self.master_seed = int(master_seed)
         self.trial = int(trial)
         self._keys: np.ndarray | None = None  # purpose keys, derived on the first draw
@@ -207,28 +214,18 @@ class TrialRandomness:
 class RowRandomness(TrialRandomness):
     """The draws of several trials on n vertices, addressed by row b*n + v.
 
-    Row b*n + v draws exactly what the b-th trial draws for vertex v, through
-    the same draw methods.  The first stage of the coin, target and feedback
-    purposes is computed for every row on its first draw and kept; later draws
-    gather it by row and run only the second stage.  That of the initial
-    position, drawn once per row, is computed and not kept, and a range of
-    rows (init_state passes all of them) reads it without a gathered copy.  ``keep`` drops
-    the rows of finished trials.  ``_of`` builds the same rows from arrays of
-    seeds and trial numbers, with no TrialRandomness per trial.
+    Built from the trials' purpose keys, one row per trial in _PURPOSES order
+    (_keys_of, or _purpose_keys of TrialRandomness objects).  Row b*n + v
+    draws exactly what the b-th trial draws for vertex v, through the same
+    draw methods.  The first stage of the coin, target and feedback purposes
+    is computed for every row on its first draw and kept; later draws gather
+    it by row and run only the second stage.  That of the initial position,
+    drawn once per row, is computed and not kept, and a range of rows
+    (init_state passes all of them) reads it without a gathered copy.
+    ``keep`` drops the rows of finished trials.
     """
 
-    def __init__(self, rngs: Iterable[TrialRandomness], n: int):
-        self._set_keys(_purpose_keys(list(rngs)), n)
-
-    @classmethod
-    def _of(cls, seeds: np.ndarray, trials: np.ndarray, n: int) -> RowRandomness:
-        """RowRandomness([TrialRandomness(s, t) for s, t in zip(seeds, trials)], n),
-        from the uint64 arrays of _keys_of."""
-        rows = cls.__new__(cls)
-        rows._set_keys(_keys_of(seeds, trials), n)
-        return rows
-
-    def _set_keys(self, keys: np.ndarray, n: int) -> None:
+    def __init__(self, keys: np.ndarray, n: int):
         self.n = n
         self._trial_keys = keys
         self._first: dict[int, np.ndarray] = {}
@@ -249,8 +246,13 @@ class RowRandomness(TrialRandomness):
                 return first[rows.start:rows.stop:rows.step]
         return first[rows]
 
-    def keep(self, trials: np.ndarray) -> None:
-        """Keep the rows of the trials where ``trials`` (one bool each) is set."""
-        rows = np.repeat(trials, self.n)
-        self._trial_keys = self._trial_keys[trials]
-        self._first = {purpose: first[rows] for purpose, first in self._first.items()}
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep the rows of the trials numbered kept (0 for the first trial
+        that still has rows), in that order."""
+        self._trial_keys = self._trial_keys[kept]
+        self._first = {k: _take_trials(first, kept, self.n) for k, first in self._first.items()}
+
+
+def _take_trials(rows: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
+    """The blocks of n rows of the trials numbered kept, in that order, as a new array."""
+    return rows.reshape(-1, n).take(kept, axis=0).ravel()

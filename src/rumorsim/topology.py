@@ -194,9 +194,9 @@ def realize_lists(
     """
     if not isinstance(strategy, ListStrategy):  # a value runs as its member
         strategy = ListStrategy(strategy)
+    if (explicit_rows is not None) != (strategy is ListStrategy.EXPLICIT):
+        raise ValueError("explicit_rows: must be given with the explicit strategy, and only then")
     if strategy in (ListStrategy.CANONICAL, ListStrategy.REVERSED):
-        if explicit_rows is not None:
-            raise ValueError("explicit_rows only makes sense with the explicit strategy")
         return ListAssignment(topology, strategy, seed)
 
     n = topology.n
@@ -208,8 +208,6 @@ def realize_lists(
     height = n if topology.kind is GraphKind.COMPLETE else 1  # star leaves are forced
     table = np.empty((height, n - 1), dtype=np.min_scalar_type(n - 1))
     if strategy is ListStrategy.EXPLICIT:
-        if explicit_rows is None:
-            raise ValueError("explicit strategy needs explicit_rows")
         rows = {int(v): _validate_row(topology, int(v), r) for v, r in explicit_rows.items()}
         for v in range(n):
             if v not in rows:
@@ -218,13 +216,12 @@ def realize_lists(
             table[v] = rows[v]
         return ListAssignment(topology, strategy, seed, table)
 
-    if explicit_rows is not None:
-        raise ValueError("explicit_rows only makes sense with the explicit strategy")
+    _check_integer("seed", seed)
     # row v, every id but v (the star's center row too), shuffled as
     # default_rng(derive_key(seed, v)).permutation would shuffle a copy; the
     # int64 buffer keeps numpy's fast shuffle of 8-byte items
     ids = np.arange(n, dtype=np.int64)
-    keys = _derive_keys(np.array([seed & _MASK], dtype=np.uint64), ids[:height].astype(np.uint64))
+    keys = _derive_keys(np.array([int(seed) & _MASK], dtype=np.uint64), ids[:height].astype(np.uint64))
     row = np.empty(n - 1, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(0))
     for v, state in enumerate(_pcg64_states(keys)):

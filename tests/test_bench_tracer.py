@@ -19,7 +19,7 @@ from rumorsim import (
     realize_lists,
     run,
 )
-from rumorsim import engine, harness
+from rumorsim import engine, harness, phases
 from rumorsim.engine import Protocol, init_state
 from rumorsim.phases import Phase, PhaseKind
 
@@ -40,12 +40,21 @@ def test_tracer_wraps_existing_names_and_reads_the_engine_state():
     lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
     fm = FailureModel(0.5)
 
-    state = init_state(lists, Protocol.QUASIRANDOM, fm, [0], [TrialRandomness(1, 0)])
-    for _, owner, attr, before, after in targets:
-        if owner is engine and attr == "step":  # the hooks read the state argument
-            pre = before((state,)) if before is not None else None
-            if after is not None:
-                after((state,), pre)
+    # a list walk, random targets (no cursor) and a policy run (attempts, may_send)
+    states = [
+        init_state(lists, protocol, fm, [0], [TrialRandomness(1, 0)], policy)
+        for protocol, policy in [
+            (Protocol.QUASIRANDOM, None), (Protocol.FULLY_RANDOM, None),
+            (Protocol.QUASIRANDOM, phases._Schedule([Phase(PhaseKind.BUSY, 40)], [True])),
+        ]
+    ]
+    for state in states:
+        for _, owner, attr, before, after in targets:
+            if owner is engine and attr == "step":  # the hooks read the state argument
+                pre = before((state,)) if before is not None else None
+                engine.step(state, 100)
+                if after is not None:
+                    assert after((state,), pre)[0] >= 1  # the rounds the step ran
 
     tracer = tracing.Tracer()
     with tracer.installed():

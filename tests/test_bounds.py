@@ -67,6 +67,28 @@ class TestBroadcastBounds:
         with pytest.raises(ValueError):
             lower_bound(10, 0.5, 0.0)
 
+    @pytest.mark.parametrize("bound", [
+        lossy_bound, lambda n, p: success_prob(n, p, 0.5),
+        lambda n, p: schedule_constants(n, p, 0.5),
+    ], ids=["lossy_bound", "success_prob", "schedule_constants"])
+    def test_n_follows_the_integer_rule(self, bound):
+        # a float n would run as a real number; NaN fails every comparison
+        for n in (2.5, 4.0, math.nan, True, "8"):
+            with pytest.raises(ValueError, match=f"^n: must be an integer, got {n!r}"):
+                bound(n, 0.5)
+        with pytest.raises(ValueError, match="^n: must be >= 2, got 1"):
+            bound(1, 0.5)
+        assert bound(np.int64(64), 0.5) == bound(64, 0.5)
+
+    def test_default_max_rounds_follows_the_integer_rule(self):
+        # n < 2 takes a fixed horizon, so a float, a bool or a string never reached the law
+        for n in (1.5, True, "3"):
+            with pytest.raises(ValueError, match=f"^n: must be an integer, got {n!r}"):
+                default_max_rounds(n, 0.5)
+        with pytest.raises(ValueError, match="^n: must be >= 1, got 0"):
+            default_max_rounds(0, 0.5)
+        assert default_max_rounds(1, 0.5) == 32
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_rejected(self, eps):
         for bound in (lower_bound, upper_bound, success_prob, bound_report):

@@ -77,6 +77,32 @@ def test_init_state():
                    Protocol.QUASIRANDOM, FailureModel(1.0), [4], [rng])
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "policy"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_a_fresh_state_holds_only_the_rows_its_run_reads(protocol, masked):
+    # a cursor on lists only, attempts under a policy only, and may_send from
+    # the policy's round-0 boundary on
+    lists = realize_lists(complete_graph(6), ListStrategy.RANDOM, seed=2)
+    rngs = [TrialRandomness(1, t) for t in range(2)]
+    policy = _Masks(trials=2) if masked else None
+    s = init_state(lists, protocol, FailureModel(0.5), [0, 3], rngs, policy, 100)
+
+    def per_row():
+        return {
+            name: value.itemsize for name, value in vars(s).items()
+            if isinstance(value, np.ndarray) and len(value) == 12
+        }
+
+    want = {"informed": 1, "at": 4, "vertex": 4}  # 9 B a row, 13 with a cursor
+    if protocol is not Protocol.FULLY_RANDOM:
+        want["cursor"] = 4
+    if masked:
+        want["attempts"] = 4
+    assert per_row() == want and s.may_send is None and s.keys._first == {}
+    step(s, 100)
+    assert ("may_send" in per_row()) == masked
+
+
 def test_init_state_keeps_no_first_stage_of_the_initial_positions():
     # every row draws its first position once, so that stage is not cached
     lists = realize_lists(complete_graph(7), ListStrategy.RANDOM, seed=3)
@@ -203,7 +229,7 @@ def test_each_start_element_that_is_not_an_integer_raises(starts):
 
 def test_rows_of_another_n_raise():
     lists = realize_lists(complete_graph(4), ListStrategy.CANONICAL)
-    rows = rng_module.RowRandomness([TrialRandomness(0, 0)], 5)
+    rows = rng_module.RowRandomness(rng_module._purpose_keys([TrialRandomness(0, 0)]), 5)
     with pytest.raises(ValueError, match="rngs: rows of n=5 for lists of n=4"):
         run_batch(lists, Protocol.QUASIRANDOM, FailureModel(1.0), [0], rows, 10)
 
@@ -477,7 +503,8 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
     start, rng = case["starts"][0], rngs[0]
     policy = _Masks(masks)
     state = init_state(lists, protocol, fm, [start], [rng], policy)
-    first = state.cursor.copy()  # the reference draws a first position at the first send
+    walks = protocol is not Protocol.FULLY_RANDOM  # random targets keep no cursor
+    first = state.cursor.copy() if walks else None  # the reference draws it at the first send
     for t, (informed, cursor, attempts) in enumerate(
         _every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks)
     ):
@@ -491,7 +518,10 @@ def test_engine_equals_every_coin_reference(case, mask_seed):
         walked = state.cursor  # a quasi row keeps its first position: (first + attempts) % deg
         if protocol is Protocol.QUASIRANDOM:
             walked = (state.cursor + state.attempts) % lists.topology.degrees(state.vertex)
-        assert np.array_equal(walked, np.where(attempts > 0, cursor, first))
+        if walks:
+            assert np.array_equal(walked, np.where(attempts > 0, cursor, first))
+        else:
+            assert state.cursor is None and (cursor == -1).all()
         assert np.array_equal(state.attempts, attempts)
 
 
@@ -782,7 +812,8 @@ def test_rows_are_32_bit_while_every_round_and_slot_fits(max_rounds, width):
     for protocol in Protocol:
         s = init_state(lists, protocol, FailureModel(0.5), [0, 4, 8], rngs, _Masks(), max_rounds)
         assert (s.at.dtype, s.attempts.dtype) == (width, width)
-        assert s.vertex.dtype == s.cursor.dtype == np.int32
+        assert s.vertex.dtype == np.int32
+        assert s.cursor is None if protocol is Protocol.FULLY_RANDOM else s.cursor.dtype == np.int32
     assert init_state(lists, protocol, FailureModel(0.5), [0], rngs[:1]).at.dtype == np.int64
     if max_rounds is not None and max_rounds < 2**40:  # the informing record stays int64
         informing = run_batch(lists, Protocol.QUASIRANDOM, FailureModel(0.5), [0, 4, 8], rngs,
@@ -836,3 +867,19 @@ def test_one_quasirandom_trial_peaks_at_45_bytes_a_row():
         tracemalloc.stop()
     assert res.completed
     assert peak <= 45 * n
+
+
+@pytest.mark.parametrize("protocol", [Protocol.FULLY_RANDOM, Protocol.FEEDBACK_RETRY])
+def test_one_random_or_feedback_trial_peaks_at_53_bytes_a_row(protocol):
+    # quasi's 45 B a row, and 8 B for the one more first stage each caches:
+    # random push that of its targets, feedback that of its feedback coins
+    n = 2**17
+    lists = realize_lists(complete_graph(n), ListStrategy.CANONICAL)
+    tracemalloc.start()
+    try:
+        res = run(lists, protocol, FailureModel(0.5), 0, TrialRandomness(1, 0), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.completed
+    assert peak <= 53 * n

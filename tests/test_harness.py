@@ -104,6 +104,11 @@ class TestConfigValidation:
         cfg().validate()
         cfg(topology="star", n=3, start="fixed:1").validate()
 
+    def test_numpy_integer_seeds_run_as_python_ints(self):
+        # the integer rule passes them, so the keys and lists must take them too
+        numpy_seeds = run_experiment(cfg(lists="random", seed=np.int64(3), list_seed=np.uint8(4)))
+        assert numpy_seeds.records == run_experiment(cfg(lists="random", seed=3, list_seed=4)).records
+
 
 class TestStartPolicies:
     def test_defaults(self):

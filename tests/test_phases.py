@@ -531,7 +531,9 @@ class TestBusyGrowth:
         )
         assert sample is None
 
-    @pytest.mark.parametrize("name, value", [("k", -2), ("max_warmup", -1)])
+    @pytest.mark.parametrize("name, value", [
+        ("k", -2), ("max_warmup", -1), ("min_newly", -1), ("max_informed", -3),
+    ])
     def test_negative_window_or_warmup_raises(self, name, value):
         lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
         args = dict(k=3, min_newly=2, max_informed=64, max_warmup=500)
@@ -541,6 +543,7 @@ class TestBusyGrowth:
 
     @pytest.mark.parametrize("name, value", [
         ("k", 2.5), ("k", 3.0), ("k", True), ("max_warmup", 499.5), ("max_warmup", np.float64(9)),
+        ("min_newly", 2.5), ("min_newly", True), ("min_newly", "2"), ("max_informed", math.nan),
     ])
     def test_a_window_or_warmup_that_is_not_an_integer_raises(self, name, value):
         lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rumorsim import TrialRandomness, derive_key, mix64
 from rumorsim import rng as rng_module
 from rumorsim.cli import main
-from rumorsim.rng import RowRandomness, _derive_keys, _pcg64_states, _words
+from rumorsim.rng import RowRandomness, _derive_keys, _keys_of, _pcg64_states, _purpose_keys, _words
 
 
 def test_mix64_is_deterministic_and_bounded():
@@ -96,7 +96,7 @@ def test_initial_positions_respect_degrees():
 def test_rows_draw_what_their_trials_draw():
     trials = [TrialRandomness(6, t) for t in (0, 3, 4)]
     n = 5
-    rows = RowRandomness(trials, n)
+    rows = RowRandomness(_purpose_keys(trials), n)
     r = np.array([0, 4, 5, 9, 13, 14, 7])
     o = np.array([0, 3, 1, 2**40, 7, 0, 5])
     degs = np.array([4, 4, 4, 1, 3, 2, 9])
@@ -113,13 +113,49 @@ def test_rows_draw_what_their_trials_draw():
     assert np.array_equal(rows.target_indices(r, o, degs), per_trial("target_indices", o, degs))
     assert np.array_equal(rows.initial_positions(r, degs), per_trial("initial_positions", degs))
 
-    rows.keep(np.array([True, False, True]))  # trial 3 leaves; trial 4 moves up a block
+    rows.keep(np.array([0, 2]))  # trial 3 leaves; trial 4 moves up a block
     moved = np.array([0, 4, 5, 9])
     expected = np.concatenate([
         trials[0].coin_uniforms(np.array([0, 4]), o[:2]),
         trials[2].coin_uniforms(np.array([0, 4]), o[2:4]),
     ])
     assert np.array_equal(rows.coin_uniforms(moved, o[:4]), expected)
+
+
+def test_keep_drops_a_middle_trial_by_its_number():
+    # the kept rows draw what rows built from the surviving trials' keys draw,
+    # cached first stages and all
+    n = 4
+    trials = [TrialRandomness(9, t) for t in range(4)]
+    rows = RowRandomness(_purpose_keys(trials), n)
+    r, o, degs = np.arange(4 * n), np.arange(4 * n) * 5, np.full(4 * n, 3)
+    rows.coin_uniforms(r, o), rows.feedback_uniforms(r, o), rows.target_indices(r, o, degs)
+    rows.keep(np.array([0, 2, 3]))  # trial 1 leaves; trials 2 and 3 move up a block
+    rebuilt = RowRandomness(_purpose_keys([trials[0], trials[2], trials[3]]), n)
+    r, o, degs = r[:3 * n], o[:3 * n], degs[:3 * n]
+    assert rows.trials == 3 and np.array_equal(rows._trial_keys, rebuilt._trial_keys)
+    assert np.array_equal(rows.coin_uniforms(r, o), rebuilt.coin_uniforms(r, o))
+    assert np.array_equal(rows.feedback_uniforms(r, o), rebuilt.feedback_uniforms(r, o))
+    assert np.array_equal(rows.target_indices(r, o, degs), rebuilt.target_indices(r, o, degs))
+    assert np.array_equal(rows.initial_positions(r, degs), rebuilt.initial_positions(r, degs))
+    assert all(np.array_equal(first, rebuilt._first[k]) for k, first in rows._first.items())
+
+
+@pytest.mark.parametrize("seed, trial, name", [
+    (2.7, 1, "master_seed"), ("5", 1, "master_seed"), (np.float64(2), 0, "master_seed"),
+    (2, 1.9, "trial"), (5, True, "trial"),
+])
+def test_a_seed_or_trial_that_is_not_an_integer_raises(seed, trial, name):
+    # int() would truncate 2.7 to 2, parse "5" and read True as 1
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer"):
+        TrialRandomness(seed, trial)
+
+
+def test_seeds_and_trials_take_any_integer():
+    # no range: each is masked to 64 bits, and a numpy integer runs as its value
+    v = np.arange(3)
+    big = TrialRandomness(np.uint64(2**64 - 1), -3).coin_uniforms(v, v)
+    assert np.array_equal(big, TrialRandomness(-1, 2**64 - 3).coin_uniforms(v, v))
 
 
 def test_trial_keys_are_derived_once():
@@ -131,7 +167,7 @@ def test_trial_keys_are_derived_once():
         assert np.array_equal(rng.coin_uniforms(v, o), coins)
         rng.target_indices(v, o, np.full(8, 7))
     assert spy.call_count == 1
-    assert np.array_equal(RowRandomness([rng], 8).coin_uniforms(v, o), coins)
+    assert np.array_equal(RowRandomness(_purpose_keys([rng]), 8).coin_uniforms(v, o), coins)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,7 +184,7 @@ def test_second_stage_in_place_equals_out_of_place_and_writes_no_argument(
     seed, n, trials, picks, ordinal_dtype, stride
 ):
     rngs = [TrialRandomness(seed, t) for t in range(trials)]
-    rows = RowRandomness(rngs, n)
+    rows = RowRandomness(_purpose_keys(rngs), n)
 
     def strided(values, dtype):  # every stride-th cell of a larger buffer: a view unless stride 1
         return np.repeat(np.array(values, dtype=dtype), stride)[::stride]
@@ -208,9 +244,9 @@ def test_second_stage_in_place_equals_out_of_place_and_writes_no_argument(
 def test_rows_from_arrays_draw_what_each_trial_draws(seed, first, count, n, ordinal):
     # a harness chunk: one masked seed for all, and its trial numbers as an array
     trials = np.arange(first, first + count, dtype=np.uint64)
-    rows = RowRandomness._of(_words([seed]), trials, n)
+    rows = RowRandomness(_keys_of(_words([seed]), trials), n)
     rngs = [TrialRandomness(seed, t) for t in range(first, first + count)]
-    assert np.array_equal(rows._trial_keys, RowRandomness(rngs, n)._trial_keys)
+    assert np.array_equal(rows._trial_keys, _purpose_keys(rngs))
     r = np.arange(count * n)
     v, o, degs = r % n, np.full(len(r), ordinal), r % 3 + 1
 
@@ -254,7 +290,7 @@ edge_ints = st.one_of(
 )
 def test_rows_match_python_int_reference(addresses, n, ordinal, degree):
     rngs = [TrialRandomness(seed, trial) for seed, trial in addresses]
-    rows = RowRandomness(rngs, n)
+    rows = RowRandomness(_purpose_keys(rngs), n)
     r = np.arange(len(rngs) * n)
     o = np.full(len(r), ordinal)
     degs = np.full(len(r), degree)

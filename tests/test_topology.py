@@ -150,6 +150,14 @@ class TestTopology:
             Topology(GraphKind.COMPLETE, True)
         with pytest.raises(ValueError, match="vertex: must be an integer, got 1.5"):
             complete_graph(4).neighbors(1.5)
+        # a random list seed is hashed as a 64-bit word: a float or a bool has none
+        for seed in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"^seed: must be an integer, got {seed!r}"):
+                realize_lists(complete_graph(4), ListStrategy.RANDOM, seed=seed)
+        numpy_seed = realize_lists(complete_graph(6), ListStrategy.RANDOM, seed=np.uint8(5))
+        assert numpy_seed.row(2).tolist() == realize_lists(
+            complete_graph(6), ListStrategy.RANDOM, seed=5
+        ).row(2).tolist()
 
     @given(st.integers(min_value=1, max_value=40), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -310,11 +318,10 @@ class TestListAssignment:
             )
         with pytest.raises(ValueError):
             realize_lists(topo, ListStrategy.EXPLICIT, explicit_rows={0: [2, 1]})
-        with pytest.raises(ValueError):
-            realize_lists(topo, ListStrategy.EXPLICIT)
-        for strategy in (ListStrategy.CANONICAL, ListStrategy.RANDOM):
-            with pytest.raises(ValueError, match="explicit_rows only makes sense"):
-                realize_lists(topo, strategy, explicit_rows=good)
+        for strategy in ListStrategy:  # one rule, one message
+            rows = None if strategy is ListStrategy.EXPLICIT else good
+            with pytest.raises(ValueError, match="explicit_rows: must be given with the explicit"):
+                realize_lists(topo, strategy, explicit_rows=rows)
 
     def test_sorting_every_realized_list_recovers_canonical(self):
         topo = star_graph(17)
