@@ -155,6 +155,7 @@ def bound_report(n: int, p: float, eps: float) -> BoundReport:
 def default_max_rounds(n: int, p: float) -> int:
     """Generous truncation horizon: 4x the expected law plus slack."""
     _check_integer("n", n, 1)
+    _check_p(p)
     if n < 2:
         return 32
     return math.ceil(4.0 * lossy_bound(n, p)) + 32

@@ -9,6 +9,7 @@ error, 3 failed bound check.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds as bounds_mod
@@ -24,7 +25,7 @@ from .harness import (
 )
 from .engine import Protocol
 from .phases import upper_bound_schedule
-from .topology import _content_lines, _open_output, _read_lines
+from .topology import _content_lines, _read_lines, _write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,8 +133,7 @@ def _cmd_oracle(args) -> int:
     lines.append(f"tail,{dist.tail:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with _open_output(args.out) as fh:
-            fh.write(text)
+        _write_text(args.out, [text])
     else:
         sys.stdout.write(text)
     return 0
@@ -174,7 +174,10 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and kept: a parse leaves it
+    as it was, and building the six subcommands costs more than most of them run."""
     parser = _Parser(prog="rumorsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -217,9 +220,12 @@ def main(argv=None) -> int:
     _add_experiment_flags(sp)
     sp.add_argument("--eps", type=float, required=True)
     sp.set_defaults(fn=_cmd_check)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,8 @@ slice runs, so what a round allocates does not grow with n: every inform of
 the round gets its number, and a delivery to a row an earlier slice informed
 skips only its coin.  The loop looks for finished trials only after a step
 that informed a row, and after every step once the clock reaches the first
-trial's cap, and EngineState.keep drops their rows.  Once a trial is settled
+trial's cap, and EngineState.keep drops their rows, unless none is left
+running, when the run returns at once.  Once a trial is settled
 (no uninformed vertex has an uninformed neighbor), the senders that can
 still inform anyone are fixed and their draws follow from their addresses
 alone, so a step draws a block of rounds at once.  run_batch returns three
@@ -120,7 +121,7 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
         s.attempts[rows] = ordinals + rounds
     if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
         ordinals = (ordinals + np.arange(rounds, dtype=ordinals.dtype)[:, None]).ravel()
-        rows = np.tile(rows, rounds)
+        rows = np.broadcast_to(rows, (rounds, len(rows))).ravel()
     target_rows, delivered = _targets(s, rows, ordinals, rounds)
     useful = (~s.informed[target_rows]).nonzero()[0]
     if delivered is not None:
@@ -204,7 +205,8 @@ def run_batch(
     vertex is informed or max_rounds have elapsed, and its draws come only
     from its own rng, so the results do not depend on which other trials
     share the batch.  The loop is init_state, then step until every trial has
-    stopped; EngineState.keep drops a finished trial's rows between steps.
+    stopped; EngineState.keep drops a finished trial's rows between steps,
+    and the loop returns without one once the last trials stop.
     Rounds may lie past int64 (an object array) when max_rounds does.
 
     Once every running trial is settled (Topology.live_senders), a step runs a
@@ -248,6 +250,8 @@ def run_batch(
                 informing[s.running[stop]] = at[stop]
                 rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
                 completed[s.running[done]] = True
+                if stop.all():  # the last trials stopped: no rows to keep
+                    return rounds, completed, informing
                 s.keep(~stop)
         if not len(s.running) or not step(s, max_rounds):
             break
@@ -346,7 +350,8 @@ def init_state(
     at = np.full(len(informed), -1, dtype=round_type)
     start_rows = np.arange(len(starts)) * n + starts
     informed[start_rows], at[start_rows] = True, 0
-    vertex = np.tile(np.arange(n, dtype=np.int32), len(starts))
+    vertex = np.empty(len(informed), dtype=np.int32)
+    vertex.reshape(-1, n)[:] = np.arange(n, dtype=np.int32)  # each trial's block of n rows
     cursor = None  # random targets need no cursor
     if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
         degrees = np.maximum(lists.topology.degrees(vertex), 1)

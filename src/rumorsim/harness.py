@@ -7,19 +7,22 @@ re-runs are byte-identical.  A run keeps its trials as columns (start,
 rounds, completed), filled a chunk at a time with no Python object per
 trial; the summary and the files are read from them, and the per-trial
 records are built only when first read.  Each file is written over its path
-in place and, if the old file was longer, cut to its new length; a path that
-is not a regular file (/dev/null, /dev/stdout) is written without
-truncation.
+in place by os-level writes (topology._write_text) and, if the old file was
+longer, cut to its new length; a path that is not a regular file (/dev/null,
+/dev/stdout) is written without truncation.  The CSV is written a chunk of
+rows at a time, and the JSON is the text json.dump(indent=2, sort_keys=True)
+gives, built by a direct formatter (_json_text) with NaN written as null.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import typing
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .topology import (
     ListAssignment,
     ListStrategy,
     Topology,
-    _open_output,
+    _write_text,
     load_lists_file,
     realize_lists,
 )
@@ -271,11 +274,11 @@ def summarize(records: list[TrialRecord] | _Columns) -> SummaryStats:
     if len(done) == 0:
         nan = float("nan")
         return SummaryStats(trials, 0.0, nan, nan, nan, nan, nan, [], [])
-    mean = float(done.mean())
+    mean = float(np.add.reduce(done, dtype=np.float64) / len(done))  # np.mean's own steps
     done.sort()
     half = len(done) // 2  # np.median: the middle value, or the mean of the middle two
     median = float(done[half]) if len(done) % 2 else (float(done[half - 1]) + float(done[half])) / 2
-    last = np.append((done[1:] != done[:-1]).nonzero()[0], len(done) - 1)  # of each value
+    last = np.concatenate([(done[1:] != done[:-1]).nonzero()[0], [len(done) - 1]])  # of each value
     return SummaryStats(
         trials=trials,
         completion_rate=rate,
@@ -369,30 +372,55 @@ _FLAGS = ("false", "true")
 def write_records_csv(records: list[TrialRecord] | _Columns, path: str) -> None:
     """One CSV row per record, formatted and written _CSV_ROWS rows at a time;
     records may be a list of them or a run's columns."""
-    with _open_output(path) as fh:
-        fh.write("trial,start_vertex,rounds,completed\n")
-        for first in range(0, len(records), _CSV_ROWS):
-            part = _Columns.of(records[first:first + _CSV_ROWS])
-            flags = map(_FLAGS.__getitem__, part.completed.tolist())
-            cells = zip(part.trial, part.start.tolist(), part.rounds.tolist(), flags)
-            fh.write(_CSV_ROW * len(part) % tuple(chain.from_iterable(cells)))
+    _write_text(path, _csv_chunks(records))
 
 
-def _null_for_nan(value):
-    """JSON has no NaN: an undefined statistic is written as null."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _null_for_nan(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_null_for_nan(v) for v in value]
-    return value
+def _csv_chunks(records: list[TrialRecord] | _Columns) -> Iterator[str]:
+    """The CSV text, _CSV_ROWS rows a chunk, the header in the first one."""
+    head = "trial,start_vertex,rounds,completed\n"
+    for first in range(0, max(len(records), 1), _CSV_ROWS):  # no records: the header
+        part = _Columns.of(records[first:first + _CSV_ROWS])
+        flags = map(_FLAGS.__getitem__, part.completed.tolist())
+        cells = zip(part.trial, part.start.tolist(), part.rounds.tolist(), flags)
+        yield (head + _CSV_ROW * len(part)) % tuple(chain.from_iterable(cells))
+        head = ""
 
 
 def write_json(payload: dict, path: str) -> None:
-    with _open_output(path) as fh:
-        json.dump(_null_for_nan(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_text(path, [_json_text(payload) + "\n"])
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    writes it, except that NaN is written as null: JSON has no NaN, and an
+    undefined statistic is null.  json's C encoder runs only without an
+    indent, so this formatter, which takes the same steps, is the faster one.
+    Keys must be strings; inf raises ValueError and a value of another type
+    (a numpy int) TypeError, as json does."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "null"
+        if value in (math.inf, -math.inf):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass

@@ -39,7 +39,7 @@ from . import bounds
 from .bounds import _check_integer
 from .engine import FailureModel, Protocol, TrialResult, init_state, run_batch, step
 from .rng import TrialRandomness
-from .topology import ListAssignment, _content_lines, _open_output, _read_lines
+from .topology import ListAssignment, _content_lines, _read_lines, _write_text
 
 
 class PhaseKind(str, Enum):
@@ -225,8 +225,7 @@ def load_schedule(path: str) -> list[Phase]:
 
 
 def save_schedule(schedule: list[Phase], path: str) -> None:
-    with _open_output(path) as fh:
-        fh.write(schedule_text(schedule))
+    _write_text(path, [schedule_text(schedule)])
 
 
 @dataclass(frozen=True)

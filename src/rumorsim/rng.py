@@ -6,10 +6,11 @@ share a seed draw literally the same coins for the same (vertex, ordinal)
 pair.  That last property is what makes delayed/undelayed couplings exact.
 
 A trial's key for a purpose is mix64(derive_key(seed, trial) ^ purpose*G).
-Seed and trial are masked to 64 bits as Python ints; then the keys of all
-the trials of a batch are derived in one pass over uint64 arrays, which wrap
-silently where numpy uint64 scalars would warn.  The per-round draws are
-vectorized over uint64 arrays too.
+Seed and trial are masked to 64 bits as Python ints, and each seed's half
+of derive_key, mix64(KEY0 + seed*G), is taken in Python ints too; then the
+keys of all the trials of a batch are derived in one pass over uint64 arrays,
+which wrap silently where numpy uint64 scalars would warn.  The per-round
+draws are vectorized over uint64 arrays too.
 
 A draw hashes in two stages: h = mix(key ^ v*G) for the (trial, purpose,
 vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
@@ -89,8 +90,11 @@ def _mix_array(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
 
 
 def _derive_keys(seeds: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """derive_key(seed, word) elementwise over uint64 arrays of masked ints."""
-    return _mix_array(_mix_array(seeds * _G + np.uint64(_KEY0)) + words * _G)
+    """derive_key(seed, word) elementwise over uint64 arrays of masked ints;
+    one seed may serve all words.  A seed's half, mix64(KEY0 + seed*G), is
+    taken in Python ints: a run has one seed, where an array pass costs more."""
+    halves = np.array([mix64(_KEY0 + seed * _GOLDEN) for seed in seeds.tolist()], dtype=np.uint64)
+    return _mix_array(halves + words * _G)
 
 
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:

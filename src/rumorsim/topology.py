@@ -13,11 +13,16 @@ stored in the narrowest unsigned type that holds n - 1
 (``np.min_scalar_type``): one byte a cell up to n = 256, two up to
 n = 65,536 (which covers every complete graph under the cap) and four beyond,
 which only a star's center row reaches.  Row v of a random table is exactly
-v's canonical row shuffled by ``default_rng(derive_key(seed, v))``: one
-generator, set in turn to each row's state (all derived in one array pass),
-shuffles an int64 buffer holding the row, which is then copied into the
-table.  That relies on numpy's SeedSequence and PCG64 streams staying stable,
-as tests/test_rng.py checks.
+v's canonical row shuffled by ``default_rng(derive_key(seed, v))``: one PCG64
+bit generator, set in turn to each row's state (all derived in one array
+pass), drives a legacy ``RandomState`` whose shuffle makes the same swaps
+from the same draws as ``Generator.shuffle`` and runs faster; it shuffles an
+int64 buffer holding the row, which is then copied into the table.  That
+relies on numpy's SeedSequence and PCG64 streams staying stable, as
+tests/test_rng.py checks, and on RandomState's methods, which NEP 19 freezes.
+
+Every output file is written by ``_write_text``, at the os level and in
+place: see there.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 import os
 import stat
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -223,11 +227,12 @@ def realize_lists(
     ids = np.arange(n, dtype=np.int64)
     keys = _derive_keys(np.array([int(seed) & _MASK], dtype=np.uint64), ids[:height].astype(np.uint64))
     row = np.empty(n - 1, dtype=np.int64)
-    gen = np.random.Generator(np.random.PCG64(0))
+    bits = np.random.PCG64(0)
+    shuffle = np.random.RandomState(bits).shuffle  # the same swaps as Generator.shuffle's
     for v, state in enumerate(_pcg64_states(keys)):
         row[:v], row[v:] = ids[:v], ids[v + 1:]
-        gen.bit_generator.state = state
-        gen.shuffle(row)
+        bits.state = state
+        shuffle(row)
         table[v] = row
     return ListAssignment(topology, strategy, seed, table)
 
@@ -249,26 +254,34 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, str]]:
             yield lineno, raw, line
 
 
-@contextmanager
-def _open_output(path: str):
-    """Open path for writing text in place; every output file is opened here.
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path in place; every output file is written here.
 
-    Unlike open(path, "w"), the open does not truncate: the text is written
-    from the file's first byte and, when the block ends without an error, a
-    regular file left longer than the text is cut to its length.  Truncating a
-    file to zero on open frees its blocks and, on ext4 (auto_da_alloc), starts
-    writeback when it is closed, which costs more than rewriting a small file;
-    a truncate that frees nothing is skipped, since ext4 charges one even
-    then.  A path that is not a regular file (/dev/null, /dev/stdout, a pipe)
-    is written without truncation, which such a file would refuse.  The mode
+    Unlike open(path, "w"), the open does not truncate: each chunk is encoded
+    and written with os.write, from the file's first byte, and once the last
+    one is written a regular file left longer than the text is cut to its
+    length.  Truncating a file to zero on open frees its blocks and, on ext4
+    (auto_da_alloc), starts writeback when it is closed, which costs more than
+    rewriting a small file; a truncate that frees nothing is skipped, since
+    ext4 charges one even then.  A path that is not a regular file (/dev/null,
+    /dev/stdout, a pipe) is written without truncation, which such a file
+    would refuse, and a write that a pipe takes in part is continued.  The mode
     and umask apply as with open(path, "w"), and newlines are written as given.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
-        yield fh
-        fh.flush()
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size > fh.tell():
-            fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = 0
+        for chunk in chunks:
+            data = chunk.encode()
+            done = os.write(fd, data)
+            while done < len(data):
+                done += os.write(fd, memoryview(data)[done:])
+            size += done
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def load_lists_file(topology: Topology, path: str) -> ListAssignment:

@@ -256,3 +256,11 @@ class TestIntCeilExp:
     def test_refuses_unmaterializable(self):
         with pytest.raises(ValueError):
             int_ceil_exp(1e9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [5.0, math.nan, 0.0, True])
+def test_default_max_rounds_checks_p_at_every_n(n, p):
+    # one vertex takes a fixed horizon, which once skipped the p rule
+    with pytest.raises(ValueError, match=r"^success probability must lie in \(0, 1\]"):
+        default_max_rounds(n, p)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rumorsim
-from rumorsim import exact_fully_random
+from rumorsim import cli, exact_fully_random
 from rumorsim.cli import main
 from rumorsim.harness import CONFIG_KEYS
 
@@ -493,3 +493,27 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "n=16" in proc.stdout
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # a valid sim, a call that raises ConfigError, the sim again: each gives
+    # the bytes and exit code of a call on a freshly built parser
+    out, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    sim = ("sim", "--protocol", "random", "--n", "9", "--p", "0.6", "--trials", "30",
+           "--seed", "4", "--out", str(out), "--summary", str(summary))
+    calls = [sim, ("sim", "--n", "0"), sim]
+
+    def outcome(argv):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        files = [path.read_bytes() if path.exists() else None for path in (out, summary)]
+        return code, captured.out, captured.err, files
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    parser = cli._parser()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._parser() is parser
+    assert [code for code, *_ in fresh] == [0, 1, 0]

@@ -883,3 +883,24 @@ def test_one_random_or_feedback_trial_peaks_at_53_bytes_a_row(protocol):
         tracemalloc.stop()
     assert res.completed
     assert peak <= 53 * n
+
+
+def test_a_batch_keeps_no_rows_once_its_last_trial_stops():
+    lists = realize_lists(complete_graph(12), ListStrategy.CANONICAL)
+    fm, trials = FailureModel(0.5), 6
+    left, real_keep = [], engine.EngineState.keep
+
+    def counting_keep(state, live):
+        left.append(int(np.count_nonzero(live)))
+        real_keep(state, live)
+
+    with mock.patch.object(engine.EngineState, "keep", counting_keep):
+        batch = run_batch(lists, Protocol.QUASIRANDOM, fm, [0] * trials,
+                          [TrialRandomness(9, t) for t in range(trials)], 200)
+        assert left and min(left) > 0  # every keep leaves a trial running
+        left.clear()
+        alone = [run_batch(lists, Protocol.QUASIRANDOM, fm, [0], [TrialRandomness(9, t)], 200)
+                 for t in range(trials)]
+        assert not left  # a one-trial batch stops without a keep
+    for got, want in zip(batch, map(np.concatenate, zip(*alone))):
+        assert np.array_equal(got, want)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
@@ -30,6 +31,7 @@ from rumorsim import (
     run_experiment,
     save_schedule,
     summarize,
+    topology,
     write_records_csv,
 )
 from rumorsim.harness import TrialRecord
@@ -519,3 +521,73 @@ class TestWriters:
     def test_a_device_is_written_without_truncation(self):
         write_records_csv(self.RECORDS, os.devnull)
         harness.write_json(self.PAYLOAD, os.devnull)
+
+    def test_a_pipe_takes_every_byte_of_writes_it_takes_in_part(self):
+        # more text than a pipe buffer holds, drained by a reader thread, and
+        # every os.write cut short, so the writer must continue each one
+        chunks = [f"{i:07d}," * 9_000 + "\n" for i in range(12)]  # 72 KB each
+        read_fd, write_fd = os.pipe()
+        received = []
+        reader = threading.Thread(target=lambda: received.append(_drain(read_fd)))
+        reader.start()
+        sizes, real_write = [], os.write
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, bytes(data[:50_000]))
+
+        try:
+            with mock.patch.object(topology.os, "write", short_write):
+                topology._write_text(f"/dev/fd/{write_fd}", chunks)
+        finally:
+            os.close(write_fd)
+            reader.join(timeout=60)
+            os.close(read_fd)
+        assert not reader.is_alive()
+        assert received == ["".join(chunks).encode()]
+        assert len(sizes) == 2 * len(chunks)  # each chunk took two writes
+
+
+def _drain(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text()
+    | st.floats(allow_infinity=False)  # NaN included
+    | st.sampled_from([-0.0, 1e300, 5e-324, 2**63, 2**64 + 1, "\"\\\x00\x1f\u2028\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES)
+    @example(value={"b": [1, 2.5], "a": float("nan"), "c": {}, "d": [], "é": ("x", None)})
+    def test_equals_json_with_nan_as_null(self, value):
+        def nan_to_none(v):
+            if isinstance(v, float) and math.isnan(v):
+                return None
+            if isinstance(v, dict):
+                return {k: nan_to_none(x) for k, x in v.items()}
+            return [nan_to_none(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+        want = json.dumps(nan_to_none(value), indent=2, sort_keys=True, allow_nan=False)
+        assert harness._json_text(value) == want
+
+    @pytest.mark.parametrize("value", [math.inf, {"a": [1, -math.inf]}])
+    def test_inf_raises_value_error(self, value):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            harness._json_text(value)
+
+    def test_a_numpy_int_raises_type_error(self):
+        with pytest.raises(TypeError, match="Object of type int64 is not JSON serializable"):
+            harness._json_text({"a": [np.int64(3)]})
