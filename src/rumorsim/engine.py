@@ -36,14 +36,22 @@ way.  A row's vertex and list position are int32, and so are its informing
 round and attempt count whenever max_rounds + n < 2**31, which bounds every
 round, ordinal and slot first + ordinal; so a row holds 13 bytes on lists and
 9 with random targets, 5 more under a policy.  A slot is computed in its
-ordinal's width, and the temporaries of a round keep those widths.  A round runs its senders in
-slices of at most _BLOCK_CELLS, each slice's informs applied before the next
-slice runs, so what a round allocates does not grow with n: every inform of
-the round gets its number, and a delivery to a row an earlier slice informed
-skips only its coin.  The loop looks for finished trials only after a step
-that informed a row, and after every step once the clock reaches the first
-trial's cap, and EngineState.keep drops their rows, unless none is left
-running, when the run returns at once.  Once a trial is settled
+ordinal's width, and the temporaries of a round keep those widths.  A round
+runs its senders in slices of at most _BLOCK_CELLS, so what a round
+allocates does not grow with n, and applies every slice's informs, each with
+the round's number, when it ends.  Once at least half the rows are informed,
+a single round without a policy builds no list of senders: it reads its
+rows in place, in ranges of at most _BLOCK_CELLS rows that hold whole trials
+or part of one, lets the informed ones send, and gathers only the useful
+transmissions, for their coins and informs.  Random targets and feedback
+coins are hashed for every row a range reads, which costs less than
+gathering the senders once half the rows send.  A range's senders are the
+rows informed before the round, which is why a round's informs wait for its
+end.  Sparse rounds, policy runs and settled blocks keep gathered senders.
+The loop looks for finished trials only after a step that informed a row,
+and after every step once the clock reaches the first trial's cap, and
+EngineState.keep drops their rows, unless none is left running, when the
+run returns at once.  Once a trial is settled
 (no uninformed vertex has an uninformed neighbor), the senders that can
 still inform anyone are fixed and their draws follow from their addresses
 alone, so a step draws a block of rounds at once.  run_batch returns three
@@ -103,10 +111,12 @@ def _wrap(slots: np.ndarray, degs) -> np.ndarray:
     return slots
 
 
-def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+def _transmit(state: EngineState, rows: np.ndarray | range, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """rounds transmissions per sender row of state; returns the rows its
     deliveries newly inform, and the index of the transmission that informs each.
 
+    rows is an array of senders, or, for a single round without a policy, a
+    range of rows read in place, of which the informed ones send.
     Transmission j * len(rows) + i is the j-th of sender i, and a delivery
     counts if its target was uninformed when the call began, so the returned
     rows may repeat.  Mutates feedback cursors and, under a policy, attempt
@@ -114,8 +124,9 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
     cursor.
     """
     s, p = state, state.p
+    index = slice(rows.start, rows.stop) if type(rows) is range else rows  # a range reads in place
     if s.attempts is None:  # no policy: a row sends in every round after its informing one
-        ordinals = s.t - s.at[rows]
+        ordinals = s.t - s.at[index]
     else:  # a policy can pause a row, so its transmissions are counted
         ordinals = s.attempts[rows]
         s.attempts[rows] = ordinals + rounds
@@ -123,22 +134,33 @@ def _transmit(state: EngineState, rows: np.ndarray, rounds: int) -> tuple[np.nda
         ordinals = (ordinals + np.arange(rounds, dtype=ordinals.dtype)[:, None]).ravel()
         rows = np.broadcast_to(rows, (rounds, len(rows))).ravel()
     target_rows, delivered = _targets(s, rows, ordinals, rounds)
-    useful = (~s.informed[target_rows]).nonzero()[0]
+    useful = ~s.informed[target_rows]
+    if type(rows) is range:  # of a range's rows, the informed ones send
+        useful &= s.informed[index]
+    useful = useful.nonzero()[0]
     if delivered is not None:
         useful = useful[delivered[useful]]
     elif p < 1.0 and len(useful):
-        useful = useful[s.keys.coin_uniforms(rows[useful], ordinals[useful]) < p]
+        useful = useful[s.keys.coin_uniforms(_rows_at(rows, useful), ordinals[useful]) < p]
     return target_rows[useful], useful
 
 
-def _targets(s: EngineState, rows: np.ndarray, ordinals: np.ndarray, rounds: int):
+def _rows_at(rows: np.ndarray | range, at: np.ndarray) -> np.ndarray:
+    """The rows at positions at of an array or a range of rows."""
+    return at + rows.start if type(rows) is range else rows[at]
+
+
+def _targets(s: EngineState, rows: np.ndarray | range, ordinals: np.ndarray, rounds: int):
     """The row each transmission of _transmit reaches, and, where the cursor
     needs them (feedback at p < 1), the delivery coins of all of them, else
-    None.  A sender's target u lies in its own trial's block, at row
-    u + (row - vertex).  The lookups' temporaries end with this call."""
+    None.  Of a range of rows, only the sending ones move a cursor.  A
+    sender's target u lies in its own trial's block, at row u + (row -
+    vertex); a range lies in one trial or spans whole ones.  The lookups'
+    temporaries end with this call."""
     lists, p = s.lists, s.p
     topo = lists.topology
-    vertices = s.vertex[rows]
+    index = slice(rows.start, rows.stop) if type(rows) is range else rows
+    vertices = s.vertex[index]
     degs = topo.degrees(vertices)
     delivered = None
 
@@ -146,21 +168,24 @@ def _targets(s: EngineState, rows: np.ndarray, ordinals: np.ndarray, rounds: int
         idx = s.keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
     elif s.protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
-        positions = ordinals + s.cursor[rows]  # in the ordinals' width
+        positions = ordinals + s.cursor[index]  # in the ordinals' width
         if not isinstance(degs, np.ndarray) and s.t + rounds <= degs:  # ordinals below deg
             _wrap(positions, degs)
         else:  # the lists are cyclic
             positions %= degs
         targets = lists.targets_at(vertices, positions)
-    else:
-        moved = slice(None)  # where the cursor moves on: at p = 1 every feedback coin comes up
-        if p < 1.0:
+    else:  # feedback: of a range's rows, only the informed ones send and move on
+        sending = s.informed[index] if type(rows) is range else None
+        if p < 1.0:  # the cursor moves on where a delivery is acknowledged
             delivered = s.keys.coin_uniforms(rows, ordinals) < p
-            moved = delivered.nonzero()[0]  # only a delivery can be acknowledged
-            moved = moved[s.keys.feedback_uniforms(rows[moved], ordinals[moved]) < p]
+            moved = (delivered if sending is None else delivered & sending).nonzero()[0]
+            moved = moved[s.keys.feedback_uniforms(_rows_at(rows, moved), ordinals[moved]) < p]
+        else:  # every sender's feedback coin comes up
+            moved = slice(None) if sending is None else sending.nonzero()[0]
         if rounds == 1:  # a cursor is below the degree, and wraps to 0 where it reaches it
-            positions = s.cursor[rows]
-            s.cursor[rows[moved]] = _wrap(positions[moved] + 1, topo.degrees(vertices[moved]))
+            positions = s.cursor[index]  # a range's is a view: read before it moves
+            targets = lists.targets_at(vertices, positions)
+            s.cursor[_rows_at(rows, moved)] = _wrap(positions[moved] + 1, topo.degrees(vertices[moved]))
         else:  # a sender's cursor moves on its own coins only: a running sum
             per_round = len(rows) // rounds
             steps = np.zeros((rounds, per_round), dtype=s.cursor.dtype)
@@ -168,7 +193,10 @@ def _targets(s: EngineState, rows: np.ndarray, ordinals: np.ndarray, rounds: int
             walked = steps.cumsum(axis=0, dtype=steps.dtype) + s.cursor[rows[:per_round]]
             positions = (walked - steps).ravel() % degs
             s.cursor[rows[:per_round]] = walked[-1] % topo.degrees(vertices[:per_round])
-        targets = lists.targets_at(vertices, positions)
+            targets = lists.targets_at(vertices, positions)
+    if type(rows) is range:  # whole trials, or part of one: add each one's first row
+        firsts = np.arange(rows.start - rows.start % topo.n, rows.stop, topo.n)[:, None]
+        return np.add(targets.reshape(len(firsts), -1), firsts, dtype=np.intp).ravel(), delivered
     target_rows = rows - vertices  # the row of the trial's vertex 0
     target_rows += targets
     return target_rows, delivered
@@ -221,6 +249,9 @@ def run_batch(
     Other senders' cursors go stale unread: no policy runs, and settling is
     final, so a live sender's ordinal stays t - at.
 
+    A single round without a policy reads its rows in place, in ranges,
+    once at least half of them are informed (see step).
+
     A policy (phases' schedules) gives each trial's last round,
     policy.caps(max_rounds), and at round 0 and at each boundary it names,
     policy.senders(t, at, running): the rows that may send until the next one.
@@ -271,7 +302,8 @@ class EngineState:
     max_rounds + n < 2**31 and int64 otherwise (init_state), so a row takes
     13 bytes on lists and 9 with random targets, 5 more under a policy, and
     8 for each cached first stage of its draws.  A step's temporaries are as
-    wide, and but for the list of senders at most _BLOCK_CELLS long."""
+    wide, and at most _BLOCK_CELLS long but for a list of senders and the
+    informs a round holds until it ends."""
 
     lists: ListAssignment
     protocol: Protocol
@@ -369,7 +401,12 @@ def step(state: EngineState, max_rounds: int) -> bool:
 
     Every trial must have an uninformed vertex.  Returns False, and runs
     nothing, if no row may send.  A block ends by max_rounds unless it is a
-    single round; run_batch describes blocks and policies.
+    single round; run_batch describes blocks and policies.  A single round
+    runs its senders in slices of at most _BLOCK_CELLS.  But a round without
+    a policy in which at least half the rows are informed builds no list of
+    senders: it runs over ranges of rows, each of at most _BLOCK_CELLS rows
+    and whole trials or part of one, read in place, of which the informed
+    rows send.  Either way the round applies its informs when it ends.
     """
     s = state
     topo = s.lists.topology
@@ -377,10 +414,17 @@ def step(state: EngineState, max_rounds: int) -> bool:
     if s.t == s.boundary:
         s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
     if senders is None:
-        senders = (s.informed if s.policy is None else s.informed & s.may_send).nonzero()[0]
-        if not len(senders):
-            return False
         block = 1
+        if s.policy is None and 2 * np.count_nonzero(s.informed) >= len(s.informed):
+            # half the rows send: ranges of whole trials, or of parts of one, read in place
+            total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
+            informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
+                       for first in range(0, total, span)
+                       for lo in range(first, first + span, _BLOCK_CELLS)]
+        else:
+            senders = (s.informed if s.policy is None else s.informed & s.may_send).nonzero()[0]
+            if not len(senders):
+                return False
     else:  # settled: these senders are all that can inform a vertex from now on
         if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
@@ -392,13 +436,17 @@ def step(state: EngineState, max_rounds: int) -> bool:
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
         block = max(1, min(s.width // len(senders), max_rounds - s.t))
         s.width = min(2 * s.width, _BLOCK_CELLS)
+    if senders is not None and len(senders) <= _BLOCK_CELLS:  # a block of rounds takes one slice
+        informs = [_transmit(s, senders, block)]
+    elif senders is not None:  # a single round of more senders runs in slices
+        informs = [_transmit(s, senders[lo:lo + _BLOCK_CELLS], block)
+                   for lo in range(0, len(senders), _BLOCK_CELLS)]
     s.newly = False
-    for lo in range(0, len(senders), _BLOCK_CELLS):  # a block of rounds takes one slice
-        rows = senders[lo:lo + _BLOCK_CELLS]
-        new_rows, hit = _transmit(s, rows, block)
+    # the round's informs apply at its end: a range's senders are the rows informed before it
+    for new_rows, hit in informs:
         s.at[new_rows] = s.t + block  # the block's last round, which no first hit lies after
         if block > 1:  # a vertex is informed in the round of its first hit
-            np.minimum.at(s.at, new_rows, (s.t + 1 + hit // len(rows)).astype(s.at.dtype))
+            np.minimum.at(s.at, new_rows, (s.t + 1 + hit // len(senders)).astype(s.at.dtype))
         s.informed[new_rows] = True
         s.newly = s.newly or len(new_rows) > 0
     s.t += block

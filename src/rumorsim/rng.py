@@ -225,7 +225,9 @@ class RowRandomness(TrialRandomness):
     is computed for every row on its first draw and kept; later draws gather
     it by row and run only the second stage.  That of the initial position,
     drawn once per row, is computed and not kept, and a range of rows
-    (init_state passes all of them) reads it without a gathered copy.
+    (init_state passes all of them) reads it without a gathered copy.  A
+    range of rows reads a kept stage as a copy of its slice, since the second
+    stage is computed over it in place.
     ``keep`` drops the rows of finished trials.
     """
 
@@ -246,8 +248,9 @@ class RowRandomness(TrialRandomness):
             first = _mix_array(keys ^ (np.arange(self.n, dtype=np.uint64) * _G)).ravel()
             if purpose != PURPOSE_INITIAL:
                 self._first[purpose] = first
-            elif type(rows) is range:  # not kept, so read in place
-                return first[rows.start:rows.stop:rows.step]
+        if type(rows) is range:  # a slice: read in place where not kept, else a copy to hash over
+            part = first[rows.start:rows.stop:rows.step]
+            return part if purpose == PURPOSE_INITIAL else part.copy()
         return first[rows]
 
     def keep(self, kept: np.ndarray) -> None:

@@ -779,9 +779,10 @@ def test_informing_rounds_equal_every_coin_reference(case, cells):
 @pytest.mark.parametrize("graph", [complete_graph(40), star_graph(40)], ids=["complete", "star"])
 @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masks"])
 def test_a_cap_of_seven_slices_rounds_and_moves_no_record(graph, protocol, masked):
-    # a round of more than _BLOCK_CELLS senders runs in slices, each slice's
-    # informs applied before the next runs, and every record stays the same;
-    # on the star, ten trials' centers make settled single rounds of 10 senders
+    # a round of more than _BLOCK_CELLS senders runs in slices, or, once half
+    # the rows of a run without a policy are informed, in ranges of rows, and
+    # every record stays the same; on the star, ten trials' centers make
+    # settled single rounds of 10 senders
     lists = realize_lists(graph, ListStrategy.RANDOM, seed=4)
     fm, starts = FailureModel(0.6), [0, 1, 17, 39, 5, 0, 2, 3, 30, 8]
     masks = np.random.default_rng(3).random((300, graph.n)) < 0.7 if masked else None
@@ -799,6 +800,86 @@ def test_a_cap_of_seven_slices_rounds_and_moves_no_record(graph, protocol, maske
         got, sliced = outputs()
     assert got == want
     assert sliced == 7 < widest  # some round was sliced
+
+
+@pytest.mark.parametrize("cells", [3, 7, 1 << 16])
+@pytest.mark.parametrize("strategy", [ListStrategy.CANONICAL, ListStrategy.REVERSED,
+                                      ListStrategy.RANDOM], ids=lambda s: s.value)
+@pytest.mark.parametrize("graph, starts, p, seed", [
+    (complete_graph(40), [0, 1, 17, 39, 5, 0, 2, 3, 30, 8], 0.6, 21),
+    # the trials from the center pass half the rows before the leaf's trial settles
+    (star_graph(6), [0, 0, 0, 0, 1], 0.2, 17),
+], ids=["complete", "star"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_range_rounds_move_no_record(protocol, graph, starts, p, seed, strategy, cells):
+    # once half the rows are informed, a round reads its rows in ranges of
+    # whole trials or of part of one; with cells below n a trial spans
+    # several, and a row an earlier range informed neither sends nor reads a
+    # slot past the trial's block, as the round's informs apply when it ends.
+    # A range round leaves every cached first stage as it was, and feedback
+    # reads each target at the cursor the round began with.
+    lists, n = realize_lists(graph, strategy, seed=4), graph.n
+    rngs = [TrialRandomness(seed, t) for t in range(len(starts))]
+    want = np.full((len(starts), n), -1)
+    for b, (start, rng) in enumerate(zip(starts, rngs)):
+        want[b, start] = 0
+        for t, (informed, _, _) in enumerate(
+            _every_coin_rounds(lists, protocol, p, start, rng, 300), start=1
+        ):
+            want[b, informed & (want[b] < 0)] = t
+    ranges, round_start, real = [], {}, engine._transmit
+
+    def transmit(state, rows, rounds):
+        if type(rows) is not range:
+            return real(state, rows, rounds)
+        lo, hi = rows.start, rows.stop
+        assert lo // n == (hi - 1) // n or lo % n == hi % n == 0  # one trial, or whole ones
+        known = round_start.setdefault(state.t, state.informed.copy())
+        assert np.array_equal(state.informed, known)  # no inform of this round applied yet
+        assert (state.at[lo:hi][state.informed[lo:hi]] <= state.t).all()
+        first = {k: v.copy() for k, v in state.keys._first.items()}
+        cursor = None if state.cursor is None else state.cursor[lo:hi].copy()
+        new_rows, hit = real(state, rows, rounds)
+        assert all(np.array_equal(state.keys._first[k], v) for k, v in first.items())
+        assert ((lo - lo % n <= new_rows) & (new_rows < -(-hi // n) * n)).all()
+        assert state.informed[lo + hit].all()  # only informed rows send
+        if protocol is Protocol.FEEDBACK_RETRY:  # the target at the cursor before it moved
+            senders = lo + hit
+            vertices = state.vertex[senders]
+            want_rows = senders - vertices + lists.targets_at(vertices, cursor[hit])
+            assert np.array_equal(new_rows, want_rows)
+        ranges.append(hi - lo)
+        return new_rows, hit
+
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells), \
+            mock.patch.object(engine, "_transmit", transmit):
+        informing = run_batch(lists, protocol, FailureModel(p), starts, rngs, 300)[2]
+    assert informing.tolist() == want.tolist()
+    assert ranges and max(ranges) <= cells
+    assert (min(ranges) < n) == (cells < n)  # a trial spans several ranges
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masks"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_rows_are_read_in_place_once_half_of_them_are_informed(protocol, masked):
+    # a single unsettled round without a policy reads ranges of rows exactly
+    # when at least half the rows are informed; a policy's run keeps a list
+    lists = realize_lists(complete_graph(40), ListStrategy.RANDOM, seed=4)
+    starts = [0, 1, 17, 39, 5, 0, 2, 3, 30, 8]
+    rngs = [TrialRandomness(21, t) for t in range(len(starts))]
+    policy = _Masks(trials=len(starts)) if masked else None
+    kinds, real = [], engine._transmit
+
+    def transmit(state, rows, rounds):
+        if rounds == 1 and lists.topology.live_senders(state.informed) is None:
+            wide = not masked and 2 * state.informed_count >= len(state.informed)
+            kinds.append((type(rows), wide))
+        return real(state, rows, rounds)
+
+    with mock.patch.object(engine, "_transmit", transmit):
+        run_batch(lists, protocol, FailureModel(0.6), starts, rngs, 300, policy)
+    assert set(kinds) == ({(np.ndarray, False)} if masked
+                          else {(np.ndarray, False), (range, True)})
 
 
 @pytest.mark.parametrize("max_rounds, width", [
