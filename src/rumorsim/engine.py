@@ -27,10 +27,11 @@ init_state itself.  A quasirandom row keeps its first list position and reads
 each slot from it and its attempt ordinal.  Without a policy a row sends in
 every round after the one that informed it, so its ordinal is t - at and
 nothing counts it; a policy can pause a row, so only a policy run keeps each
-row's attempts, and whether it may send.  A row with random targets keeps no
-list position at all.  While t plus the step's rounds is at most the degree,
-a slot is below twice the degree, and _wrap subtracts the degree where it is
-reached, branch-free, in place of an int64 remainder.  Only a feedback row
+row's attempts, which step advances once a round ends, and whether it may
+send.  A row with random targets keeps no list position at all.  While t
+plus the step's rounds is at most the degree, a slot is below twice the
+degree, and _wrap subtracts the degree where it is reached, branch-free, in
+place of an int64 remainder.  Only a feedback row
 keeps a running cursor, which a single round moves on and wraps the same
 way.  A row's vertex and list position are int32, and so are its informing
 round and attempt count whenever max_rounds + n < 2**31, which bounds every
@@ -40,26 +41,30 @@ ordinal's width, and the temporaries of a round keep those widths.  A round
 runs its senders in slices of at most _BLOCK_CELLS, so what a round
 allocates does not grow with n, and applies every slice's informs, each with
 the round's number, when it ends.  Once at least half the rows are informed,
-a single round without a policy builds no list of senders: it reads its
-rows in place, in ranges of at most _BLOCK_CELLS rows that hold whole trials
-or part of one, lets the informed ones send, and gathers only the useful
-transmissions, for their coins and informs.  Random targets and feedback
-coins are hashed for every row a range reads, which costs less than
-gathering the senders once half the rows send.  A range's senders are the
-rows informed before the round, which is why a round's informs wait for its
-end.  Sparse rounds, policy runs and settled blocks keep gathered senders.
-The loop looks for finished trials only after a step that informed a row,
-and after every step once the clock reaches the first trial's cap, and
-EngineState.keep drops their rows, unless none is left running, when the
-run returns at once.  Once a trial is settled
-(no uninformed vertex has an uninformed neighbor), the senders that can
-still inform anyone are fixed and their draws follow from their addresses
-alone, so a step draws a block of rounds at once.  run_batch returns three
-arrays: each trial's rounds, whether it completed, and its informing record,
-the round in which each vertex was first informed (-1 for never).  Every
-result is built from them, and the informed count at any round, the coupling
-check and the delayed senders and phase records are all read from the
-informing record.
+a single round without a policy, settled or not, builds no list of senders:
+it reads its rows in place, in ranges of at most _BLOCK_CELLS rows that hold
+whole trials or part of one, lets the informed ones send, and gathers only
+the useful transmissions, for their coins and informs.  Random targets and
+feedback coins are hashed for every row a range reads, which costs less
+than gathering the senders once half the rows send.  A range's senders are
+the rows informed before the round, which is why a round's informs wait for
+its end.  Sparse rounds, policy rounds and settled blocks keep gathered
+senders.  The state keeps its count of informed rows, recounted once by a
+step that informs one and by keep; the settled test, the range rule and
+the loop's finish test read it.  The loop looks for finished trials only
+after a step that informed a row, once the batch holds n rows and every
+other trial's start, and after every step once the clock reaches the
+running trials' first cap, and EngineState.keep drops their rows, unless
+none is left running, when the run returns at once.  Once every trial is
+settled (no uninformed vertex has an uninformed neighbor), the senders that
+can still inform anyone are fixed and their draws follow from their
+addresses alone, so a step draws a block of rounds at once, under a policy
+up to its next boundary, and jumps there when none of them may send.
+run_batch returns three arrays: each trial's rounds, whether it completed,
+and its informing record, the round in which each vertex was first informed
+(-1 for never).  Every result is built from them, and the informed count at
+any round, the coupling check and the delayed senders and phase records are
+all read from the informing record.
 
 A delivery coin is drawn only where it can change the state: for a
 transmission whose target is still uninformed, and never at p = 1, where a
@@ -91,6 +96,9 @@ class Protocol(str, Enum):
     FEEDBACK_RETRY = "feedback"
 
 
+_RANDOM, _QUASI = Protocol.FULLY_RANDOM, Protocol.QUASIRANDOM  # read as globals (see topology)
+
+
 @dataclass(frozen=True)
 class FailureModel:
     """Independent per-transmission success probability."""
@@ -119,17 +127,16 @@ def _transmit(state: EngineState, rows: np.ndarray | range, rounds: int) -> tupl
     range of rows read in place, of which the informed ones send.
     Transmission j * len(rows) + i is the j-th of sender i, and a delivery
     counts if its target was uninformed when the call began, so the returned
-    rows may repeat.  Mutates feedback cursors and, under a policy, attempt
-    counters, not informed.  Senders must all have degree > 0 and, on lists, a
-    cursor.
+    rows may repeat.  Mutates feedback cursors, not informed, nor a policy's
+    attempt counters, which step advances.  Senders must all have degree > 0
+    and, on lists, a cursor.
     """
     s, p = state, state.p
     index = slice(rows.start, rows.stop) if type(rows) is range else rows  # a range reads in place
     if s.attempts is None:  # no policy: a row sends in every round after its informing one
         ordinals = s.t - s.at[index]
-    else:  # a policy can pause a row, so its transmissions are counted
+    else:  # a policy can pause a row, so step counts its transmissions
         ordinals = s.attempts[rows]
-        s.attempts[rows] = ordinals + rounds
     if rounds > 1:  # tiled, with the ordinals of a sender's later rounds
         ordinals = (ordinals + np.arange(rounds, dtype=ordinals.dtype)[:, None]).ravel()
         rows = np.broadcast_to(rows, (rounds, len(rows))).ravel()
@@ -164,10 +171,10 @@ def _targets(s: EngineState, rows: np.ndarray | range, ordinals: np.ndarray, rou
     degs = topo.degrees(vertices)
     delivered = None
 
-    if s.protocol is Protocol.FULLY_RANDOM:
+    if s.protocol is _RANDOM:
         idx = s.keys.target_indices(rows, ordinals, degs)
         targets = topo.neighbors_at(vertices, idx)
-    elif s.protocol is Protocol.QUASIRANDOM:  # transmission k reads slot first + k
+    elif s.protocol is _QUASI:  # transmission k reads slot first + k
         positions = ordinals + s.cursor[index]  # in the ordinals' width
         if not isinstance(degs, np.ndarray) and s.t + rounds <= degs:  # ordinals below deg
             _wrap(positions, degs)
@@ -245,9 +252,10 @@ def run_batch(
     informed in the round of its first successful hit.  The first block draws
     the transmissions the live senders need, in expectation, to hit every
     uninformed row, each later one twice the last one's; a block of more than
-    one round draws at most _BLOCK_CELLS, and none runs past max_rounds.
-    Other senders' cursors go stale unread: no policy runs, and settling is
-    final, so a live sender's ordinal stays t - at.
+    one round draws at most _BLOCK_CELLS, and none runs past the running
+    trials' first cap.  Without a policy, other senders' cursors go stale
+    unread: settling is final, so a live sender's ordinal stays t - at.  A
+    settled step that comes to a single round runs as one (see step).
 
     A single round without a policy reads its rows in place, in ranges,
     once at least half of them are informed (see step).
@@ -256,9 +264,14 @@ def run_batch(
     policy.caps(max_rounds), and at round 0 and at each boundary it names,
     policy.senders(t, at, running): the rows that may send until the next one.
     When no row may send, every running trial stops at its cap, as none can
-    send later.  A policy run takes one round a step, as a boundary
-    reactivates senders, and counts each row's transmissions, as it pauses
-    some.
+    send later.  A policy run counts each row's transmissions, as it pauses
+    some: a round, once it ends, adds its senders' mask to the counts.  Its
+    settled blocks end by the next boundary, which may reactivate senders:
+    the live senders that may send draw the block, and every row that sends
+    in it, those and the others informed before it or joining it in a busy
+    phase, counts its rounds there.  With no live sender that may send, the
+    step is an idle jump to the boundary or cap, in which only the others
+    count.
     """
     _check_integer("max_rounds", max_rounds, 0)
     s = init_state(lists, protocol, failure, starts, rngs, policy, max_rounds)
@@ -267,24 +280,33 @@ def run_batch(
     # a trial that does not complete stops at its cap, which may lie past int64
     caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
     rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
-    first_cap = rounds.min(initial=max_rounds)  # no trial stops at its cap before it
+    cap = int(min(caps, default=max_rounds))  # the running trials' first, which no block passes
     completed = np.zeros(trials, dtype=bool)
     while True:
-        capped = s.t >= first_cap
-        if s.newly or capped:  # a trial completes only in a step that informs a row
-            done = s.informed.reshape(-1, n).all(axis=1)
-            stop = done | (rounds[s.running] <= s.t) if capped else done
-            if stop.any():
+        capped = s.t >= cap
+        # a trial completes only in a step that informs a row, once the batch holds
+        # its n rows and every other trial's start
+        if capped or s.newly and s.informed_count >= n + len(s.running) - 1:
+            running = s.running
+            if len(running) == 1:  # the one trial is complete when n rows are informed
+                done = np.array([s.informed_count == n])
+            else:
+                done = np.logical_and.reduce(s.informed.reshape(-1, n), axis=1)
+            stop = done | (rounds[running] <= s.t) if capped else done
+            stopped = np.count_nonzero(stop)
+            if stopped:
                 if informing is None:
                     informing = np.empty((trials, n), dtype=np.int64)
                 at = s.at.reshape(-1, n)
-                informing[s.running[stop]] = at[stop]
-                rounds[s.running[done]] = at[done].max(axis=1)  # may lie inside a block
-                completed[s.running[done]] = True
-                if stop.all():  # the last trials stopped: no rows to keep
+                informing[running[stop]] = at[stop]
+                finished = running[done]
+                rounds[finished] = np.maximum.reduce(at[done], axis=1)  # may lie inside a block
+                completed[finished] = True
+                if stopped == len(stop):  # the last trials stopped: no rows to keep
                     return rounds, completed, informing
                 s.keep(~stop)
-        if not len(s.running) or not step(s, max_rounds):
+                cap = int(np.minimum.reduce(rounds[s.running]))
+        if not len(s.running) or not step(s, cap):
             break
     if informing is None:  # a stall before any trial stopped
         informing = np.empty((trials, n), dtype=np.int64)
@@ -327,10 +349,7 @@ class EngineState:
     width: int = 0  # transmissions the next settled block may draw; 0 until settled
     boundary: int | None = None  # the policy's next boundary
     newly: bool = True  # whether the last step informed a row; round 0 informs the starts
-
-    @property
-    def informed_count(self) -> int:
-        return int(np.count_nonzero(self.informed))
+    informed_count: int = 0  # informed rows: recounted by a step that informs one, and by keep
 
     def keep(self, live: np.ndarray) -> None:
         """Keep only the trials running[live]: their rows and their draws."""
@@ -342,6 +361,7 @@ class EngineState:
         self.vertex = self.vertex[:len(self.informed)]  # the same vertices block by block
         self.running = self.running[live]
         self.keys.keep(kept)
+        self.informed_count = int(np.count_nonzero(self.informed))
 
 
 def init_state(
@@ -369,7 +389,7 @@ def init_state(
         raise ValueError(f"start vertex: must be an integer, got dtype {starts.dtype}")
     starts = starts.astype(np.int64, copy=False)
     bad = (starts < 0) | (starts >= n)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ValueError(f"start vertex {starts[bad][0]} out of range for n={n}")
     keys = rngs if isinstance(rngs, RowRandomness) else RowRandomness(_purpose_keys(list(rngs)), n)
     if keys.trials != len(starts):
@@ -385,7 +405,7 @@ def init_state(
     vertex = np.empty(len(informed), dtype=np.int32)
     vertex.reshape(-1, n)[:] = np.arange(n, dtype=np.int32)  # each trial's block of n rows
     cursor = None  # random targets need no cursor
-    if protocol is not Protocol.FULLY_RANDOM:  # a vertex of degree 0 never sends
+    if protocol is not _RANDOM:  # a vertex of degree 0 never sends
         degrees = np.maximum(lists.topology.degrees(vertex), 1)
         cursor = keys.initial_positions(range(len(at)), degrees).astype(np.int32)
     return EngineState(
@@ -393,6 +413,7 @@ def init_state(
         at=at, vertex=vertex, cursor=cursor,
         attempts=None if policy is None else np.zeros(len(at), dtype=round_type),
         keys=keys, running=np.arange(len(starts)), boundary=None if policy is None else 0,
+        informed_count=len(starts),
     )
 
 
@@ -400,47 +421,59 @@ def step(state: EngineState, max_rounds: int) -> bool:
     """Run one round, or one settled block of rounds, of every trial in state.
 
     Every trial must have an uninformed vertex.  Returns False, and runs
-    nothing, if no row may send.  A block ends by max_rounds unless it is a
-    single round; run_batch describes blocks and policies.  A single round
-    runs its senders in slices of at most _BLOCK_CELLS.  But a round without
-    a policy in which at least half the rows are informed builds no list of
-    senders: it runs over ranges of rows, each of at most _BLOCK_CELLS rows
-    and whole trials or part of one, read in place, of which the informed
-    rows send.  Either way the round applies its informs when it ends.
+    nothing, if no row may send.  A block ends by max_rounds and by the
+    policy's next boundary unless it is a single round; run_batch describes
+    blocks and policies.  A single round runs its senders in slices of at
+    most _BLOCK_CELLS.  But a round without a policy in which at least half
+    the rows are informed, settled or not, builds no list of senders: it
+    runs over ranges of rows, each of at most _BLOCK_CELLS rows and whole
+    trials or part of one, read in place, of which the informed rows send.
+    Either way the round applies its informs when it ends, and the state
+    recounts its informed rows once if any were informed.
     """
     s = state
     topo = s.lists.topology
-    senders = None if s.policy is not None else topo.live_senders(s.informed)
     if s.t == s.boundary:
         s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
-    if senders is None:
-        block = 1
-        if s.policy is None and 2 * np.count_nonzero(s.informed) >= len(s.informed):
-            # half the rows send: ranges of whole trials, or of parts of one, read in place
-            total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
-            informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
-                       for first in range(0, total, span)
-                       for lo in range(first, first + span, _BLOCK_CELLS)]
-        else:
-            senders = (s.informed if s.policy is None else s.informed & s.may_send).nonzero()[0]
-            if not len(senders):
-                return False
-    else:  # settled: these senders are all that can inform a vertex from now on
+    live = topo._live_count(s.informed, s.informed_count)  # None while some trial is unsettled
+    senders, block = None, 1
+    if live is not None:  # settled: these senders are all that can inform a vertex from now on
+        if s.policy is not None:  # those that may send
+            senders = topo.live_senders(s.informed, s.informed_count)
+            senders = senders[s.may_send[senders]]
+            live = len(senders)
         if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
-            # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg
-            left = (len(s.informed) - np.count_nonzero(s.informed)) / len(s.running)
-            deg = int(np.max(topo.degrees(s.vertex[senders])))
-            harmonic = 1.0 + math.log(left) if s.protocol is Protocol.FULLY_RANDOM else 1.0
-            tail = len(s.running) * deg * harmonic / s.p
+            # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg;
+            # a live sender's deg is n - 1 on either graph
+            left = (len(s.informed) - s.informed_count) / len(s.running)
+            harmonic = 1.0 + math.log(left) if s.protocol is _RANDOM else 1.0
+            tail = len(s.running) * (topo.n - 1) * harmonic / s.p
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
-        block = max(1, min(s.width // len(senders), max_rounds - s.t))
+        # no block passes the boundary or cap, to which it jumps if no live sender may send
+        end = max_rounds if s.boundary is None else min(s.boundary, max_rounds)
+        block = max(1, min(s.width // live, end - s.t) if live else end - s.t)
         s.width = min(2 * s.width, _BLOCK_CELLS)
-    if senders is not None and len(senders) <= _BLOCK_CELLS:  # a block of rounds takes one slice
-        informs = [_transmit(s, senders, block)]
-    elif senders is not None:  # a single round of more senders runs in slices
-        informs = [_transmit(s, senders[lo:lo + _BLOCK_CELLS], block)
-                   for lo in range(0, len(senders), _BLOCK_CELLS)]
+    if block > 1:  # one slice of the live senders, whose draws follow from their addresses
+        if senders is None:
+            senders = topo.live_senders(s.informed, s.informed_count)
+        informs = [_transmit(s, senders, block)] if len(senders) else []
+    elif s.policy is None and 2 * s.informed_count >= len(s.informed):
+        # half the rows send: ranges of whole trials, or of parts of one, read in place
+        total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
+        informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
+                   for first in range(0, total, span)
+                   for lo in range(first, first + span, _BLOCK_CELLS)]
+    else:
+        sending = s.informed if s.policy is None else s.informed & s.may_send
+        senders = sending.nonzero()[0]
+        if not len(senders):
+            return False
+        if len(senders) <= _BLOCK_CELLS:
+            informs = [_transmit(s, senders, 1)]
+        else:  # a single round of more senders runs in slices
+            informs = [_transmit(s, senders[lo:lo + _BLOCK_CELLS], 1)
+                       for lo in range(0, len(senders), _BLOCK_CELLS)]
     s.newly = False
     # the round's informs apply at its end: a range's senders are the rows informed before it
     for new_rows, hit in informs:
@@ -449,6 +482,16 @@ def step(state: EngineState, max_rounds: int) -> bool:
             np.minimum.at(s.at, new_rows, (s.t + 1 + hit // len(senders)).astype(s.at.dtype))
         s.informed[new_rows] = True
         s.newly = s.newly or len(new_rows) > 0
+    if block > 1 and s.policy is not None:  # every row that sends in the block counts its rounds:
+        sent = (s.informed & s.may_send).nonzero()[0]  # those informed before it, and any that joined it
+        if not len(sent):
+            return False
+        if s.t + block < 2**63:  # past int64 no informing round is kept, and no count is read
+            s.attempts[sent] += s.t + block - np.maximum(s.at[sent], s.t)
+    elif s.policy is not None:  # each sender of the round counts it
+        s.attempts += sending
+    if s.newly:
+        s.informed_count = int(np.count_nonzero(s.informed))
     s.t += block
     return True
 

@@ -18,11 +18,16 @@ Both run on engine.run_batch under _Schedule, a sender policy that derives
 who may send, and every PhaseRecord, from each vertex's informing round.  An
 active set never shrinks within its phase and an empty one informs no one, so
 once no row may send, every trial stops at its last round, which may lie past
-int64.  Their results are built from run_batch's three arrays: a
-DelayedResult is a TrialResult (rounds, completion and informing record) plus
-the trial's phase records.  Growth sampling builds the same engine state with
-init_state(lists, Protocol.QUASIRANDOM, failure, ...) and steps it itself with
-step(state, max_rounds), as it stops partway through a run.
+int64.  Once every trial of the run is settled, a step runs a block of
+rounds up to the next phase boundary or cap, and when no vertex that can
+still inform anyone may send (a star whose center is silent), it jumps
+there, counting the transmissions of the rows that send to no avail; so a
+long phase costs a few steps, not one a round.  Their results are built
+from run_batch's three arrays: a DelayedResult is a TrialResult (rounds,
+completion and informing record) plus the trial's phase records.  Growth
+sampling builds the same engine state with init_state(lists,
+Protocol.QUASIRANDOM, failure, ...) and steps it itself with step(state,
+max_rounds), as it stops partway through a run.
 """
 
 from __future__ import annotations
@@ -99,27 +104,24 @@ class _Schedule:
         """The rows of trials that may send from boundary t, given each row's
         informing round, and the next boundary (None past the schedule)."""
         k = bisect.bisect_right(self.ends, t)  # the phase running at t
-        at = at.reshape(len(trials), -1)
-        may = (at >= self.silent[k]) | ~self.delayed[trials, None]
         if k == len(self.schedule) or self.schedule[k].kind is PhaseKind.BUSY:
-            may |= at < 0  # a row informed in a busy phase joins it
-        return may.ravel(), self.ends[k] if k < len(self.ends) else None
+            at = at.view(np.uint32 if at.itemsize == 4 else np.uint64)  # -1, never, joins it
+        may = at >= self.silent[k]
+        may.reshape(len(trials), -1)[~self.delayed[trials]] = True  # an undelayed row always may
+        return may, self.ends[k] if k < len(self.ends) else None
 
     def records(self, informing: np.ndarray, rounds: np.ndarray, completed: np.ndarray):
         """Every trial's PhaseRecords: a delayed trial's for each phase that opened
         before it stopped, and for each zero-length one where it stopped, unless
-        it completed there after round 0.  One bincount gives every delayed
-        trial's informed count by round, which each record reads twice."""
-        last = int(informing.max(initial=0)) + 1  # thresholds clamped here count the same
-        kept = self.delayed.nonzero()[0]
-        at = informing[kept]
-        cells = np.arange(len(kept))[:, None] * (last + 1) + at
-        by = np.bincount(cells[at >= 0], minlength=len(kept) * (last + 1))
-        by = by.reshape(len(kept), last + 1).cumsum(axis=1).tolist()  # informed by round
+        it completed there after round 0.  One bincount gives a delayed trial's
+        informed count by round, which each record reads twice."""
         stops, done = rounds.tolist(), completed.tolist()
         out = [[] for _ in stops]
         phases = list(zip(self.schedule, self.begins, self.ends, self.silent[1:]))
-        for i, informed in zip(kept.tolist(), by):
+        for i in self.delayed.nonzero()[0].tolist():
+            at = informing[i][informing[i] >= 0]
+            last = int(np.maximum.reduce(at)) + 1  # thresholds clamped here count the same
+            informed = np.bincount(at, minlength=last + 1).cumsum().tolist()  # by round
             stop = stops[i]
             for k, (phase, begin, end, silent) in enumerate(phases):
                 edge = stop == begin and phase.length == 0 and (not done[i] or stop == 0)
@@ -139,7 +141,8 @@ def _dominated(delayed: np.ndarray, undelayed: np.ndarray) -> bool:
     later (informing rounds, -1 for never).  Informed sets only grow and both
     copies share one clock and max_rounds, so this is containment every round.
     """
-    return bool(((delayed < 0) | ((undelayed >= 0) & (undelayed <= delayed))).all())
+    # as unsigned, never (-1) lies past every round: any <= never, and never <= only never
+    return bool(np.logical_and.reduce(undelayed.view(np.uint64) <= delayed.view(np.uint64)))
 
 
 def run_delayed(

@@ -9,8 +9,9 @@ A trial's key for a purpose is mix64(derive_key(seed, trial) ^ purpose*G).
 Seed and trial are masked to 64 bits as Python ints, and each seed's half
 of derive_key, mix64(KEY0 + seed*G), is taken in Python ints too; then the
 keys of all the trials of a batch are derived in one pass over uint64 arrays,
-which wrap silently where numpy uint64 scalars would warn.  The per-round
-draws are vectorized over uint64 arrays too.
+which wrap silently where numpy uint64 scalars would warn.  The few
+TrialRandomness objects of a run derive theirs wholly in Python ints, which
+costs them less.  The per-round draws are vectorized over uint64 arrays.
 
 A draw hashes in two stages: h = mix(key ^ v*G) for the (trial, purpose,
 vertex), then mix(h ^ o*G) for the ordinal.  The first stage does not depend
@@ -53,7 +54,7 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-_INV53 = 2.0 ** -53
+_INV53 = np.float64(2.0 ** -53)
 
 
 def mix64(x: int) -> int:
@@ -150,8 +151,11 @@ def _keys_of(seeds: np.ndarray, trials: np.ndarray) -> np.ndarray:
 
 
 def _purpose_keys(rngs: list[TrialRandomness]) -> np.ndarray:
-    """_keys_of each rng's seed and trial."""
-    return _keys_of(_words([rng.master_seed for rng in rngs]), _words([rng.trial for rng in rngs]))
+    """_keys_of each rng's seed and trial, derived in Python ints: for the few
+    rngs of a run they cost less so than in passes over arrays."""
+    keys = [derive_key(rng.master_seed, rng.trial) for rng in rngs]
+    keys = [[mix64(key ^ purpose * _GOLDEN) for purpose in _PURPOSES] for key in keys]
+    return np.array(keys, dtype=np.uint64).reshape(-1, len(_PURPOSES))
 
 
 class TrialRandomness:

@@ -56,6 +56,11 @@ class ListStrategy(str, Enum):
     EXPLICIT = "explicit"
 
 
+# the members that per-round code compares with, read as globals: under Python
+# 3.11 a class lookup of an enum member costs about 0.1 us, several times a round
+_COMPLETE, _CANONICAL, _REVERSED = GraphKind.COMPLETE, ListStrategy.CANONICAL, ListStrategy.REVERSED
+
+
 @dataclass(frozen=True)
 class Topology:
     kind: GraphKind
@@ -73,32 +78,42 @@ class Topology:
         self.check_vertex(v)
         return int(self.degrees(v))
 
-    def degrees(self, vertices: np.ndarray) -> np.ndarray | int:
-        """Degree of each given vertex; the one degree rule (a scalar on the complete graph)."""
-        if self.kind is GraphKind.COMPLETE:
-            return self.n - 1
+    def degrees(self, vertices: np.ndarray) -> np.ndarray | np.integer:
+        """Degree of each given vertex; the one degree rule (a numpy scalar on
+        the complete graph, which arrays of its width read without a cast)."""
         width = np.int32 if self.n <= 2**31 else np.int64  # the engine's, where n - 1 fits
+        if self.kind is _COMPLETE:
+            return width(self.n - 1)
         return np.where(vertices, width(1), width(self.n - 1))  # a leaf's is 1
 
-    def live_senders(self, informed: np.ndarray) -> np.ndarray | None:
+    def live_senders(self, informed: np.ndarray, count: int | None = None) -> np.ndarray | None:
         """If every trial is settled, the rows that can still inform a vertex.
 
-        informed holds trials of n rows, each with an uninformed vertex.  A
-        trial is settled when no uninformed vertex has an uninformed neighbor:
-        on the complete graph when one is left, which every informed vertex
-        neighbors, and on the star when the center, each leaf's one neighbor,
-        is informed.  Returns None while some trial is not settled.
+        informed holds trials of n rows, each with an uninformed vertex, and
+        count of them informed (counted if not given).  A trial is settled
+        when no uninformed vertex has an uninformed neighbor: on the complete
+        graph when one is left, which every informed vertex neighbors, and on
+        the star when the center, each leaf's one neighbor, is informed.
+        Returns None while some trial is not settled.
         """
-        if self.kind is GraphKind.COMPLETE:  # one left in each trial: as many as trials
-            settled = len(informed) - np.count_nonzero(informed) == len(informed) // self.n
-            return informed.nonzero()[0] if settled else None
-        centers = np.arange(0, len(informed), self.n)
-        return centers if informed[centers].all() else None
+        if self._live_count(informed, count) is None:
+            return None
+        if self.kind is _COMPLETE:
+            return informed.nonzero()[0]
+        return np.arange(0, len(informed), self.n)  # the centers
+
+    def _live_count(self, informed: np.ndarray, count: int | None = None) -> int | None:
+        """How many rows live_senders(informed, count) lists, without listing them."""
+        trials = len(informed) // self.n
+        if self.kind is _COMPLETE:  # one left in each trial: as many as trials
+            count = np.count_nonzero(informed) if count is None else count
+            return count if len(informed) - count == trials else None
+        return trials if np.count_nonzero(informed[::self.n]) == trials else None
 
     def neighbors(self, v: int) -> np.ndarray:
         """Canonical (ascending id) neighbor array of one vertex."""
         self.check_vertex(v)
-        if self.kind is GraphKind.COMPLETE:
+        if self.kind is _COMPLETE:
             return np.concatenate(
                 [np.arange(v, dtype=np.int64), np.arange(v + 1, self.n, dtype=np.int64)]
             )
@@ -108,7 +123,7 @@ class Topology:
 
     def neighbors_at(self, vertices: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Vectorized canonical lookup: the indices-th neighbor of each vertex."""
-        if self.kind is GraphKind.COMPLETE:
+        if self.kind is _COMPLETE:
             return indices + (indices >= vertices)
         return np.where(vertices == 0, indices + 1, 0)
 
@@ -147,9 +162,9 @@ class ListAssignment:
     def row(self, v: int) -> np.ndarray:
         """The full cyclic list of one vertex as int64, mostly for tests and oracles."""
         self.topology.check_vertex(v)
-        if self.strategy is ListStrategy.CANONICAL:
+        if self.strategy is _CANONICAL:
             return self.topology.neighbors(v)
-        if self.strategy is ListStrategy.REVERSED:
+        if self.strategy is _REVERSED:
             return self.topology.neighbors(v)[::-1].copy()
         if v < len(self._table):
             return self._table[v].astype(np.int64)
@@ -163,12 +178,12 @@ class ListAssignment:
         the row offset.
         """
         topo = self.topology
-        if self.strategy is ListStrategy.CANONICAL:
+        if self.strategy is _CANONICAL:
             return topo.neighbors_at(vertices, positions)
-        if self.strategy is ListStrategy.REVERSED:
+        if self.strategy is _REVERSED:
             return topo.neighbors_at(vertices, topo.degrees(vertices) - 1 - positions)
         flat = self._table.ravel()  # row v starts at v * (n - 1)
-        if topo.kind is GraphKind.COMPLETE:  # take: a plain gather, faster than indexing
+        if topo.kind is _COMPLETE:  # take: a plain gather, faster than indexing
             cells = vertices * np.intp(topo.n - 1)  # intp, which take would convert int32 to
             cells += positions
             return flat.take(cells)

@@ -14,9 +14,11 @@ from rumorsim import (
     FailureModel,
     ListAssignment,
     ListStrategy,
+    Phase,
     Protocol,
     TrialRandomness,
     complete_graph,
+    coupled_run,
     exact_fully_random,
     realize_lists,
     run,
@@ -44,20 +46,27 @@ def _tv_limit(dist, trials: int) -> float:
 
 class _Masks:
     """A sender policy for stepping by hand: the rows of masks[t] may send in
-    round t, every row without masks, and each step runs one round.  Given
-    the batch's trial count, it also serves run_batch, capping no trial."""
+    round t, every row without masks.  Its boundaries fall every period
+    rounds, so a step runs one round, or, once settled, a block of up to
+    period rounds; masks must then be equal within each period.  Given the
+    batch's trial count, it also serves run_batch, capping trial b at
+    limits[b] (no trial without limits)."""
 
-    def __init__(self, masks=None, trials=1):
+    def __init__(self, masks=None, trials=1, period=1, limits=None):
         self.masks = masks
         self.trials = trials
+        self.period = period
+        self.limits = limits
 
     def caps(self, max_rounds):
-        return [max_rounds] * self.trials
+        if self.limits is None:
+            return [max_rounds] * self.trials
+        return [min(limit, max_rounds) for limit in self.limits]
 
     def senders(self, t, at, running):
         if self.masks is None:
-            return np.ones(len(at), dtype=bool), t + 1
-        return np.tile(self.masks[t], len(running)), t + 1
+            return np.ones(len(at), dtype=bool), t + self.period
+        return np.tile(self.masks[t], len(running)), t + self.period
 
 
 def test_init_state():
@@ -985,3 +994,183 @@ def test_a_batch_keeps_no_rows_once_its_last_trial_stops():
         assert not left  # a one-trial batch stops without a keep
     for got, want in zip(batch, map(np.concatenate, zip(*alone))):
         assert np.array_equal(got, want)
+
+
+def _period_masks(seed, rounds, n, period):
+    """Random sender masks that stay equal within each period of rounds."""
+    base = np.random.default_rng(seed).random((-(-rounds // period), n)) < 0.6
+    return np.repeat(base, period, axis=0)[:rounds]
+
+
+@pytest.mark.parametrize("run_kind", ["plain-complete", "plain-star", "policy", "coupled"])
+def test_the_informed_count_is_kept_by_every_step_and_keep(run_kind):
+    # plain runs take range rounds, gathered rounds and settled blocks; policy
+    # runs take settled blocks and idle jumps under boundaries every 5 rounds
+    real_step, real_keep = engine.step, engine.EngineState.keep
+    checked = []
+
+    def counted_step(state, max_rounds):
+        out = real_step(state, max_rounds)
+        assert state.informed_count == np.count_nonzero(state.informed)
+        checked.append("step")
+        return out
+
+    def counted_keep(state, live):
+        real_keep(state, live)
+        assert state.informed_count == np.count_nonzero(state.informed)
+        checked.append("keep")
+
+    graph = star_graph(30) if run_kind == "plain-star" else complete_graph(40)
+    lists = realize_lists(graph, ListStrategy.RANDOM, seed=3)
+    starts = [0, 1, 17, 5, 0, 2, 3, 29]
+    rngs = [TrialRandomness(8, t) for t in range(len(starts))]
+    with mock.patch.object(engine, "step", counted_step), \
+            mock.patch.object(engine.EngineState, "keep", counted_keep):
+        for protocol in Protocol:
+            if run_kind == "coupled":
+                for k, sched in enumerate(([Phase("lazy", 2), Phase("busy", 4), Phase("lazy", 300)],
+                                           [Phase("busy", 3), Phase("lazy", 1), Phase("busy", 90)])):
+                    coupled_run(lists, FailureModel(0.4), k, sched, TrialRandomness(4, k))
+                continue
+            policy = None
+            if run_kind == "policy":
+                masks = _period_masks(1, 400, graph.n, 5)
+                policy = _Masks(masks, len(starts), 5)
+            run_batch(lists, protocol, FailureModel(0.4), starts, rngs, 400, policy)
+    assert "step" in checked and "keep" in checked
+
+
+def _silencing(trials, silent):
+    """A policy under which the rows of trial silent never send."""
+    policy = _Masks(trials=trials, period=10**6)
+    policy.senders = lambda t, at, running: (
+        np.repeat(running != silent, len(at) // len(running)), None
+    )
+    return policy
+
+
+def test_a_trial_finishing_as_the_count_first_reaches_n_gets_its_record():
+    # trial 1 never sends, so the batch holds fewer than n = 16 informed rows
+    # until the step in which trial 0 completes; trial 1, left alone, stalls
+    # and stops at its cap; each gets the record it has when it runs alone
+    lists = realize_lists(complete_graph(16), ListStrategy.CANONICAL)
+    fm, starts = FailureModel(1.0), [3, 7]
+    rngs = [TrialRandomness(36, t) for t in range(2)]
+    steps, real_step = [], engine.step
+
+    def counting_step(state, max_rounds):
+        out = real_step(state, max_rounds)
+        steps.append((state.t, state.informed_count))
+        return out
+
+    with mock.patch.object(engine, "step", counting_step):
+        rounds, completed, informing = run_batch(
+            lists, Protocol.QUASIRANDOM, fm, starts, rngs, 50, _silencing(2, 1)
+        )
+    reached = next(i for i, (_, count) in enumerate(steps) if count >= 16)
+    assert [count for _, count in steps[:reached + 1]] == [3, 5, 9, 14, 17]
+    assert steps[reached][0] == 5  # trial 0's 16 rows and trial 1's start, in round 5
+    assert rounds.tolist() == [5, 50] and completed.tolist() == [True, False]
+    for b in range(2):  # alone, trial 0 sends and trial 1 does not
+        alone = run_batch(lists, Protocol.QUASIRANDOM, fm, starts[b:b + 1], rngs[b:b + 1], 50,
+                          _silencing(1, 1 - b))
+        assert [a[0].tolist() for a in alone] == [a[b].tolist() for a in (rounds, completed, informing)]
+    assert informing[0].tolist() == run(lists, Protocol.QUASIRANDOM, fm, 3, rngs[0], 50).informing.tolist()
+    assert informing[1].tolist() == [-1] * 7 + [0] + [-1] * 8
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+@pytest.mark.parametrize("graph", [complete_graph(12), star_graph(12)], ids=["complete", "star"])
+def test_policy_caps_at_different_rounds_stop_each_trial_at_its_own(graph, protocol):
+    # settled blocks under a policy end by the smallest cap of the running
+    # trials, so each trial's record is the one it has alone at its cap
+    lists = realize_lists(graph, ListStrategy.RANDOM, seed=7)
+    starts, limits = [0, 3, 5, 0, 11], [9, 40, 3, 200, 77]
+    rngs = [TrialRandomness(6, t) for t in range(len(starts))]
+    masks = _period_masks(2, 300, graph.n, 8)
+    masks[:, starts] = True  # no stall, which would stop a lone trial at its cap
+    fm = FailureModel(0.3)
+    got = run_batch(lists, protocol, fm, starts, rngs, 300, _Masks(masks, 5, 8, limits))
+    for b, (start, rng, limit) in enumerate(zip(starts, rngs, limits)):
+        alone = run_batch(lists, protocol, fm, [start], [rng], 300, _Masks(masks, 1, 8, [limit]))
+        assert [a[b].tolist() for a in got] == [a[0].tolist() for a in alone]
+        assert got[0][b] <= limit
+
+
+def _settled_policy_run(protocol, graph, period, seed):
+    """Step a run under boundaries every period rounds by hand against the
+    every-coin reference, which must agree after every step, attempts
+    included; returns the kinds of settled step taken."""
+    lists = realize_lists(graph, ListStrategy.RANDOM, seed=seed)
+    p, max_rounds, n = (1.0, 0.5, 0.2)[seed % 3], 120, graph.n
+    masks = _period_masks(seed, max_rounds, n, period)
+    start, rng = seed % n, TrialRandomness(seed, 1)
+    state = init_state(lists, protocol, FailureModel(p), [start], [rng], _Masks(masks, 1, period),
+                       max_rounds)
+    first = None if state.cursor is None else state.cursor.copy()
+    reference = list(_every_coin_rounds(lists, protocol, p, start, rng, max_rounds, masks))
+    kinds, calls, real = set(), [], engine._transmit
+
+    def transmit(s, rows, rounds):
+        calls.append(rounds)
+        return real(s, rows, rounds)
+
+    while not state.informed.all() and state.t < max_rounds:
+        t, settled = state.t, lists.topology.live_senders(state.informed) is not None
+        calls.clear()
+        with mock.patch.object(engine, "_transmit", transmit):
+            if not step(state, max_rounds):  # no row sends until the next boundary
+                state.t = min(t - t % period + period, max_rounds)
+        if settled:
+            kinds.add("block" if max(calls, default=0) > 1 else
+                      "idle" if state.t - t > 1 else
+                      "boundary one round on" if t % period == period - 1 else "round")
+        if state.t > len(reference):  # completed inside the block, in its last round
+            assert state.informed.all() and state.at.max() == len(reference)
+            break
+        informed, cursor, attempts = reference[state.t - 1]
+        assert np.array_equal(state.informed, informed)
+        assert state.informed_count == int(informed.sum())
+        assert np.array_equal(state.attempts, attempts)
+        if protocol is Protocol.QUASIRANDOM:  # a row keeps its first position
+            walked = (state.cursor + state.attempts) % lists.topology.degrees(state.vertex)
+            assert np.array_equal(walked, np.where(attempts > 0, cursor, first))
+        elif protocol is Protocol.FEEDBACK_RETRY:
+            assert np.array_equal(state.cursor, np.where(attempts > 0, cursor, first))
+    assert state.informed.all() or state.t == max_rounds == len(reference)
+    return kinds
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_settled_policy_blocks_equal_every_coin_reference(protocol):
+    # boundaries every period rounds: a settled step runs a block up to the
+    # next one, or jumps there when no live sender may send, and counts the
+    # transmissions of every row that sends, those that inform no one included
+    kinds = set()
+    for graph in (complete_graph(7), star_graph(9)):
+        for period in (2, 5, 9):
+            for seed in range(6):
+                kinds |= _settled_policy_run(protocol, graph, period, seed)
+    assert kinds >= {"block", "idle", "boundary one round on"}
+
+
+def test_a_settled_single_round_without_a_policy_reads_ranges():
+    # with blocks of at most 16 cells, 39 live senders a trial make every
+    # settled step a single round, which reads its rows in place
+    lists = realize_lists(complete_graph(40), ListStrategy.RANDOM, seed=4)
+    starts = [0, 5, 9]
+    rngs = [TrialRandomness(3, t) for t in range(len(starts))]
+    kinds, real = [], engine._transmit
+
+    def transmit(state, rows, rounds):
+        if lists.topology.live_senders(state.informed) is not None:
+            kinds.append((type(rows), rounds))
+        return real(state, rows, rounds)
+
+    for protocol in Protocol:
+        want = run_batch(lists, protocol, FailureModel(0.3), starts, rngs, 400)
+        with mock.patch.object(engine, "_BLOCK_CELLS", 16), \
+                mock.patch.object(engine, "_transmit", transmit):
+            got = run_batch(lists, protocol, FailureModel(0.3), starts, rngs, 400)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert kinds and set(kinds) == {(range, 1)}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -676,3 +677,49 @@ class TestUpperBoundSchedule:
         lists = realize_lists(complete_graph(64), ListStrategy.CANONICAL)
         res = run_delayed(lists, FailureModel(1.0), 0, sched, TrialRandomness(0, 0))
         assert res.rounds <= sum(ph.length for ph in sched)
+
+
+@pytest.mark.parametrize("length", [100000, 2**64])
+def test_a_silent_center_jumps_to_the_end_of_a_long_lazy_phase(length):
+    # the leaf informs the center in round 1; the center stays silent for the
+    # lazy phase while the leaf keeps sending to it, so one step jumps over
+    # the phase's useless rounds, past int64 too
+    lists = realize_lists(star_graph(3), ListStrategy.CANONICAL)
+    start = time.perf_counter()
+    res = run_delayed(lists, FailureModel(1.0), 1, [Phase(PhaseKind.LAZY, length)],
+                      TrialRandomness(0, 0))
+    assert time.perf_counter() - start < 0.05
+    assert (res.rounds, res.completed, res.informing.tolist()) == (length, False, [1, 0, -1])
+    assert res.phases == [PhaseRecord(0, PhaseKind.LAZY, length, length, 2, 1)]
+
+
+@st.composite
+def coupling_cases(draw):
+    """Short lazy and busy phases, then one long final phase."""
+    topo = draw(st.sampled_from([complete_graph, star_graph]))
+    n = draw(st.integers(3 if topo is star_graph else 1, 12))
+    short = st.builds(Phase, st.sampled_from(list(PhaseKind)), st.integers(0, 6))
+    schedule = draw(st.lists(short, max_size=6))
+    schedule.append(Phase(draw(st.sampled_from(list(PhaseKind))), draw(st.integers(10**4, 10**6))))
+    return dict(
+        lists=realize_lists(topo(n), draw(st.sampled_from(list(ListStrategy)[:3])),
+                            seed=draw(st.integers(0, 99))),
+        failure=FailureModel(draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))),
+        start_vertex=draw(st.integers(0, n - 1)),
+        schedule=schedule,
+        rng=TrialRandomness(draw(st.integers(0, 2**40)), draw(st.integers(0, 99))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=coupling_cases())
+def test_a_coupled_run_is_dominated_and_equals_its_two_copies(case):
+    # a cap past the schedule's end, so the final phase runs out unless a copy completes
+    cap = sum(ph.length for ph in case["schedule"]) + 1
+    out = coupled_run(**case, max_rounds=cap)
+    assert out.dominated is True
+    _assert_same_delayed(out.delayed, run_delayed(**case, max_rounds=cap))
+    alone = run(case["lists"], Protocol.QUASIRANDOM, case["failure"], case["start_vertex"],
+                case["rng"], cap)
+    assert (out.undelayed.rounds, out.undelayed.completed) == (alone.rounds, alone.completed)
+    assert out.undelayed.informing.tolist() == alone.informing.tolist()
