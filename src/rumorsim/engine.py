@@ -41,25 +41,28 @@ ordinal's width, and the temporaries of a round keep those widths.  A round
 runs its senders in slices of at most _BLOCK_CELLS, so what a round
 allocates does not grow with n, and applies every slice's informs, each with
 the round's number, when it ends.  Once at least half the rows are informed,
-a single round without a policy, settled or not, builds no list of senders:
-it reads its rows in place, in ranges of at most _BLOCK_CELLS rows that hold
-whole trials or part of one, lets the informed ones send, and gathers only
+an unsettled round without a policy builds no list of senders: it reads its
+rows in place, in ranges of at most _BLOCK_CELLS rows that hold whole
+trials or part of one, lets the informed ones send, and gathers only
 the useful transmissions, for their coins and informs.  Random targets and
 feedback coins are hashed for every row a range reads, which costs less
 than gathering the senders once half the rows send.  A range's senders are
 the rows informed before the round, which is why a round's informs wait for
-its end.  Sparse rounds, policy rounds and settled blocks keep gathered
-senders.  The state keeps its count of informed rows, recounted once by a
-step that informs one and by keep; the settled test, the range rule and
-the loop's finish test read it.  The loop looks for finished trials only
-after a step that informed a row, once the batch holds n rows and every
+its end.  Sparse rounds, policy rounds and settled steps share one gathered
+list of senders.  The state keeps its count of informed rows, recounted
+once by a step that informs one and by keep; the range rule and the loop's
+finish test read it.  The loop looks for finished trials only after a step
+that informed a row, once the batch holds n rows and every
 other trial's start, and after every step once the clock reaches the
 running trials' first cap, and EngineState.keep drops their rows, unless
-none is left running, when the run returns at once.  Once every trial is
-settled (no uninformed vertex has an uninformed neighbor), the senders that
-can still inform anyone are fixed and their draws follow from their
-addresses alone, so a step draws a block of rounds at once, under a policy
-up to its next boundary, and jumps there when none of them may send.
+none is left running, when the run returns at once.  A star's trial is
+settled (no uninformed vertex has an uninformed neighbor) once its center is
+informed: from then on only the center can inform anyone, and its draws
+follow from its addresses alone, so once every trial is settled a step
+draws a block of rounds at once, under a policy up to its next boundary, and
+jumps there when no center may send.  The complete graph runs one round a
+step, as it is settled only with one vertex left, about 1/p rounds of its
+(1/p) ln n tail.
 run_batch returns three arrays: each trial's rounds, whether it completed,
 and its informing record, the round in which each vertex was first informed
 (-1 for never).  Every result is built from them, and the informed count at
@@ -244,20 +247,22 @@ def run_batch(
     and the loop returns without one once the last trials stop.
     Rounds may lie past int64 (an object array) when max_rounds does.
 
-    Once every running trial is settled (Topology.live_senders), a step runs a
-    block of rounds: its live senders are fixed, as a vertex informed later has
-    no uninformed neighbor, and their draws follow from their own addresses
-    (random: later ordinals; quasi: later slots from the first; feedback: the cursor
-    moved by a running sum of its own acknowledged deliveries).  A vertex is
-    informed in the round of its first successful hit.  The first block draws
-    the transmissions the live senders need, in expectation, to hit every
-    uninformed row, each later one twice the last one's; a block of more than
-    one round draws at most _BLOCK_CELLS, and none runs past the running
-    trials' first cap.  Without a policy, other senders' cursors go stale
-    unread: settling is final, so a live sender's ordinal stays t - at.  A
-    settled step that comes to a single round runs as one (see step).
+    Once every running trial is settled (Topology.live_senders: a star's once
+    its center is informed; the complete graph runs one round a step), a step
+    runs a block of rounds: the centers are the only live senders, as every
+    leaf's one neighbor is informed, and their draws follow from their own
+    addresses (random: later ordinals; quasi: later slots from the first;
+    feedback: the cursor moved by a running sum of its own acknowledged
+    deliveries).  A vertex is informed in the round of its first successful
+    hit.  The first block draws the transmissions the live senders need, in
+    expectation, to hit every uninformed row, each later one twice the last
+    one's; a block of more than one round draws at most _BLOCK_CELLS, and
+    none runs past the running trials' first cap.  Without a policy, the
+    leaves' cursors go stale unread: settling is final, so a center's
+    ordinal stays t - at.  A settled step that comes to a single round sends
+    only the centers.
 
-    A single round without a policy reads its rows in place, in ranges,
+    An unsettled round without a policy reads its rows in place, in ranges,
     once at least half of them are informed (see step).
 
     A policy (phases' schedules) gives each trial's last round,
@@ -265,13 +270,13 @@ def run_batch(
     policy.senders(t, at, running): the rows that may send until the next one.
     When no row may send, every running trial stops at its cap, as none can
     send later.  A policy run counts each row's transmissions, as it pauses
-    some: a round, once it ends, adds its senders' mask to the counts.  Its
-    settled blocks end by the next boundary, which may reactivate senders:
-    the live senders that may send draw the block, and every row that sends
-    in it, those and the others informed before it or joining it in a busy
-    phase, counts its rounds there.  With no live sender that may send, the
-    step is an idle jump to the boundary or cap, in which only the others
-    count.
+    some: an unsettled round, once it ends, adds its senders' mask to the
+    counts.  Its settled blocks end by the next boundary, which may
+    reactivate senders: the live senders that may send draw the block, and
+    every row that sends in it, those and the others informed before it or
+    joining it in a busy phase, counts its rounds there.  With no live
+    sender that may send, the step is an idle jump to the boundary or cap,
+    in which only the others count.
     """
     _check_integer("max_rounds", max_rounds, 0)
     s = init_state(lists, protocol, failure, starts, rngs, policy, max_rounds)
@@ -324,8 +329,9 @@ class EngineState:
     max_rounds + n < 2**31 and int64 otherwise (init_state), so a row takes
     13 bytes on lists and 9 with random targets, 5 more under a policy, and
     8 for each cached first stage of its draws.  A step's temporaries are as
-    wide, and at most _BLOCK_CELLS long but for a list of senders and the
-    informs a round holds until it ends."""
+    wide, and at most _BLOCK_CELLS long but for a list of senders (without a
+    policy, fewer than half the rows, or a star's centers) and the informs a
+    round holds until it ends."""
 
     lists: ListAssignment
     protocol: Protocol
@@ -421,59 +427,54 @@ def step(state: EngineState, max_rounds: int) -> bool:
     """Run one round, or one settled block of rounds, of every trial in state.
 
     Every trial must have an uninformed vertex.  Returns False, and runs
-    nothing, if no row may send.  A block ends by max_rounds and by the
+    nothing, if no row may send.  Once every trial is settled
+    (Topology.live_senders: a star's center is informed), the live senders
+    that may send run a block of rounds, which ends by max_rounds and by the
     policy's next boundary unless it is a single round; run_batch describes
-    blocks and policies.  A single round runs its senders in slices of at
-    most _BLOCK_CELLS.  But a round without a policy in which at least half
-    the rows are informed, settled or not, builds no list of senders: it
-    runs over ranges of rows, each of at most _BLOCK_CELLS rows and whole
-    trials or part of one, read in place, of which the informed rows send.
-    Either way the round applies its informs when it ends, and the state
-    recounts its informed rows once if any were informed.
+    blocks and policies.  Settled steps, policy rounds and rounds in which
+    fewer than half the rows are informed send a list of senders, in slices
+    of max(1, _BLOCK_CELLS // block), so that a block is one slice.  Any
+    other round builds no list of senders: it runs over ranges of rows, each
+    of at most _BLOCK_CELLS rows and whole trials or part of one, read in
+    place, of which the informed rows send.  Either way the step applies its
+    informs when it ends, and the state recounts its informed rows once if
+    any were informed.
     """
     s = state
     topo = s.lists.topology
     if s.t == s.boundary:
         s.may_send, s.boundary = s.policy.senders(s.t, s.at, s.running)
-    live = topo._live_count(s.informed, s.informed_count)  # None while some trial is unsettled
-    senders, block = None, 1
-    if live is not None:  # settled: these senders are all that can inform a vertex from now on
+    senders, block = topo.live_senders(s.informed), 1  # None while some trial is unsettled
+    settled = senders is not None
+    if settled:  # these senders are all that can inform a vertex from now on
         if s.policy is not None:  # those that may send
-            senders = topo.live_senders(s.informed, s.informed_count)
             senders = senders[s.may_send[senders]]
-            live = len(senders)
         if not s.width:  # the transmissions a trial needs, in expectation, to hit its U
             # uninformed rows: deg * H_U / p with random targets (the coupon collector,
             # H_U <= 1 + ln U), deg / p on lists, whose walk passes every slot in deg;
-            # a live sender's deg is n - 1 on either graph
+            # a center's deg is n - 1
             left = (len(s.informed) - s.informed_count) / len(s.running)
             harmonic = 1.0 + math.log(left) if s.protocol is _RANDOM else 1.0
             tail = len(s.running) * (topo.n - 1) * harmonic / s.p
             s.width = int(min(tail, _BLOCK_CELLS))  # inf at the smallest p
         # no block passes the boundary or cap, to which it jumps if no live sender may send
         end = max_rounds if s.boundary is None else min(s.boundary, max_rounds)
-        block = max(1, min(s.width // live, end - s.t) if live else end - s.t)
+        block = max(1, min(s.width // len(senders), end - s.t) if len(senders) else end - s.t)
         s.width = min(2 * s.width, _BLOCK_CELLS)
-    if block > 1:  # one slice of the live senders, whose draws follow from their addresses
-        if senders is None:
-            senders = topo.live_senders(s.informed, s.informed_count)
-        informs = [_transmit(s, senders, block)] if len(senders) else []
-    elif s.policy is None and 2 * s.informed_count >= len(s.informed):
-        # half the rows send: ranges of whole trials, or of parts of one, read in place
-        total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
-        informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
-                   for first in range(0, total, span)
-                   for lo in range(first, first + span, _BLOCK_CELLS)]
-    else:
+    elif s.policy is not None or 2 * s.informed_count < len(s.informed):
         sending = s.informed if s.policy is None else s.informed & s.may_send
         senders = sending.nonzero()[0]
         if not len(senders):
             return False
-        if len(senders) <= _BLOCK_CELLS:
-            informs = [_transmit(s, senders, 1)]
-        else:  # a single round of more senders runs in slices
-            informs = [_transmit(s, senders[lo:lo + _BLOCK_CELLS], 1)
-                       for lo in range(0, len(senders), _BLOCK_CELLS)]
+    if senders is None:  # half the rows send: ranges of whole trials, or parts of one, in place
+        total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
+        informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
+                   for first in range(0, total, span)
+                   for lo in range(first, first + span, _BLOCK_CELLS)]
+    else:  # slices of a list of senders; a block, drawn from their addresses, is one
+        size = max(1, _BLOCK_CELLS // block)
+        informs = [_transmit(s, senders[lo:lo + size], block)
+                   for lo in range(0, len(senders), size)]
     s.newly = False
     # the round's informs apply at its end: a range's senders are the rows informed before it
     for new_rows, hit in informs:
@@ -482,7 +483,7 @@ def step(state: EngineState, max_rounds: int) -> bool:
             np.minimum.at(s.at, new_rows, (s.t + 1 + hit // len(senders)).astype(s.at.dtype))
         s.informed[new_rows] = True
         s.newly = s.newly or len(new_rows) > 0
-    if block > 1 and s.policy is not None:  # every row that sends in the block counts its rounds:
+    if settled and s.policy is not None:  # every row that sends in the block counts its rounds:
         sent = (s.informed & s.may_send).nonzero()[0]  # those informed before it, and any that joined it
         if not len(sent):
             return False

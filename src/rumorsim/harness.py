@@ -101,7 +101,7 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name}: must be a string, got {getattr(self, name)!r}")
         try:  # the integer, range and p rules the engine applies, checked up front
-            _check_integer("n", self.n, 3 if self.topology == "star" else 1)
+            self.build_topology()  # the n rule of its graph
             _check_p(self.p)
             _check_integer("trials", self.trials, 1)
             _check_integer("seed", self.seed)

@@ -214,7 +214,8 @@ def tv_distance(dist: ExactDistribution, rounds: np.ndarray, completed: np.ndarr
     if not trials:
         raise ValueError("trials: need at least one empirical broadcast time, got none")
     in_range = completed & (rounds <= dist.horizon)
-    counts = np.bincount(rounds[in_range], minlength=dist.horizon + 1)
+    # rounds kept as objects (a run whose max_rounds lies past int64) fit int64 here
+    counts = np.bincount(rounds[in_range].astype(np.int64), minlength=dist.horizon + 1)
     emp = counts / trials
     emp_tail = 1.0 - in_range.sum() / trials
     return 0.5 * (np.abs(emp - dist.mass).sum() + abs(emp_tail - dist.tail))

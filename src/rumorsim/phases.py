@@ -18,11 +18,11 @@ Both run on engine.run_batch under _Schedule, a sender policy that derives
 who may send, and every PhaseRecord, from each vertex's informing round.  An
 active set never shrinks within its phase and an empty one informs no one, so
 once no row may send, every trial stops at its last round, which may lie past
-int64.  Once every trial of the run is settled, a step runs a block of
-rounds up to the next phase boundary or cap, and when no vertex that can
-still inform anyone may send (a star whose center is silent), it jumps
-there, counting the transmissions of the rows that send to no avail; so a
-long phase costs a few steps, not one a round.  Their results are built
+int64.  On the star, once every trial's center is informed (settled), a
+step runs a block of rounds up to the next phase boundary or cap, and when
+no center may send, it jumps there, counting the transmissions of the rows
+that send to no avail; so a long phase costs a few steps, not one a round.
+On the complete graph every step is one round.  Their results are built
 from run_batch's three arrays: a DelayedResult is a TrialResult (rounds,
 completion and informing record) plus the trial's phase records.  Growth
 sampling builds the same engine state with init_state(lists,

@@ -86,29 +86,21 @@ class Topology:
             return width(self.n - 1)
         return np.where(vertices, width(1), width(self.n - 1))  # a leaf's is 1
 
-    def live_senders(self, informed: np.ndarray, count: int | None = None) -> np.ndarray | None:
+    def live_senders(self, informed: np.ndarray) -> np.ndarray | None:
         """If every trial is settled, the rows that can still inform a vertex.
 
-        informed holds trials of n rows, each with an uninformed vertex, and
-        count of them informed (counted if not given).  A trial is settled
-        when no uninformed vertex has an uninformed neighbor: on the complete
-        graph when one is left, which every informed vertex neighbors, and on
-        the star when the center, each leaf's one neighbor, is informed.
-        Returns None while some trial is not settled.
+        informed holds trials of n rows, each with an uninformed vertex.  A
+        star's trial is settled once its center, each leaf's one neighbor, is
+        informed: from then on only the center can inform anyone, so this
+        returns the centers, and None while some trial's center is not
+        informed.  On the complete graph it returns None: there a trial is
+        settled only with one vertex left, about 1/p rounds of a (1/p) ln n
+        tail, which one round a step runs about as fast.
         """
-        if self._live_count(informed, count) is None:
-            return None
         if self.kind is _COMPLETE:
-            return informed.nonzero()[0]
-        return np.arange(0, len(informed), self.n)  # the centers
-
-    def _live_count(self, informed: np.ndarray, count: int | None = None) -> int | None:
-        """How many rows live_senders(informed, count) lists, without listing them."""
-        trials = len(informed) // self.n
-        if self.kind is _COMPLETE:  # one left in each trial: as many as trials
-            count = np.count_nonzero(informed) if count is None else count
-            return count if len(informed) - count == trials else None
-        return trials if np.count_nonzero(informed[::self.n]) == trials else None
+            return None
+        centers = np.arange(0, len(informed), self.n)
+        return centers if np.count_nonzero(informed[::self.n]) == len(centers) else None
 
     def neighbors(self, v: int) -> np.ndarray:
         """Canonical (ascending id) neighbor array of one vertex."""

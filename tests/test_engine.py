@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rumorsim import (
     FailureModel,
+    GraphKind,
     ListAssignment,
     ListStrategy,
     Phase,
@@ -555,8 +556,9 @@ def _assert_runs_equal_reference(lists, protocol, p, starts, seed, max_rounds):
 @st.composite
 def settled_cases(draw):
     """A run that spends most of its rounds with no uninformed vertex next to
-    an uninformed one: a star once its center knows, a complete graph with one
-    vertex left.  max_rounds is long enough for several blocks of rounds."""
+    an uninformed one: a star once its center knows, whose steps then run
+    blocks of rounds (long enough max_rounds allow several), or a complete
+    graph with one vertex left, which runs one round a step."""
     star = draw(st.booleans())
     n = draw(st.integers(3, 40) if star else st.integers(1, 12))
     strategy = draw(st.sampled_from(
@@ -700,7 +702,7 @@ def test_unsettled_rounds_past_the_degree_equal_every_coin_reference(n, protocol
     with mock.patch.object(engine, "_transmit", transmit):
         res = _assert_runs_equal_reference(lists, protocol, p, [0, n - 1, n // 2], n, 400)
     assert all(r.completed for r in res)
-    assert unsettled == (set() if n == 2 else {True, False})  # n = 2 is settled at round 0
+    assert unsettled == {True, False}  # n = 2 too: the complete graph never settles
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -1154,23 +1156,46 @@ def test_settled_policy_blocks_equal_every_coin_reference(protocol):
     assert kinds >= {"block", "idle", "boundary one round on"}
 
 
-def test_a_settled_single_round_without_a_policy_reads_ranges():
-    # with blocks of at most 16 cells, 39 live senders a trial make every
-    # settled step a single round, which reads its rows in place
-    lists = realize_lists(complete_graph(40), ListStrategy.RANDOM, seed=4)
+def test_a_settled_single_round_sends_only_the_centers():
+    # with blocks of at most one cell every settled step is a single round,
+    # in which the centers send, in slices of one, and no informed leaf does,
+    # as each leaf's transmissions reach its informed center
+    lists = realize_lists(star_graph(40), ListStrategy.RANDOM, seed=4)
     starts = [0, 5, 9]
     rngs = [TrialRandomness(3, t) for t in range(len(starts))]
-    kinds, real = [], engine._transmit
-
-    def transmit(state, rows, rounds):
-        if lists.topology.live_senders(state.informed) is not None:
-            kinds.append((type(rows), rounds))
-        return real(state, rows, rounds)
+    real = engine._transmit
 
     for protocol in Protocol:
+        sent = {}  # by settled round: the centers, and the rows that sent
+
+        def transmit(state, rows, rounds):
+            centers = lists.topology.live_senders(state.informed)
+            if centers is not None:
+                assert (type(rows), rounds) == (np.ndarray, 1)
+                sent.setdefault(state.t, (centers.tolist(), []))[1].extend(rows.tolist())
+            return real(state, rows, rounds)
+
         want = run_batch(lists, protocol, FailureModel(0.3), starts, rngs, 400)
-        with mock.patch.object(engine, "_BLOCK_CELLS", 16), \
+        with mock.patch.object(engine, "_BLOCK_CELLS", 1), \
                 mock.patch.object(engine, "_transmit", transmit):
             got = run_batch(lists, protocol, FailureModel(0.3), starts, rngs, 400)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
-    assert kinds and set(kinds) == {(range, 1)}
+        assert sent and all(rows == centers for centers, rows in sent.values())
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masks"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_only_the_star_settles_into_blocks(protocol, masked):
+    # the complete graph runs one round a step, its last vertex's tail and
+    # boundaries every 5 rounds included; a star run from a leaf still draws
+    # blocks once its center is informed
+    starts = [1, 4, 11, 1]
+    rngs = [TrialRandomness(17, t) for t in range(len(starts))]
+    for graph in (complete_graph(12), star_graph(12)):
+        lists = realize_lists(graph, ListStrategy.RANDOM, seed=5)
+        policy = _Masks(_period_masks(4, 400, graph.n, 5), len(starts), 5) if masked else None
+        with mock.patch.object(engine, "_transmit", wraps=engine._transmit) as spy:
+            completed = run_batch(lists, protocol, FailureModel(0.3), starts, rngs, 400, policy)[1]
+        rounds = {call.args[-1] for call in spy.call_args_list}
+        assert rounds == {1} if graph.kind is GraphKind.COMPLETE else max(rounds) > 1
+        assert completed.any()

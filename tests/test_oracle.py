@@ -468,6 +468,15 @@ class TestTvDistance:
         completed = np.array([True, True, False, False])
         assert tv_distance(dist, rounds, completed) == pytest.approx(0.0)
 
+    def test_rounds_past_int64_count_as_the_tail(self):
+        # a run keeps its rounds as objects once max_rounds lies past int64
+        mass = np.zeros(5)
+        mass[3] = 0.5
+        dist = ExactDistribution(horizon=4, mass=mass, tail=0.5)
+        completed = np.array([True, False])
+        want = tv_distance(dist, np.array([3, 9]), completed)
+        assert tv_distance(dist, np.array([3, 2**64], dtype=object), completed) == want == 0.0
+
     def test_no_trials_raises(self):
         # no empirical law without a trial: not nan and two RuntimeWarnings
         dist = ExactDistribution(horizon=4, mass=np.full(5, 0.2), tail=0.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,32 @@ class TestCoupling:
         for trial in range(50):
             out = coupled_run(lists, fm, trial % 48, schedules[trial % 2], TrialRandomness(13, trial))
             assert out.dominated
+
+    def test_a_coupled_pair_at_n_1024_peaks_under_88_bytes_a_row(self):
+        # criterion 09's pairs at n = 1024, p = 0.5: one round a step keeps a
+        # pair's traced peak to its 2,048 rows' state and a round's temporaries
+        schedules = (
+            [Phase(PhaseKind.LAZY, 2), Phase(PhaseKind.BUSY, 4),
+             Phase(PhaseKind.LAZY, 3), Phase(PhaseKind.BUSY, 400)],
+            [Phase(PhaseKind.BUSY, 3), Phase(PhaseKind.LAZY, 5), Phase(PhaseKind.BUSY, 2),
+             Phase(PhaseKind.LAZY, 1), Phase(PhaseKind.BUSY, 400)],
+        )
+        lists = realize_lists(complete_graph(1024), ListStrategy.CANONICAL)
+        fm = FailureModel(0.5)
+        coupled_run(lists, fm, 0, schedules[0], TrialRandomness(7, 40))  # imports, caches
+        worst = 0
+        tracemalloc.start()
+        try:
+            for k in range(40):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = coupled_run(lists, fm, 0, schedules[k % 2], TrialRandomness(7, k))
+                worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
+                assert out.dominated
+                del out
+        finally:
+            tracemalloc.stop()
+        assert worst <= 88 * 2048
 
     def test_default_cap_past_double_range_names_p(self):
         lists = realize_lists(complete_graph(5), ListStrategy.CANONICAL)
@@ -570,8 +597,8 @@ class TestBusyGrowth:
     GOLDEN = {
         # the window passes the completion at round 7: end_newly is that round's
         ("complete", 12, "canonical", 1.0, 8, 3, 12, 0, 3, 500): (3, 3, 7, 1),
-        # settled from round 15 (one vertex left), complete at 18: windows that
-        # end in the settled rounds, on the completion round and past it
+        # one vertex left from round 15, complete at 18: windows that end in
+        # its last vertex's tail, on the completion round and past it
         ("complete", 40, "random", 0.5, 10, 4, 40, 0, 5, 500): (6, 4, 13, 0),
         ("complete", 40, "random", 0.5, 11, 4, 40, 0, 5, 500): (6, 4, 13, 0),
         ("complete", 40, "random", 0.5, 12, 4, 40, 0, 5, 500): (6, 4, 13, 1),

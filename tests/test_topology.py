@@ -109,17 +109,17 @@ class TestTopology:
             Topology("bogus", 5)
 
     def test_live_senders_once_every_trial_is_settled(self):
-        # two trials of n = 4 rows; settled means no uninformed vertex has an
-        # uninformed neighbor, and then the rows that can still inform one
+        # two trials of n = 4 rows; a star's trial is settled once its center
+        # is informed, and then the centers are the rows that can still inform
+        # a vertex; the complete graph always runs one round a step
         complete, star = complete_graph(4), star_graph(4)
-        one_left = np.array([1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
-        assert complete.live_senders(one_left).tolist() == [0, 1, 3, 5, 6, 7]
-        two_left = np.array([1, 0, 0, 1, 1, 1, 1, 0], dtype=bool)  # 3 left in all
-        assert complete.live_senders(two_left) is None
         centers_known = np.array([1, 0, 0, 1, 1, 1, 0, 1], dtype=bool)
         assert star.live_senders(centers_known).tolist() == [0, 4]
         leaf_only = np.array([1, 0, 0, 1, 0, 1, 0, 0], dtype=bool)
         assert star.live_senders(leaf_only) is None
+        one_left = np.array([1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
+        two_left = np.array([1, 0, 0, 1, 1, 1, 1, 0], dtype=bool)  # 3 left in all
+        assert complete.live_senders(one_left) is None and complete.live_senders(two_left) is None
 
     def test_neighbor_order_skips_self(self):
         topo = complete_graph(4)
