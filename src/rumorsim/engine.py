@@ -55,14 +55,18 @@ finish test read it.  The loop looks for finished trials only after a step
 that informed a row, once the batch holds n rows and every
 other trial's start, and after every step once the clock reaches the
 running trials' first cap, and EngineState.keep drops their rows, unless
-none is left running, when the run returns at once.  A star's trial is
-settled (no uninformed vertex has an uninformed neighbor) once its center is
-informed: from then on only the center can inform anyone, and its draws
-follow from its addresses alone, so once every trial is settled a step
-draws a block of rounds at once, under a policy up to its next boundary, and
-jumps there when no center may send.  The complete graph runs one round a
-step, as it is settled only with one vertex left, about 1/p rounds of its
-(1/p) ln n tail.
+none is left running, when the loop ends at once.  A stopped trial's
+informing record is taken out as it stops, and nothing else: once the loop
+ends, each trial's completion and rounds are read from the whole record,
+as a first hit may lie inside a settled block.  Only a policy gives trials
+different caps, so only a policy run recomputes the first cap after a stop.
+A star's trial is settled (no uninformed vertex has an uninformed neighbor)
+once its center is informed: from then on only the center can inform
+anyone, and its draws follow from its addresses alone, so once every trial
+is settled a step draws a block of rounds at once, under a policy up to its
+next boundary, and jumps there when no center may send.  The complete graph
+runs one round a step, as it is settled only with one vertex left, about
+1/p rounds of its (1/p) ln n tail.
 run_batch returns three arrays: each trial's rounds, whether it completed,
 and its informing record, the round in which each vertex was first informed
 (-1 for never).  Every result is built from them, and the informed count at
@@ -244,7 +248,12 @@ def run_batch(
     from its own rng, so the results do not depend on which other trials
     share the batch.  The loop is init_state, then step until every trial has
     stopped; EngineState.keep drops a finished trial's rows between steps,
-    and the loop returns without one once the last trials stop.
+    and the loop ends without one once the last trials stop.  A stop
+    copies the trial's informing record out and keeps no other account:
+    once the loop ends, a trial whose record informs every vertex completed,
+    in its record's last round, and any other stopped at its cap.  Only a
+    policy gives trials different caps, so only under one does a stop move
+    the running trials' first cap.
     Rounds may lie past int64 (an object array) when max_rounds does.
 
     Once every running trial is settled (Topology.live_senders: a star's once
@@ -286,7 +295,6 @@ def run_batch(
     caps = [max_rounds] * trials if policy is None else policy.caps(max_rounds)
     rounds = np.array(caps, dtype=np.int64 if max_rounds < 2**63 else object)
     cap = int(min(caps, default=max_rounds))  # the running trials' first, which no block passes
-    completed = np.zeros(trials, dtype=bool)
     while True:
         capped = s.t >= cap
         # a trial completes only in a step that informs a row, once the batch holds
@@ -294,28 +302,30 @@ def run_batch(
         if capped or s.newly and s.informed_count >= n + len(s.running) - 1:
             running = s.running
             if len(running) == 1:  # the one trial is complete when n rows are informed
-                done = np.array([s.informed_count == n])
+                stop = np.array([s.informed_count == n])
             else:
-                done = np.logical_and.reduce(s.informed.reshape(-1, n), axis=1)
-            stop = done | (rounds[running] <= s.t) if capped else done
+                stop = np.logical_and.reduce(s.informed.reshape(-1, n), axis=1)
+            if capped:
+                stop |= rounds[running] <= s.t
             stopped = np.count_nonzero(stop)
+            if stopped == len(stop):  # the last trials stopped: no rows to keep
+                break
             if stopped:
                 if informing is None:
                     informing = np.empty((trials, n), dtype=np.int64)
-                at = s.at.reshape(-1, n)
-                informing[running[stop]] = at[stop]
-                finished = running[done]
-                rounds[finished] = np.maximum.reduce(at[done], axis=1)  # may lie inside a block
-                completed[finished] = True
-                if stopped == len(stop):  # the last trials stopped: no rows to keep
-                    return rounds, completed, informing
+                ended = stop.nonzero()[0]  # by take, which costs less than a mask on 2-D
+                informing[running[ended]] = s.at.reshape(-1, n).take(ended, axis=0)
                 s.keep(~stop)
-                cap = int(np.minimum.reduce(rounds[s.running]))
+                if policy is not None:  # only a policy gives trials different caps
+                    cap = int(np.minimum.reduce(rounds[s.running]))
         if not len(s.running) or not step(s, cap):
-            break
-    if informing is None:  # a stall before any trial stopped
+            break  # a stall: the running trials stop at their caps
+    if informing is None:  # no trial stopped before the last ones
         informing = np.empty((trials, n), dtype=np.int64)
-    informing[s.running] = s.at.reshape(-1, n)  # a stall: these stop at their caps
+    informing[s.running] = s.at.reshape(-1, n)
+    # a trial completed if it informed every vertex, in the round of the last one
+    completed = np.minimum.reduce(informing, axis=1) >= 0
+    rounds[completed] = np.maximum.reduce(informing, axis=1)[completed]
     return rounds, completed, informing
 
 
@@ -433,12 +443,13 @@ def step(state: EngineState, max_rounds: int) -> bool:
     policy's next boundary unless it is a single round; run_batch describes
     blocks and policies.  Settled steps, policy rounds and rounds in which
     fewer than half the rows are informed send a list of senders, in slices
-    of max(1, _BLOCK_CELLS // block), so that a block is one slice.  Any
-    other round builds no list of senders: it runs over ranges of rows, each
-    of at most _BLOCK_CELLS rows and whole trials or part of one, read in
-    place, of which the informed rows send.  Either way the step applies its
-    informs when it ends, and the state recounts its informed rows once if
-    any were informed.
+    of max(1, _BLOCK_CELLS // block), so that a block is one slice; a list
+    that fits one slice is sent whole, and an empty one (an idle jump) sends
+    nothing.  Any other round builds no list of senders: it runs over ranges
+    of rows, each of at most _BLOCK_CELLS rows and whole trials or part of
+    one, read in place, of which the informed rows send; a batch that fits
+    one range is one.  Either way the step applies its informs when it ends,
+    and the state recounts its informed rows once if any were informed.
     """
     s = state
     topo = s.lists.topology
@@ -468,13 +479,19 @@ def step(state: EngineState, max_rounds: int) -> bool:
             return False
     if senders is None:  # half the rows send: ranges of whole trials, or parts of one, in place
         total, span = len(s.informed), topo.n * max(1, _BLOCK_CELLS // topo.n)
-        informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
-                   for first in range(0, total, span)
-                   for lo in range(first, first + span, _BLOCK_CELLS)]
+        if total > _BLOCK_CELLS:
+            informs = [_transmit(s, range(lo, min(lo + _BLOCK_CELLS, first + span, total)), 1)
+                       for first in range(0, total, span)
+                       for lo in range(first, first + span, _BLOCK_CELLS)]
+        else:  # one range: the whole batch
+            informs = [_transmit(s, range(total), 1)]
     else:  # slices of a list of senders; a block, drawn from their addresses, is one
         size = max(1, _BLOCK_CELLS // block)
-        informs = [_transmit(s, senders[lo:lo + size], block)
-                   for lo in range(0, len(senders), size)]
+        if len(senders) > size:
+            informs = [_transmit(s, senders[lo:lo + size], block)
+                       for lo in range(0, len(senders), size)]
+        else:  # one slice, or none in an idle jump
+            informs = [_transmit(s, senders, block)] if len(senders) else []
     s.newly = False
     # the round's informs apply at its end: a range's senders are the rows informed before it
     for new_rows, hit in informs:

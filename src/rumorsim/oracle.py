@@ -115,9 +115,15 @@ def exact_quasirandom(
     next slot otherwise.  A state's fold reads each sender's field once; a
     move whose target the state informs adds its xor to a pending mask that
     the merge applies, and any other move branches every partial state by
-    the module's rule.  Every float operation is the one, in the same order,
-    that branching every move would make.  Exponential in n, hence the tight
-    caps.
+    the module's rule.  The fold holds the state and its probability
+    themselves until a move branches, and only then a dict of partial
+    states; a sender with a list position folds its one next-slot move in a
+    loop of its own, and a fresh sender loops over its first slots.  A fold
+    with no pending xor merges its partial states as they are, and one with
+    no branch merges the state alone.  Every float operation is the one, in
+    the same order, that branching every move would make, and the tail sums
+    the states left to right, as Python before 3.12 summed floats.
+    Exponential in n, hence the tight caps.
     """
     _check_integer("n", n, 2, 5)
     _check_integer("horizon", horizon, 0, 8)
@@ -132,51 +138,72 @@ def exact_quasirandom(
     width = max(degs).bit_length()  # a field holds cursor + 1, 0..deg
     field = (1 << width) - 1
     shifts = [n + v * width for v in range(n)]
-    # moves[v][cur]: the transmissions v can make with cursor field cur, each
-    # as its target's bit and the xor taking field cur to the next slot's
+    # moves[v][0]: every first transmission of v, each as its target's bit and
+    # the xor taking field 0 to the next slot's; moves[v][cur]: the one next
+    # transmission from cursor field cur, as the same pair
     moves = []
     for v, row in enumerate(rows):
         after = [((pos + 1) % degs[v] + 1) << shifts[v] for pos in range(degs[v])]
         first = [(1 << target, after[pos]) for pos, target in enumerate(row)]
-        steps = [[(bit, (pos + 1) << shifts[v] ^ slot)] for pos, (bit, slot) in enumerate(first)]
+        steps = [(bit, (pos + 1) << shifts[v] ^ slot) for pos, (bit, slot) in enumerate(first)]
         moves.append([first, *steps])
     # a round's senders are the vertices informed at its start that have a neighbor
     senders = [[v for v in range(n) if mask >> v & 1 and degs[v]] for mask in range(full + 1)]
-    miss = 1.0 - p
+    miss, lossy = 1.0 - p, p < 1.0
 
     states: dict[int, float] = {1 << start_vertex: 1.0}  # every cursor -1
     mass = np.zeros(horizon + 1)
     for t in range(1, horizon + 1):
         nxt: dict[int, float] = {}
+        merged = nxt.get
         for state, prob in states.items():
-            partial = {state: prob}
+            partial = None  # no branch yet: the state itself
             pending = 0  # the field xors of moves that cannot branch
             for v in senders[state & full]:
                 # only v moves v's cursor, so every branch has state's
                 cur = (state >> shifts[v]) & field
-                options = moves[v][cur]
-                if cur and state & options[0][0]:
-                    # target informed in every branch: no coin, no collision
-                    pending ^= options[0][1]
-                    continue
+                if cur:
+                    bit, flip = moves[v][cur]
+                    if state & bit:
+                        # target informed in every branch: no coin, no collision
+                        pending ^= flip
+                        continue
                 folded: dict[int, float] = {}
                 get = folded.get
-                for pstate, q in partial.items():
-                    if not cur:
-                        q = q / degs[v]
-                    for bit, flip in options:
+                branches = ((state, prob),) if partial is None else partial.items()
+                if cur:  # one move, to the next slot
+                    for pstate, q in branches:
                         key = pstate ^ flip
                         if pstate & bit:
                             # delivery coin is irrelevant: target already knows
                             folded[key] = get(key, 0.0) + q
                         else:
                             folded[key | bit] = get(key | bit, 0.0) + q * p
-                            if p < 1.0:
+                            if lossy:
                                 folded[key] = get(key, 0.0) + q * miss
+                else:  # a move to each first slot
+                    options, deg = moves[v][0], degs[v]
+                    for pstate, q in branches:
+                        q = q / deg
+                        for bit, flip in options:
+                            key = pstate ^ flip
+                            if pstate & bit:
+                                folded[key] = get(key, 0.0) + q
+                            else:
+                                folded[key | bit] = get(key | bit, 0.0) + q * p
+                                if lossy:
+                                    folded[key] = get(key, 0.0) + q * miss
                 partial = folded
-            for s, q in partial.items():
-                s ^= pending
-                nxt[s] = nxt.get(s, 0.0) + q
+            if partial is None:
+                state ^= pending
+                nxt[state] = merged(state, 0.0) + prob
+            elif pending:
+                for s, q in partial.items():
+                    s ^= pending
+                    nxt[s] = merged(s, 0.0) + q
+            else:
+                for s, q in partial.items():
+                    nxt[s] = merged(s, 0.0) + q
         states = {}
         done = 0.0
         for s, q in nxt.items():
@@ -185,7 +212,10 @@ def exact_quasirandom(
             else:
                 states[s] = q
         mass[t] = done
-    return ExactDistribution(horizon=horizon, mass=mass, tail=float(sum(states.values())))
+    tail = 0.0  # left to right: the builtin sum of floats is compensated since Python 3.12
+    for q in states.values():
+        tail += q
+    return ExactDistribution(horizon=horizon, mass=mass, tail=tail)
 
 
 def star_fully_random_expectation(n: int) -> float:
@@ -198,7 +228,9 @@ def star_fully_random_expectation(n: int) -> float:
     keep transmitting to the center, which changes nothing.
     """
     _check_integer("n", n, 3)
-    harmonic = sum(1.0 / j for j in range(1, n - 1))
+    harmonic = 0.0  # left to right, as in exact_quasirandom's tail
+    for j in range(1, n - 1):
+        harmonic += 1.0 / j
     return 1.0 + (n - 1) * harmonic
 
 

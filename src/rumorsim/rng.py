@@ -260,7 +260,7 @@ class RowRandomness(TrialRandomness):
     def keep(self, kept: np.ndarray) -> None:
         """Keep the rows of the trials numbered kept (0 for the first trial
         that still has rows), in that order."""
-        self._trial_keys = self._trial_keys[kept]
+        self._trial_keys = self._trial_keys.take(kept, axis=0)  # costs less than an index on 2-D
         self._first = {k: _take_trials(first, kept, self.n) for k, first in self._first.items()}
 
 

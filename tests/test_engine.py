@@ -1199,3 +1199,62 @@ def test_only_the_star_settles_into_blocks(protocol, masked):
         rounds = {call.args[-1] for call in spy.call_args_list}
         assert rounds == {1} if graph.kind is GraphKind.COMPLETE else max(rounds) > 1
         assert completed.any()
+
+
+def _assert_rounds_rule(rounds, completed, informing, caps):
+    """A completed trial's rounds are its last informing round, an incomplete
+    trial's its cap; returns the kinds of trial seen."""
+    kinds = set()
+    for b, cap in enumerate(caps):
+        if completed[b]:
+            assert informing[b].min() >= 0 and rounds[b] == informing[b].max() <= cap
+            kinds.add("completed")
+        else:
+            assert informing[b].min() == -1 and rounds[b] == cap
+            kinds.add("incomplete")
+    return kinds
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "policy"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_rounds_of_star_trials_that_complete_inside_blocks(protocol, masked):
+    # settled blocks of many rounds, whose ends some trials complete between,
+    # and caps that stop the others; a policy gives each trial its own cap
+    lists = realize_lists(star_graph(16), ListStrategy.RANDOM, seed=3)
+    starts = [0, 4, 0, 9, 13, 0]
+    rngs = [TrialRandomness(12, t) for t in range(len(starts))]
+    limits = [150, 40, 400, 25, 90, 60]
+    policy = _Masks(trials=len(starts), period=50, limits=limits) if masked else None
+    caps = limits if masked else [80] * len(starts)
+    clock, real = [], engine.step
+
+    def stepping(state, max_rounds):
+        ran = real(state, max_rounds)
+        clock.append(state.t)
+        return ran
+
+    with mock.patch.object(engine, "step", stepping):
+        rounds, completed, informing = run_batch(
+            lists, protocol, FailureModel(0.5), starts, rngs, 400 if masked else 80, policy
+        )
+    assert _assert_rounds_rule(rounds, completed, informing, caps) == {"completed", "incomplete"}
+    inside = [r for r, done in zip(rounds, completed) if done and r not in clock]
+    assert inside  # some trial completed inside a block, between two steps' ends
+    if not masked:  # and the round-by-round reference agrees
+        _assert_runs_equal_reference(lists, protocol, 0.5, starts, 12, 80)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=[p.value for p in Protocol])
+def test_rounds_of_complete_graph_batches(protocol, trials):
+    # one round a step: a trial completes in the round of its last inform, or
+    # stops at the cap
+    lists = realize_lists(complete_graph(12), ListStrategy.RANDOM, seed=2)
+    kinds = set()
+    for seed in range(6):
+        starts = [(seed + 5 * t) % 12 for t in range(trials)]
+        rngs = [TrialRandomness(seed, t) for t in range(trials)]
+        for max_rounds in (9, 300):
+            out = run_batch(lists, protocol, FailureModel(0.4), starts, rngs, max_rounds)
+            kinds |= _assert_rounds_rule(*out, [max_rounds] * trials)
+    assert kinds == {"completed", "incomplete"}

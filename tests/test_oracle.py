@@ -356,6 +356,19 @@ ORACLE_GRID = {
     (4, "star", 1.0): "7ac19a1e2f2f5915648bc7bf969ee059ce35fbfddbec8228ee4cf99ca46143f6",
     (4, "star", 0.6): "4af7a37dde040f6aa92d50f05d850b4f3789e012014cd71c57c699a394326d1c",
     (4, "star", 0.3): "b179b9d931c9670f470ed715a4da87aa1380a2d72467c0fc203eb05a4071fc45",
+    # the hand-picked lists of _EXPLICIT_ROWS, frozen before the fold's loops were split
+    (3, "explicit1", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "explicit1", 0.6): "2ce2210fbdff425c8257de039f3c9e0a59c2eba7f2a2f92a4d09b6ca2345f068",
+    (3, "explicit1", 0.3): "4c96b878f0fbe5b2d54ed79731123bebb660f481f9db0b3f9293d8112a4378cf",
+    (3, "explicit2", 1.0): "42b722a67b0c6e483db18457f4b6b8a5daff5489fd09128c4426ae7f3d810b8d",
+    (3, "explicit2", 0.6): "11aaba08b75ba9dd77dbfa031f09a750066ac8fae5ea3a087412d5a88349acb5",
+    (3, "explicit2", 0.3): "6e5c5eecc30edbcb50f9ad94aa38f03397c0bf7c6da384c82f0c1aa623cf37e8",
+    (4, "explicit1", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "explicit1", 0.6): "30f04311218cc6977ebfb54f843642d7cad9d1972dc7de4772edbf4ec3e9139b",
+    (4, "explicit1", 0.3): "4048136e65a3d7a4af052a420ef6f05186cf75dd534072c4b3c358b0e967b725",
+    (4, "explicit2", 1.0): "c0e6ff8c1fd15ac652cf0ca27dde7ecd046906530c35c17b68aea67f935f7c2d",
+    (4, "explicit2", 0.6): "b49de022d13ea1372cc6b343c4fb871017bc46abd16aa8c45d89444ad860dfe6",
+    (4, "explicit2", 0.3): "15d2f1a3551dae649291f404c98ef941400f256a405b0a30f7c4655ffff8d95c",
     (5, "canonical", 1.0): "9e850e37f0f182bd5e250c0b905b968f680cbdf1fb0a10aed3b7dc847d2f9a66",
     (5, "canonical", 0.6): "5d7a34fc287d0b9e3cd814917395d42b98de226d1e9ff1c6abd0c254b99d2a9d",
     (5, "canonical", 0.3): "f83c06a741440a672a0cdbb812f2757c7f94bf56a97be18cd1170045e4f724f0",
@@ -425,6 +438,15 @@ class TestStarExpectation:
         h254 = sum(1.0 / j for j in range(1, 255))
         assert star_fully_random_expectation(256) == pytest.approx(1 + 255 * h254, abs=1e-9)
         assert 1500 < star_fully_random_expectation(256) < 1620
+
+    def test_harmonic_sum_runs_left_to_right(self):
+        # the builtin sum of floats is compensated since Python 3.12, which
+        # moves the last bit here; a left-to-right sum gives the same on every version
+        harmonic = 0.0
+        for j in range(1, 255):
+            harmonic += 1.0 / j
+        assert star_fully_random_expectation(256) == 1.0 + 255 * harmonic == 1560.7118717684066
+        assert math.fsum(1.0 / j for j in range(1, 255)) != harmonic
 
     def test_matches_star_enumeration(self):
         # independent cross-check through raw protocol semantics on the star

@@ -7,8 +7,8 @@ OLD and NEW are package directories, each the one holding rumorsim's
 __init__.py.  Both are imported into one process, as ab_old and ab_new, and
 each rep runs every shape once on each side, alternating which side runs
 first, on the same seed; a rep's seed is its number.  A shape is the
-run_experiment or coupled_run calls of one bench workload, or a case named
-after what it runs.  Only the calls are timed, in process CPU time, with
+run_experiment, coupled_run or oracle calls of one bench workload, or a case
+named after what it runs.  Only the calls are timed, in process CPU time, with
 glibc's trim and mmap thresholds fixed (where mallopt exists), so that
 neither side pays for handing memory back to the kernel and faulting it in
 again.  For each shape it prints the median time of each side, the median
@@ -62,6 +62,15 @@ def _coupled(rs, seed):
                      for o in outs]
 
 
+def _oracle(rs, seed):
+    # deterministic: every rep runs the same two calls
+    lists = rs.realize_lists(rs.complete_graph(4), rs.ListStrategy.CANONICAL, 0)
+    start = time.process_time()
+    dists = [rs.exact_fully_random(5, 0.7, 60), rs.exact_quasirandom(4, lists, 0.6, horizon=8)]
+    elapsed = time.process_time() - start
+    return elapsed, [(d.mass.tobytes(), repr(d.tail)) for d in dists]
+
+
 SHAPES = {
     # bench workloads: law-2048's CLI call, tiny-exact's two runs, 16 of
     # star-256's one-trial runs and coupled-1024's chunk of 10 pairs
@@ -72,6 +81,8 @@ SHAPES = {
     "star": _experiments(*[dict(protocol="random", topology="star", n=256, p=1.0, trials=1,
                                 start="fixed:1", max_rounds=6000)] * 16),
     "coupled": _coupled,
+    # tiny-exact's two oracle calls, which its shape above leaves out
+    "oracle": _oracle,
     # small complete-graph runs, whose last vertex's tail is a large share
     "random-n2": _experiments(dict(protocol="random", n=2, p=0.5, trials=1000)),
     "random-n16": _experiments(dict(protocol="random", n=16, p=0.5, trials=1000)),
